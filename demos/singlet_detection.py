@@ -16,21 +16,18 @@ from varwit import (
     build_global_moments,
     detection_window,
     evaluate_witness,
-    expectation,
     make_singlet,
     sep_bound_curve,
     spin1_moment_pairs,
+    variance,
 )
 
 rho = DensityMatrix.from_pure(make_singlet())
 
 
 def variance_tuple(alpha):
-    out = []
-    for pair in spin1_moment_pairs(alpha):
-        g = build_global_moments(pair)
-        out.append(expectation(rho, g.m2) - expectation(rho, g.m1) ** 2)
-    return tuple(out)
+    # the global moments of x_A + x_B form an ordinary moment pair
+    return tuple(variance(rho, build_global_moments(p)) for p in spin1_moment_pairs(alpha))
 
 
 # --- ideal measurements ----------------------------------------------
@@ -51,8 +48,9 @@ print(f"\nnoisy measurements (alpha = {alpha}): V(1/2) = {v_noisy:.6f}")
 # cleanly detected
 x_id, y_id = spin1_moment_pairs(0.0)
 x_ad, y_ad = spin1_moment_pairs(alpha)
-lams, c_noiseless = sep_bound_curve(x_id, y_id, num=101)
-_, c_adapted = sep_bound_curve(x_ad, y_ad, num=101)
+lams, c_noiseless, _ = sep_bound_curve(x_id, y_id, num=101)
+_, c_adapted, certified = sep_bound_curve(x_ad, y_ad, num=101)
+print(f"  adapted bound certified at {certified.sum()} of {len(lams)} weights")
 mid = len(lams) // 2
 gx, gy = build_global_moments(x_ad), build_global_moments(y_ad)
 for name, c_half in (

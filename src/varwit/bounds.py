@@ -6,12 +6,13 @@ expectation of a penalty operator, so the infimum becomes a minimization
 of a smallest eigenvalue over two real mean parameters. Two independent
 routes compute it: an alternating seesaw descent and a brute-force mesh
 over the mean box. The seesaw is fast but local, the mesh is the trust
-anchor; acceptance requires them to agree.
+anchor; acceptance requires them to agree. `certified_bound` is the one
+place that decides whether a bound may be trusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -21,12 +22,13 @@ from .operators import (
     HermitianOperator,
     MomentPair,
     PureState,
-    expectation,
     variance,
 )
 
 VALUE_FLOOR = -1e-9
 SUPPORT_TOL = 1e-8
+# a stalled seesaw is trusted only when the mesh oracle lands this close
+AGREE_TOL = 1e-4
 
 _METHODS = ("seesaw", "grid", "grid_refined")
 
@@ -42,6 +44,8 @@ class WeightedPair:
 
     def __post_init__(self):
         lam, mu = float(self.lam), float(self.mu)
+        if not (np.isfinite(lam) and np.isfinite(mu)):
+            raise ValueError(f"weights must be finite, got ({lam}, {mu})")
         if lam < 0 or mu < 0:
             raise ValueError(f"weights must be nonnegative, got ({lam}, {mu})")
         if lam + mu <= 0:
@@ -63,7 +67,9 @@ class BoundResult:
     For the seesaw and grid_refined methods the value is the functional
     evaluated on the minimizer (they agree within 1e-8 by construction);
     an unpolished grid result reports the mesh minimum instead, which can
-    sit slightly above what its own ground state achieves.
+    sit slightly above what its own ground state achieves. `certified`
+    says whether the value may serve as a separability bound; the solver
+    that builds the result sets it.
     """
 
     value: float
@@ -73,6 +79,7 @@ class BoundResult:
     converged: bool
     method: str
     history: Optional[Tuple[float, ...]] = None
+    certified: bool = False
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -97,7 +104,8 @@ class RegionBoundary:
 
     Each traced point is the minimizer's variance pair at one weight
     lambda (with mu = 1 - lambda); the matching bound value defines a
-    supporting line that no converged point may undercut.
+    supporting line that no other certified point may undercut.
+    `converged` holds each point's certified flag.
     """
 
     points: Tuple[Tuple[float, float], ...]
@@ -215,7 +223,7 @@ def seesaw_bound(
         tol: stop a run when the penalty eigenvalue changes less than
             this.
         max_iter: iteration cap per run; converged=False if any run hits
-            it (the best value found is still reported).
+            it (the best value found is still reported, uncertified).
         seed: RNG seed for the starting means.
         record_history: attach the winning run's eigenvalue sequence.
 
@@ -248,6 +256,7 @@ def seesaw_bound(
         converged=all_converged,
         method="seesaw",
         history=tuple(hist) if record_history else None,
+        certified=all_converged,
     )
 
 
@@ -263,8 +272,9 @@ def grid_bound(
     Evaluates the smallest penalty eigenvalue on a grid_n x grid_n mesh
     of means over the spectral box, batched through the eigensolver.
     With polish=True (the default) a single seesaw run refines the best
-    mesh cell and the result is labeled grid_refined; polish=False
-    returns the raw mesh minimum.
+    mesh cell and the result is labeled grid_refined, certified when the
+    polish converges; polish=False returns the raw mesh minimum, never
+    certified since it can sit above the infimum.
     """
     if grid_n < 10:
         raise ValueError(f"grid_n must be >= 10, got {grid_n}")
@@ -296,6 +306,7 @@ def grid_bound(
             iterations=iters,
             converged=conv,
             method="grid_refined",
+            certified=conv,
         )
     pen_best = _penalty_raw(pair, float(xs[i]), float(ys[j]))
     w, vecs = np.linalg.eigh(pen_best)
@@ -317,17 +328,19 @@ def certified_bound(
     seed: int = 0,
     grid_n: int = 201,
 ) -> BoundResult:
-    """Seesaw first; if any start stalls, fall back to the mesh oracle.
+    """Seesaw first; if any start stalls, consult the mesh oracle.
 
-    The fallback result is used when it is at least as good, so curve
-    caches built from this never depend on an uncertified stalled run
-    unless that run genuinely found a deeper minimum.
+    A converged seesaw is certified. A stalled one is certified only when
+    the polished oracle converges and agrees with it within AGREE_TOL.
+    Either way the lower of the two values is returned, ties going to the
+    oracle, so a stalled run never raises a bound it could have lowered.
     """
     res = seesaw_bound(pair, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
-    if res.converged:
+    if res.certified:
         return res
     alt = grid_bound(pair, grid_n=grid_n, polish=True, tol=tol, max_iter=max_iter)
-    return alt if alt.value <= res.value else res
+    agreed = alt.certified and abs(alt.value - res.value) <= AGREE_TOL
+    return replace(alt if alt.value <= res.value else res, certified=agreed)
 
 
 def compose_sep_bound(local_a: BoundResult, local_b: BoundResult) -> float:
@@ -335,12 +348,11 @@ def compose_sep_bound(local_a: BoundResult, local_b: BoundResult) -> float:
 
     Variance additivity over product states splits the global infimum
     into independent per-party infima, so the composed bound is exact
-    given exact local values. Requires each input to be either converged
-    or certified by the mesh oracle.
+    given exact local values. Requires each input to be certified.
     """
     for name, res in (("local_a", local_a), ("local_b", local_b)):
-        if not (res.converged or res.method in ("grid", "grid_refined")):
-            raise ValueError(f"{name} is neither converged nor grid-certified")
+        if not res.certified:
+            raise ValueError(f"{name} is not certified")
     return local_a.value + local_b.value
 
 
@@ -355,10 +367,10 @@ def trace_region(
 ) -> RegionBoundary:
     """Trace the lower-left boundary of the achievable variance region.
 
-    For each lambda (mu = 1 - lambda) the bound is solved and the
-    minimizer's variance pair recorded; each bound value acts as a
-    supporting line for the whole set of converged points. A
-    non-converged solve is kept as a flagged point rather than raised.
+    For each lambda (mu = 1 - lambda) the certified bound is solved and
+    the minimizer's variance pair recorded; each bound value acts as a
+    supporting line for the whole set of certified points. A solve that
+    does not certify is kept as a flagged point rather than raised.
     """
     lams = [float(l) for l in lambdas]
     if any(not 0.0 < l < 1.0 for l in lams):
@@ -369,7 +381,7 @@ def trace_region(
     bounds = []
     flags = []
     for lam in lams:
-        res = seesaw_bound(
+        res = certified_bound(
             WeightedPair(lam, 1.0 - lam, x, y),
             starts=starts,
             tol=tol,
@@ -378,7 +390,7 @@ def trace_region(
         )
         points.append((variance(res.minimizer, x), variance(res.minimizer, y)))
         bounds.append(res.value)
-        flags.append(res.converged)
+        flags.append(res.certified)
     return RegionBoundary(
         points=tuple(points),
         lambdas=tuple(lams),
@@ -391,33 +403,29 @@ def sep_bound_curve(
     x: MomentPair,
     y: MomentPair,
     num: int = 201,
-    compose: bool = True,
-    certify: bool = True,
     starts: int = 16,
     tol: float = 1e-10,
     max_iter: int = 500,
     seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Separability bound c(lambda) on a uniform lambda grid over [0, 1].
 
-    With compose=True (the default) the returned values are the two-party
-    bound for identical parties, twice the local infimum; compose=False
-    gives the local curve. certify=True routes stalled seesaw points
-    through the mesh oracle. Window extraction interpolates this cache
-    linearly rather than re-solving per query.
+    Returns the grid, the two-party bound for identical parties (twice the
+    certified local bound) and each point's certified flag. Window
+    extraction interpolates this cache linearly rather than re-solving per
+    query.
     """
-    solve = certified_bound if certify else seesaw_bound
     lams = np.linspace(0.0, 1.0, num)
     vals = np.empty(num)
+    certified = np.empty(num, dtype=bool)
     for k, lam in enumerate(lams):
-        res = solve(
+        res = certified_bound(
             WeightedPair(float(lam), float(1.0 - lam), x, y),
             starts=starts,
             tol=tol,
             max_iter=max_iter,
             seed=seed,
         )
-        vals[k] = res.value
-    if compose:
-        vals = 2.0 * vals
-    return lams, vals
+        vals[k] = 2.0 * res.value
+        certified[k] = res.certified
+    return lams, vals, certified

@@ -4,7 +4,10 @@ Every command that writes files drops a sibling manifest next to each
 artifact; replaying the manifest re-runs the exact command with its
 resolved seed and reproduces the bytes. Exit codes follow one
 convention: 0 success, 2 numerical warning (a result is printed but some
-solve did not certify), 64 usage, 74 I/O.
+solve did not certify; stderr names its lambdas), 64 usage, 74 I/O.
+Whether a bound certifies is decided by `bounds.certified_bound` alone;
+only `bound`, which prints both solver routes side by side, asks more:
+both must converge and agree within `bounds.AGREE_TOL`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -21,10 +25,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    BoundResult,
+    AGREE_TOL,
     WeightedPair,
     certified_bound,
-    compose_sep_bound,
     grid_bound,
     seesaw_bound,
     sep_bound_curve,
@@ -36,9 +39,9 @@ from .operators import (
     HermitianOperator,
     MomentPair,
     PureState,
-    expectation,
     projective_povm,
     spin1_components,
+    variance,
 )
 from .simulate import (
     SampleConfig,
@@ -201,10 +204,16 @@ def _load_state(source: str) -> DensityMatrix:
         return make_singlet().density()
     with open(source, encoding="utf-8") as fh:
         data = json.load(fh)
-    if "amplitudes" in data:
-        return PureState.from_dict(data).density()
-    if "entries" in data:
-        return DensityMatrix(HermitianOperator.from_dict(data))
+    if not isinstance(data, dict):
+        raise _UsageError(f"state file {source!r} does not hold a JSON object")
+    try:
+        if "amplitudes" in data:
+            return PureState.from_dict(data).density()
+        if "entries" in data:
+            return DensityMatrix(HermitianOperator.from_dict(data))
+    except TypeError as exc:
+        # numbers where [re, im] pairs belong, or the reverse
+        raise _UsageError(f"state file {source!r} is malformed: {exc}")
     raise _UsageError(f"state file {source!r} has neither amplitudes nor entries")
 
 
@@ -216,6 +225,8 @@ def _parse_tuple(text: str) -> Tuple[float, float]:
         d2x, d2y = float(parts[0]), float(parts[1])
     except ValueError:
         raise _UsageError(f"--tuple expects two numbers, got {text!r}")
+    if not (math.isfinite(d2x) and math.isfinite(d2y)):
+        raise _UsageError(f"--tuple expects finite numbers, got {text!r}")
     return d2x, d2y
 
 
@@ -232,17 +243,27 @@ def _parse_lambdas(text: str) -> List[float]:
     return [float(l) for l in np.linspace(0.0, 1.0, count + 2)[1:-1]]
 
 
-def _global_variance_tuple(
-    state: DensityMatrix, pairs: Tuple[MomentPair, MomentPair]
-) -> Tuple[float, float]:
-    """Variance tuple of the joint x_A + x_B outcomes in a two-party state."""
-    out = []
-    for pair in pairs:
-        gm = build_global_moments(pair)
-        v = expectation(state, gm.m2) - expectation(state, gm.m1) ** 2
-        # exact spin-zero states land at zero up to rounding dust
-        out.append(max(v, 0.0))
-    return out[0], out[1]
+def _measured_tuples(
+    args, *pair_sets: Tuple[MomentPair, MomentPair]
+) -> List[Tuple[float, float]]:
+    """The --tuple given, else the --state's exact global variance tuple per pair set."""
+    if args.tuple_ is not None:
+        return [_parse_tuple(args.tuple_)] * len(pair_sets)
+    state = _load_state(args.state)
+    # exact spin-zero states land at zero up to rounding dust
+    return [
+        tuple(max(variance(state, build_global_moments(p)), 0.0) for p in pairs)
+        for pairs in pair_sets
+    ]
+
+
+def _uncertified_exit(what: str, lams: Sequence[float], certified: Sequence[bool]) -> int:
+    """Name on stderr the lambdas where `what` did not certify; the exit code."""
+    missed = [repr(float(lam)) for lam, ok in zip(lams, certified) if not ok]
+    if not missed:
+        return EXIT_OK
+    print(f"varwit: {what} did not certify at lambda = {', '.join(missed)}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def _std(values: Sequence[float]) -> float:
@@ -268,18 +289,14 @@ def cmd_bound(args) -> int:
         else:
             res_a = grid_bound(pair_a, grid_n=args.grid_n)
             res_b = res_a if pair_b is pair_a else grid_bound(pair_b, grid_n=args.grid_n)
-        certified = (res_a.converged or res_a.method != "seesaw") and (
-            res_b.converged or res_b.method != "seesaw"
-        )
-        c_sep = compose_sep_bound(res_a, res_b) if certified else res_a.value + res_b.value
         warn = warn or not (res_a.converged and res_b.converged)
         results[method] = {
             "local_a": res_a.to_dict(),
             "local_b": res_b.to_dict(),
-            "c_sep": c_sep,
+            "c_sep": res_a.value + res_b.value,
         }
     if len(results) == 2:
-        if abs(results["seesaw"]["c_sep"] - results["grid"]["c_sep"]) > 1e-4:
+        if abs(results["seesaw"]["c_sep"] - results["grid"]["c_sep"]) > AGREE_TOL:
             warn = True
     primary = "seesaw" if "seesaw" in results else methods[0]
     _print_json(
@@ -292,7 +309,7 @@ def cmd_bound(args) -> int:
             "results": results,
         }
     )
-    return EXIT_NUMERICAL if warn else EXIT_OK
+    return _uncertified_exit("bound", [args.lam], [not warn])
 
 
 def cmd_region(args) -> int:
@@ -319,42 +336,22 @@ def cmd_region(args) -> int:
         )
         paths.append(svg_path)
     _emit_manifests(args, seed, paths)
-    # A stalled multi-start run is only a warning if the mesh oracle
-    # disagrees with the value it reported.
-    uncertified = 0
-    for lam, value, ok in zip(region.lambdas, region.bounds, region.converged):
-        if ok:
-            continue
-        check = grid_bound(WeightedPair(lam, 1.0 - lam, x, y))
-        if abs(check.value - value) > 1e-4:
-            uncertified += 1
-    if uncertified:
-        print(f"varwit: {uncertified} region point(s) did not certify", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _uncertified_exit("region point", region.lambdas, region.converged)
 
 
 def cmd_witness(args) -> int:
     seed = _resolve_seed(args)
     noisy_pairs = spin1_moment_pairs(args.alpha)
     bound_pairs = noisy_pairs if args.adapted else spin1_moment_pairs(0.0)
-    if args.tuple_ is not None:
-        d2x, d2y = _parse_tuple(args.tuple_)
-    else:
-        state = _load_state(args.state)
-        d2x, d2y = _global_variance_tuple(state, noisy_pairs)
+    d2x, d2y = _measured_tuples(args, noisy_pairs)[0]
     local = certified_bound(
         WeightedPair(args.lam, 1.0 - args.lam, *bound_pairs), starts=args.starts, seed=seed
     )
-    c_sep = (
-        compose_sep_bound(local, local) if local.converged or local.method != "seesaw"
-        else 2.0 * local.value
-    )
-    verdict = evaluate_witness_from_tuple(d2x, d2y, args.lam, 1.0 - args.lam, c_sep)
-    paths: List[str] = []
+    verdict = evaluate_witness_from_tuple(d2x, d2y, args.lam, 1.0 - args.lam, 2.0 * local.value)
+    code = EXIT_OK
     if args.output_dir is not None:
         os.makedirs(args.output_dir, exist_ok=True)
-        lams, cs = sep_bound_curve(
+        lams, cs, certified = sep_bound_curve(
             *bound_pairs, num=args.lambda_grid, starts=args.starts, seed=seed
         )
         rows = []
@@ -363,8 +360,8 @@ def cmd_witness(args) -> int:
             rows.append([float(lam), v.v_value, float(c), v.detected])
         csv_path = os.path.join(args.output_dir, "witness_sweep.csv")
         _write_csv(csv_path, ["lambda", "V", "c", "detected"], rows)
-        paths.append(csv_path)
-        _emit_manifests(args, seed, paths)
+        _emit_manifests(args, seed, [csv_path])
+        code = _uncertified_exit("sweep bound", lams, certified)
     _print_json(
         {
             "alpha": args.alpha,
@@ -379,7 +376,7 @@ def cmd_witness(args) -> int:
             "margin": verdict.margin,
         }
     )
-    return EXIT_OK if local.converged else EXIT_NUMERICAL
+    return max(code, _uncertified_exit("bound", [args.lam], [local.certified]))
 
 
 def cmd_simulate(args) -> int:
@@ -498,21 +495,14 @@ def cmd_report(args) -> int:
     seed = _resolve_seed(args)
     ideal_pairs = spin1_moment_pairs(0.0)
     noisy_pairs = ideal_pairs if args.alpha == 0.0 else spin1_moment_pairs(args.alpha)
-    if args.tuple_ is not None:
-        tuple_ideal = tuple_noisy = _parse_tuple(args.tuple_)
-    else:
-        state = _load_state(args.state)
-        tuple_ideal = _global_variance_tuple(state, ideal_pairs)
-        tuple_noisy = (
-            tuple_ideal if args.alpha == 0.0 else _global_variance_tuple(state, noisy_pairs)
-        )
-    lams, c_noiseless = sep_bound_curve(
+    tuple_ideal, tuple_noisy = _measured_tuples(args, ideal_pairs, noisy_pairs)
+    lams, c_noiseless, ok_noiseless = sep_bound_curve(
         *ideal_pairs, num=args.lambda_grid, starts=args.starts, seed=seed
     )
     if noisy_pairs is ideal_pairs:
-        c_adapted = c_noiseless
+        c_adapted, ok_adapted = c_noiseless, ok_noiseless
     else:
-        _, c_adapted = sep_bound_curve(
+        _, c_adapted, ok_adapted = sep_bound_curve(
             *noisy_pairs, num=args.lambda_grid, starts=args.starts, seed=seed
         )
     interp_nl = bound_interpolant(lams, c_noiseless)
@@ -595,7 +585,7 @@ def cmd_report(args) -> int:
         paths.append(svg_path)
     _emit_manifests(args, seed, paths)
     _print_json(summary)
-    return EXIT_OK
+    return _uncertified_exit("bound curve", lams, ok_noiseless & ok_adapted)
 
 
 def build_parser() -> _CliParser:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .operators import (
     DensityMatrix,
-    MomentPair,
     Povm,
     PureState,
     expectation,
@@ -161,6 +160,33 @@ def _sample_variance(rng: np.random.Generator, outcomes: np.ndarray, probs: np.n
     return float(counts @ (outcomes - mean) ** 2) / (shots - 1)
 
 
+def _sample_trials(
+    seq: np.random.SeedSequence,
+    dist_x: Sequence[Tuple[float, float]],
+    dist_y: Sequence[Tuple[float, float]],
+    config: SampleConfig,
+) -> List[Tuple[float, float]]:
+    """Per-trial sample variances of the X and Y outcome distributions.
+
+    The shot budget is split evenly (floor) between the two settings.
+    Each trial draws from its own child of seq, X counts before Y counts.
+    """
+    per_setting = config.shots // 2
+    if per_setting < 2:
+        raise ValueError(
+            f"need at least 2 shots per setting for a variance, got {per_setting}"
+        )
+    outs_x, probs_x = (np.array(col) for col in zip(*dist_x))
+    outs_y, probs_y = (np.array(col) for col in zip(*dist_y))
+    per_trial = []
+    for child in seq.spawn(config.trials):
+        rng = np.random.default_rng(child)
+        s2x = _sample_variance(rng, outs_x, probs_x, per_setting)
+        s2y = _sample_variance(rng, outs_y, probs_y, per_setting)
+        per_trial.append((s2x, s2y))
+    return per_trial
+
+
 def sample_variance_tuple(
     state: DensityMatrix,
     povm_xa: Povm,
@@ -177,23 +203,9 @@ def sample_variance_tuple(
     headline values are the means over trials and the per-trial tuples are
     returned for spread estimates.
     """
-    per_setting = config.shots // 2
-    if per_setting < 2:
-        raise ValueError(
-            f"need at least 2 shots per setting for a variance, got {per_setting}"
-        )
-    dist_x = joint_outcome_distribution(state, povm_xa, povm_xb)
-    dist_y = joint_outcome_distribution(state, povm_ya, povm_yb)
-    sums_x = np.array([xa + xb for (xa, xb), _ in dist_x])
-    probs_x = np.array([p for _, p in dist_x])
-    sums_y = np.array([ya + yb for (ya, yb), _ in dist_y])
-    probs_y = np.array([p for _, p in dist_y])
-    per_trial: List[Tuple[float, float]] = []
-    for child in np.random.SeedSequence(config.seed).spawn(config.trials):
-        rng = np.random.default_rng(child)
-        d2x_t = _sample_variance(rng, sums_x, probs_x, per_setting)
-        d2y_t = _sample_variance(rng, sums_y, probs_y, per_setting)
-        per_trial.append((d2x_t, d2y_t))
+    dist_x = [(xa + xb, p) for (xa, xb), p in joint_outcome_distribution(state, povm_xa, povm_xb)]
+    dist_y = [(ya + yb, p) for (ya, yb), p in joint_outcome_distribution(state, povm_ya, povm_yb)]
+    per_trial = _sample_trials(np.random.SeedSequence(config.seed), dist_x, dist_y, config)
     d2x = float(np.mean([t[0] for t in per_trial]))
     d2y = float(np.mean([t[1] for t in per_trial]))
     return d2x, d2y, per_trial
@@ -218,29 +230,16 @@ def run_calibration(
     channel = spin_flip_channel(alpha)
     povm_x = noisy_povm(channel, projective_povm(lx))
     povm_y = noisy_povm(channel, projective_povm(ly))
-    per_setting = config.shots // 2
-    if per_setting < 2:
-        raise ValueError(
-            f"need at least 2 shots per setting for a variance, got {per_setting}"
-        )
     records: List[CalibrationRecord] = []
     sweep_seeds = np.random.SeedSequence(config.seed).spawn(len(theta_sweep))
     for params, record_seq in zip(theta_sweep, sweep_seeds):
         psi = make_test_state(params)
         v_ideal = 0.5 * variance(psi, ideal_x) + 0.5 * variance(psi, ideal_y)
         v_noisy = 0.5 * variance(psi, noisy_x) + 0.5 * variance(psi, noisy_y)
-        dist_x = outcome_distribution(psi, povm_x)
-        dist_y = outcome_distribution(psi, povm_y)
-        outs_x = np.array([x for x, _ in dist_x])
-        probs_x = np.array([p for _, p in dist_x])
-        outs_y = np.array([y for y, _ in dist_y])
-        probs_y = np.array([p for _, p in dist_y])
-        values = []
-        for child in record_seq.spawn(config.trials):
-            rng = np.random.default_rng(child)
-            s2x = _sample_variance(rng, outs_x, probs_x, per_setting)
-            s2y = _sample_variance(rng, outs_y, probs_y, per_setting)
-            values.append(0.5 * s2x + 0.5 * s2y)
+        trials = _sample_trials(
+            record_seq, outcome_distribution(psi, povm_x), outcome_distribution(psi, povm_y), config
+        )
+        values = [0.5 * s2x + 0.5 * s2y for s2x, s2y in trials]
         mean = float(np.mean(values))
         std = float(np.std(values, ddof=1)) if config.trials > 1 else 0.0
         records.append(

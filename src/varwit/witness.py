@@ -11,7 +11,7 @@ optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 import numpy as np
 
@@ -19,34 +19,10 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     MomentPair,
-    PSD_TOL,
-    expectation,
     identity,
     tensor,
+    variance,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class GlobalMoments:
-    """First and second moment operators of a joint two-party outcome."""
-
-    m1: HermitianOperator
-    m2: HermitianOperator
-    label: str = ""
-
-    def __post_init__(self):
-        if self.m1.dim != self.m2.dim:
-            raise ValueError(f"moment dims differ: {self.m1.dim} vs {self.m2.dim}")
-        var = self.m2.entries - self.m1.entries @ self.m1.entries
-        smallest = float(np.linalg.eigvalsh(var)[0])
-        if smallest < -PSD_TOL:
-            raise ValueError(
-                f"global variance operator not positive semidefinite: min eigenvalue {smallest:.3e}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.m1.dim
 
 
 @dataclass(frozen=True)
@@ -91,13 +67,14 @@ class DetectionWindow:
         }
 
 
-def build_global_moments(local: MomentPair, label: str = "") -> GlobalMoments:
+def build_global_moments(local: MomentPair) -> MomentPair:
     """Moment operators of the joint outcome x_A + x_B for identical local measurements.
 
     M1 = X1 (x) I + I (x) X1 and M2 = X2 (x) I + 2 X1 (x) X1 + I (x) X2,
     the expansion of (x_A + x_B)^2 over the product POVM. For projective
     local measurements this matches forming the joint POVM first and
-    taking its moments directly.
+    taking its moments directly. The result is an ordinary moment pair,
+    so `variance` gives the global variance in any two-party state.
     """
     eye = identity(local.dim)
     m1 = HermitianOperator(
@@ -108,7 +85,7 @@ def build_global_moments(local: MomentPair, label: str = "") -> GlobalMoments:
         + 2.0 * tensor(local.first, local.first).entries
         + tensor(eye, local.second).entries
     )
-    return GlobalMoments(m1=m1, m2=m2, label=label)
+    return MomentPair(m1, m2)
 
 
 def _verdict(lam: float, mu: float, v_value: float, c_sep: float) -> WitnessVerdict:
@@ -125,24 +102,20 @@ def _verdict(lam: float, mu: float, v_value: float, c_sep: float) -> WitnessVerd
 
 def evaluate_witness(
     state: DensityMatrix,
-    gx: GlobalMoments,
-    gy: GlobalMoments,
+    gx: MomentPair,
+    gy: MomentPair,
     lam: float,
     mu: float,
     c_sep: float,
 ) -> WitnessVerdict:
     """Evaluate the witness on a state.
 
-    The bound c_sep must come from the bounds module for the same moment
-    pairs that built gx and gy; nothing here can check that pairing.
+    gx and gy are global moment pairs from build_global_moments. The
+    bound c_sep must come from the bounds module for the same local
+    pairs that built them; nothing here can check that pairing.
     """
-    if state.dim != gx.dim or state.dim != gy.dim:
-        raise ValueError(
-            f"state dim {state.dim} does not match moments ({gx.dim}, {gy.dim})"
-        )
-    vx = expectation(state, gx.m2) - expectation(state, gx.m1) ** 2
-    vy = expectation(state, gy.m2) - expectation(state, gy.m1) ** 2
-    return _verdict(lam, mu, float(lam) * vx + float(mu) * vy, c_sep)
+    v = float(lam) * variance(state, gx) + float(mu) * variance(state, gy)
+    return _verdict(lam, mu, v, c_sep)
 
 
 def evaluate_witness_from_tuple(

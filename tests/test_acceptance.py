@@ -63,7 +63,7 @@ def singlet_variance_tuple(alpha):
     out = []
     for pair in (x, y):
         g = build_global_moments(pair)
-        out.append(expectation(rho, g.m2) - expectation(rho, g.m1) ** 2)
+        out.append(expectation(rho, g.second) - expectation(rho, g.first) ** 2)
     return out[0], out[1]
 
 
@@ -184,7 +184,7 @@ def test_criterion_7_soundness_suite():
                 )
             v = 0.0
             for weight, g in ((0.5, gx), (0.5, gy)):
-                v += weight * (expectation(prod, g.m2) - expectation(prod, g.m1) ** 2)
+                v += weight * (expectation(prod, g.second) - expectation(prod, g.first) ** 2)
             assert v >= c_sep - 1e-9
 
 

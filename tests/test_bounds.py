@@ -33,6 +33,9 @@ def test_weighted_pair_validation():
         WeightedPair(-0.1, 0.5, x, y)
     with pytest.raises(ValueError):
         WeightedPair(0.0, 0.0, x, y)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            WeightedPair(bad, 0.5, x, y)
 
 
 def test_penalty_single_observable_eigenstate():
@@ -132,6 +135,28 @@ def test_certified_bound_is_certified():
     assert res.converged or res.method in ("grid", "grid_refined")
 
 
+def test_certified_bound_trusts_a_stall_the_oracle_confirms():
+    # this seed's starts stall in the flat valley a hair below the oracle
+    pair = spin1_pair(0.355, 0.645, 0.2)
+    stalled = seesaw_bound(pair, seed=1)
+    assert not stalled.converged and not stalled.certified
+    oracle = grid_bound(pair)
+    assert oracle.certified
+    res = certified_bound(pair, seed=1)
+    assert res.certified
+    assert res.value == min(stalled.value, oracle.value)
+
+
+def test_certified_bound_rejects_a_stall_the_oracle_undercuts():
+    # a single start from this seed stalls far above the mesh oracle
+    pair = spin1_pair(0.2, 0.8)
+    stalled = seesaw_bound(pair, starts=1, seed=2)
+    res = certified_bound(pair, starts=1, seed=2)
+    assert not res.certified
+    assert res.value == grid_bound(pair).value < stalled.value - 1e-2
+    assert not grid_bound(pair, polish=False).certified
+
+
 def test_compose_sep_bound_sums_locals():
     local = seesaw_bound(spin1_pair(0.5, 0.5))
     assert abs(compose_sep_bound(local, local) - 7.0 / 16.0) < 1e-6
@@ -148,6 +173,7 @@ def test_compose_sep_bound_rejects_uncertified():
         iterations=500,
         converged=False,
         method="seesaw",
+        certified=False,
     )
     with pytest.raises(ValueError):
         compose_sep_bound(local, stalled)
@@ -260,8 +286,8 @@ def test_noisy_region_lies_outside_noiseless_region():
 
 def test_sep_bound_curve_composes_two_parties():
     x, y = spin1_moment_pairs(0.0)
-    lams, values = sep_bound_curve(x, y, num=21)
-    assert len(lams) == 21 and len(values) == 21
+    lams, values, certified = sep_bound_curve(x, y, num=21)
+    assert len(lams) == 21 and len(values) == 21 and certified.all()
     mid = values[10]
     assert abs(mid - 7.0 / 16.0) < 1e-6
     local = certified_bound(WeightedPair(lams[10], 1 - lams[10], x, y))

@@ -55,9 +55,11 @@ def test_witness_sources_are_mutually_exclusive():
     assert main(["witness"]) == EXIT_USAGE
 
 
-def test_malformed_tuple_is_usage_error():
+def test_malformed_tuple_is_usage_error(tmp_path):
     assert main(["witness", "--tuple", "nope"]) == EXIT_USAGE
     assert main(["witness", "--tuple", "1,2,3"]) == EXIT_USAGE
+    assert main(["witness", "--tuple", "nan,0.1"]) == EXIT_USAGE
+    assert main(["report", "--tuple", "inf,0.1", "--output-dir", str(tmp_path)]) == EXIT_USAGE
 
 
 def test_bad_env_seed_is_usage_error(monkeypatch):
@@ -193,11 +195,37 @@ def test_witness_accepts_state_file(tmp_path, capsys):
 
 
 def test_witness_rejects_unrecognized_state_file(tmp_path, capsys):
-    path = str(tmp_path / "state.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"vector": [1, 0, 0]}, fh)
-    assert main(["witness", "--state", path]) == EXIT_USAGE
+    bad_files = (
+        {"vector": [1, 0, 0]},
+        5,
+        {"amplitudes": [1, 2]},
+        {"entries": [[1, 0], [0, 1]]},
+    )
+    for k, data in enumerate(bad_files):
+        path = str(tmp_path / f"state_{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        assert main(["witness", "--state", path]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_witness_trusts_a_stall_the_oracle_confirms(capsys):
+    # the seesaw stalls here, but the mesh oracle agrees with it
+    argv = ["witness", "--tuple", "0.3,0.3", "--alpha", "0.2", "--lambda", "0.355", "--seed", "1"]
+    code, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["report", "witness"])
+def test_uncertified_sweep_point_is_named(command, tmp_path, capsys):
+    # a single start from this seed stalls 0.1 above the oracle at lambda = 0.2
+    code = main(
+        [command, "--tuple", "0.1,0.1", "--lambda-grid", "6", "--starts", "1",
+         "--seed", "2", "--output-dir", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert "did not certify at lambda = 0.2" in err
 
 
 def test_witness_sweep_csv_and_replay_flags(tmp_path, capsys):

@@ -57,8 +57,8 @@ def test_make_singlet_total_spin_zero():
     x_pair, y_pair = spin1_moment_pairs(0.0)
     for pair in (x_pair, y_pair):
         g = build_global_moments(pair)
-        assert abs(expectation(rho, g.m1)) < 1e-12
-        d2 = expectation(rho, g.m2) - expectation(rho, g.m1) ** 2
+        assert abs(expectation(rho, g.first)) < 1e-12
+        d2 = expectation(rho, g.second) - expectation(rho, g.first) ** 2
         assert abs(d2) < 1e-12
 
 

@@ -4,7 +4,6 @@ import pytest
 from varwit import (
     DensityMatrix,
     DetectionWindow,
-    GlobalMoments,
     HermitianOperator,
     MomentPair,
     PureState,
@@ -15,7 +14,6 @@ from varwit import (
     evaluate_witness,
     evaluate_witness_from_tuple,
     expectation,
-    identity,
     make_singlet,
     projective_povm,
     spin1_components,
@@ -32,36 +30,28 @@ def singlet_density():
 
 def global_pair(alpha):
     x, y = spin1_moment_pairs(alpha)
-    return build_global_moments(x, label="X"), build_global_moments(y, label="Y")
-
-
-def test_global_moments_requires_psd_variance():
-    eye9 = identity(9)
-    too_big = HermitianOperator(2.0 * np.eye(9))
-    with pytest.raises(ValueError):
-        GlobalMoments(m1=too_big, m2=HermitianOperator(np.zeros((9, 9))), label="bad")
-    GlobalMoments(m1=eye9, m2=eye9, label="ok")
+    return build_global_moments(x), build_global_moments(y)
 
 
 def test_global_moments_on_singlet_vanish():
     gx, gy = global_pair(0.0)
     rho = singlet_density()
-    assert abs(expectation(rho, gx.m1)) < 1e-12
-    assert abs(expectation(rho, gx.m2)) < 1e-12
-    assert abs(expectation(rho, gy.m2)) < 1e-12
+    assert abs(expectation(rho, gx.first)) < 1e-12
+    assert abs(expectation(rho, gx.second)) < 1e-12
+    assert abs(expectation(rho, gy.second)) < 1e-12
 
 
 def test_global_moments_zero_local_moments():
     zero = HermitianOperator(np.zeros((3, 3)))
     g = build_global_moments(MomentPair(first=zero, second=zero))
-    assert np.max(np.abs(g.m1.entries)) == 0.0
-    assert np.max(np.abs(g.m2.entries)) == 0.0
+    assert np.max(np.abs(g.first.entries)) == 0.0
+    assert np.max(np.abs(g.second.entries)) == 0.0
 
 
 def test_global_moments_noisy_singlet_value():
     gx, _ = global_pair(0.2)
     rho = singlet_density()
-    v = expectation(rho, gx.m2) - expectation(rho, gx.m1) ** 2
+    v = expectation(rho, gx.second) - expectation(rho, gx.first) ** 2
     assert abs(v - 0.48) < 1e-10
     assert abs(0.48 - 4.0 / 3.0 * (1.0 - 0.8**2)) < 1e-12
 
@@ -81,8 +71,8 @@ def test_global_moments_match_joint_povm_route():
                 m2 += (xa + xb) ** 2 * joint
         pair = MomentPair(first=op, second=HermitianOperator(op.entries @ op.entries))
         g = build_global_moments(pair)
-        assert np.max(np.abs(g.m1.entries - m1)) < 1e-10
-        assert np.max(np.abs(g.m2.entries - m2)) < 1e-10
+        assert np.max(np.abs(g.first.entries - m1)) < 1e-10
+        assert np.max(np.abs(g.second.entries - m2)) < 1e-10
 
 
 def test_verdict_invariant_enforced():
@@ -202,7 +192,7 @@ def test_variance_additivity_on_product_states():
             prod = DensityMatrix(
                 np.kron(rho_a.matrix.entries, rho_b.matrix.entries)
             )
-            d2_global = expectation(prod, g.m2) - expectation(prod, g.m1) ** 2
+            d2_global = expectation(prod, g.second) - expectation(prod, g.first) ** 2
             d2_local = variance(rho_a, x_pair) + variance(rho_b, x_pair)
             assert abs(d2_global - d2_local) < 1e-10
 

@@ -34,7 +34,7 @@ for alpha, region in curves.items():
     worst = max(
         abs(lam * p[0] + (1 - lam) * p[1] - c)
         for lam, c, p, ok in zip(
-            region.lambdas, region.bounds, region.points, region.converged
+            region.lambdas, region.bounds, region.points, region.certified
         )
         if ok
     )

@@ -6,14 +6,16 @@ expectation of a penalty operator, so the infimum becomes a minimization
 of a smallest eigenvalue over two real mean parameters. Two independent
 routes compute it: an alternating seesaw descent and a brute-force mesh
 over the mean box. The seesaw is fast but local, the mesh is the trust
-anchor; acceptance requires them to agree. `certified_bound` is the one
-place that decides whether a bound may be trusted.
+anchor; acceptance requires them to agree. One engine, `_seesaw_rows`,
+runs every seesaw descent, batched over weights and starts; the rule of
+`certified_bound` is the one place that decides whether a bound may be
+trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,8 +31,22 @@ VALUE_FLOOR = -1e-9
 SUPPORT_TOL = 1e-8
 # a stalled seesaw is trusted only when the mesh oracle lands this close
 AGREE_TOL = 1e-4
+# rows per stacked eigensolve in the seesaw engine: a 201-point curve at
+# 16 starts fits one chunk, and no input makes the engine hold more
+_CHUNK = 4096
 
 _METHODS = ("seesaw", "grid", "grid_refined")
+
+
+def _penalty_scale(m: MomentPair) -> float:
+    """Largest entry of X2 - 2 x X1 + x^2 I over every mean x a state reaches.
+
+    A mean obeys |x| <= ||X1|| <= dim max|X1_ij|, so entry magnitudes bound
+    it without an eigensolve.
+    """
+    a1 = float(np.abs(m.first.entries).max())
+    reach = m.dim * a1
+    return float(np.abs(m.second.entries).max()) + 2.0 * reach * a1 + reach * reach
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +68,11 @@ class WeightedPair:
             raise ValueError("at least one weight must be positive")
         if self.x.dim != self.y.dim:
             raise ValueError(f"moment pair dims differ: {self.x.dim} vs {self.y.dim}")
+        # every penalty eigenvalue is at most dim times its largest entry;
+        # the factor 4 keeps sums and doubles of two bound values finite
+        scale = lam * _penalty_scale(self.x) + mu * _penalty_scale(self.y)
+        if not np.isfinite(4.0 * self.x.dim * scale):
+            raise ValueError(f"weights ({lam}, {mu}) are too large: the penalty overflows float64")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
 
@@ -105,22 +126,22 @@ class RegionBoundary:
     Each traced point is the minimizer's variance pair at one weight
     lambda (with mu = 1 - lambda); the matching bound value defines a
     supporting line that no other certified point may undercut.
-    `converged` holds each point's certified flag.
+    `certified` holds each point's certified flag.
     """
 
     points: Tuple[Tuple[float, float], ...]
     lambdas: Tuple[float, ...]
     bounds: Tuple[float, ...]
-    converged: Tuple[bool, ...]
+    certified: Tuple[bool, ...]
 
     def __post_init__(self):
         n = len(self.points)
-        if not (len(self.lambdas) == len(self.bounds) == len(self.converged) == n):
+        if not (len(self.lambdas) == len(self.bounds) == len(self.certified) == n):
             raise ValueError("field lengths differ")
-        for (dx, dy), ok_pt in zip(self.points, self.converged):
+        for (dx, dy), ok_pt in zip(self.points, self.certified):
             if not ok_pt:
                 continue
-            for lam, c, ok_line in zip(self.lambdas, self.bounds, self.converged):
+            for lam, c, ok_line in zip(self.lambdas, self.bounds, self.certified):
                 if not ok_line:
                     continue
                 if lam * dx + (1.0 - lam) * dy < c - SUPPORT_TOL:
@@ -154,56 +175,168 @@ def _penalty_raw(pair: WeightedPair, x_bar: float, y_bar: float) -> np.ndarray:
     )
 
 
-def _spectral_box(pair: WeightedPair) -> Tuple[float, float, float, float]:
-    ex = np.linalg.eigvalsh(pair.x.first.entries)
-    ey = np.linalg.eigvalsh(pair.y.first.entries)
+def _spectral_box(x: MomentPair, y: MomentPair) -> Tuple[float, float, float, float]:
+    ex = np.linalg.eigvalsh(x.first.entries)
+    ey = np.linalg.eigvalsh(y.first.entries)
     return float(ex[0]), float(ex[-1]), float(ey[0]), float(ey[-1])
 
 
-def _achieved(pair: WeightedPair, vec: np.ndarray) -> Tuple[float, float, float]:
-    """Functional value and first-moment means of a unit vector."""
-    x1, x2 = pair.x.first.entries, pair.x.second.entries
-    y1, y2 = pair.y.first.entries, pair.y.second.entries
-    xm = float((vec.conj() @ x1 @ vec).real)
-    ym = float((vec.conj() @ y1 @ vec).real)
-    vx = float((vec.conj() @ x2 @ vec).real) - xm * xm
-    vy = float((vec.conj() @ y2 @ vec).real) - ym * ym
-    return pair.lam * vx + pair.mu * vy, xm, ym
+def _expect(vecs: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Real expectations <v|op|v> of a stack of vectors, shape (n, d) -> (n,)."""
+    # the contraction order of vec.conj() @ op @ vec, so each row's bits do
+    # not depend on the batch it is solved in
+    return ((vecs.conj()[:, None, :] @ op) @ vecs[:, :, None])[:, 0, 0].real
 
 
-def _descend(
-    pair: WeightedPair, x_bar: float, y_bar: float, tol: float, max_iter: int
-) -> Tuple[np.ndarray, float, float, float, int, bool, List[float]]:
-    """One seesaw run from given starting means.
+class _Descent(NamedTuple):
+    """Per-row outcome of the seesaw engine."""
 
-    Alternates the ground state of the penalty at the current means with
-    updating the means to that state's expectations. The penalty
-    eigenvalue sequence is non-increasing; descent stops when it moves
-    less than tol.
+    vecs: np.ndarray  # (n, d) final ground states
+    values: np.ndarray  # functional value of each ground state
+    xm: np.ndarray  # its first-moment means
+    ym: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    history: Optional[List[List[float]]]  # penalty eigenvalues per step, if recorded
+
+
+def _seesaw_rows(
+    x: MomentPair,
+    y: MomentPair,
+    lam: Sequence[float],
+    mu: Sequence[float],
+    x0: Sequence[float],
+    y0: Sequence[float],
+    tol: float,
+    max_iter: int,
+    record_history: bool = False,
+) -> _Descent:
+    """Seesaw descent of every row (lam, mu, x0, y0) at once.
+
+    Each step stacks the active rows' penalty operators at their current
+    means, takes all ground states from one batched eigensolve, and moves
+    every row's means to its ground state's expectations. A row's penalty
+    eigenvalue sequence is non-increasing; the row stops when it moves
+    less than tol, or after max_iter steps, and drops out of the batch.
+    Rows run in chunks of _CHUNK, so memory does not grow with their
+    number. Each row repeats the floating-point operations of a one-row
+    run in the same order, so its result does not depend on the batch.
     """
-    x1 = pair.x.first.entries
-    y1 = pair.y.first.entries
-    val = np.inf
-    vec = None
-    history: List[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        pen = _penalty_raw(pair, x_bar, y_bar)
-        w, vecs = np.linalg.eigh(pen)
-        # ascending order makes the degenerate tie-break deterministic
-        vec = vecs[:, 0]
-        newval = float(w[0])
-        history.append(newval)
-        x_bar = float((vec.conj() @ x1 @ vec).real)
-        y_bar = float((vec.conj() @ y1 @ vec).real)
-        if abs(val - newval) < tol:
-            converged = True
-            val = newval
-            break
-        val = newval
-    value, xm, ym = _achieved(pair, vec)
-    return vec, value, xm, ym, iterations, converged, history
+    lam, mu, x0, y0 = (np.asarray(a, dtype=float) for a in (lam, mu, x0, y0))
+    n = lam.shape[0]
+    x1, x2 = x.first.entries, x.second.entries
+    y1, y2 = y.first.entries, y.second.entries
+    eye = np.eye(x.dim)
+    vecs = np.empty((n, x.dim), dtype=complex)
+    xm, ym = np.empty(n), np.empty(n)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    history: Optional[List[List[float]]] = [[] for _ in range(n)] if record_history else None
+    for lo in range(0, n, _CHUNK):
+        rows = np.arange(lo, min(lo + _CHUNK, n))
+        lam_r, mu_r = lam[rows, None, None], mu[rows, None, None]
+        x_bar, y_bar = x0[rows], y0[rows]
+        val = np.full(rows.shape, np.inf)
+        for it in range(1, max_iter + 1):
+            # float_power is libm pow, the rounding of a Python float's ** 2
+            pen = lam_r * (
+                x2
+                - (2.0 * x_bar)[:, None, None] * x1
+                + np.float_power(x_bar, 2)[:, None, None] * eye
+            ) + mu_r * (
+                y2
+                - (2.0 * y_bar)[:, None, None] * y1
+                + np.float_power(y_bar, 2)[:, None, None] * eye
+            )
+            w, v = np.linalg.eigh(pen)
+            # ascending order makes the degenerate tie-break deterministic
+            v = v[:, :, 0]
+            newval = w[:, 0]
+            x_bar, y_bar = _expect(v, x1), _expect(v, y1)
+            if history is not None:
+                for r, h in zip(rows, newval):
+                    history[r].append(float(h))
+            stop = np.abs(val - newval) < tol
+            done = stop | (it == max_iter)
+            out = rows[done]
+            vecs[out] = v[done]
+            xm[out], ym[out] = x_bar[done], y_bar[done]
+            iterations[out] = it
+            converged[out] = stop[done]
+            keep = ~done
+            if not keep.any():
+                break
+            rows, x_bar, y_bar, val = rows[keep], x_bar[keep], y_bar[keep], newval[keep]
+            lam_r, mu_r = lam_r[keep], mu_r[keep]
+    values = lam * (_expect(vecs, x2) - xm * xm) + mu * (_expect(vecs, y2) - ym * ym)
+    return _Descent(vecs, values, xm, ym, iterations, converged, history)
+
+
+def _start_means(x: MomentPair, y: MomentPair, starts: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Seeded starting means, uniform over the spectral box of (X1, Y1)."""
+    xlo, xhi, ylo, yhi = _spectral_box(x, y)
+    rng = np.random.default_rng(seed)
+    x0, y0 = np.empty(starts), np.empty(starts)
+    for s in range(starts):
+        x0[s] = rng.uniform(xlo, xhi) if xhi > xlo else xlo
+        y0[s] = rng.uniform(ylo, yhi) if yhi > ylo else ylo
+    return x0, y0
+
+
+def _seesaw_many(
+    x: MomentPair,
+    y: MomentPair,
+    lams: Sequence[float],
+    mus: Sequence[float],
+    starts: int,
+    tol: float,
+    max_iter: int,
+    seed: int,
+    record_history: bool = False,
+) -> List[BoundResult]:
+    """Multi-start seesaw bound at every weight pair (lams[k], mus[k]).
+
+    The same seeded starts serve every weight, since the spectral box does
+    not depend on it; all (weight, start) rows descend together. Each
+    weight keeps its best run by (value, then lexicographic means), the
+    earliest start on ties, and is converged only if every start is.
+    """
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    x0, y0 = _start_means(x, y, starts, seed)
+    k = len(lams)
+    runs = _seesaw_rows(
+        x,
+        y,
+        np.repeat(np.asarray(lams, dtype=float), starts),
+        np.repeat(np.asarray(mus, dtype=float), starts),
+        np.tile(x0, k),
+        np.tile(y0, k),
+        tol,
+        max_iter,
+        record_history,
+    )
+    results = []
+    for lo in range(0, k * starts, starts):
+        best = min(
+            range(lo, lo + starts), key=lambda r: (runs.values[r], runs.xm[r], runs.ym[r])
+        )
+        ok = bool(runs.converged[lo : lo + starts].all())
+        results.append(
+            BoundResult(
+                value=float(runs.values[best]),
+                minimizer=PureState(runs.vecs[best]),
+                means=(float(runs.xm[best]), float(runs.ym[best])),
+                iterations=int(runs.iterations[best]),
+                converged=ok,
+                method="seesaw",
+                history=tuple(runs.history[best]) if record_history else None,
+                certified=ok,
+            )
+        )
+    return results
 
 
 def seesaw_bound(
@@ -215,6 +348,10 @@ def seesaw_bound(
     record_history: bool = False,
 ) -> BoundResult:
     """Multi-start alternating minimization of the weighted variance sum.
+
+    Alternates the ground state of the penalty at the current means with
+    updating the means to that state's expectations, from every start at
+    once (see `_seesaw_rows`).
 
     Args:
         pair: weights and moment pairs.
@@ -230,34 +367,9 @@ def seesaw_bound(
     Returns:
         Best run by (value, then lexicographic means).
     """
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    xlo, xhi, ylo, yhi = _spectral_box(pair)
-    rng = np.random.default_rng(seed)
-    best = None
-    all_converged = True
-    for _ in range(starts):
-        x0 = float(rng.uniform(xlo, xhi)) if xhi > xlo else xlo
-        y0 = float(rng.uniform(ylo, yhi)) if yhi > ylo else ylo
-        vec, value, xm, ym, iters, conv, hist = _descend(pair, x0, y0, tol, max_iter)
-        all_converged = all_converged and conv
-        key = (value, xm, ym)
-        if best is None or key < best[0]:
-            best = (key, vec, xm, ym, iters, hist)
-    _, vec, xm, ym, iters, hist = best
-    value = best[0][0]
-    return BoundResult(
-        value=value,
-        minimizer=PureState(vec),
-        means=(xm, ym),
-        iterations=iters,
-        converged=all_converged,
-        method="seesaw",
-        history=tuple(hist) if record_history else None,
-        certified=all_converged,
-    )
+    return _seesaw_many(
+        pair.x, pair.y, [pair.lam], [pair.mu], starts, tol, max_iter, seed, record_history
+    )[0]
 
 
 def grid_bound(
@@ -278,7 +390,7 @@ def grid_bound(
     """
     if grid_n < 10:
         raise ValueError(f"grid_n must be >= 10, got {grid_n}")
-    xlo, xhi, ylo, yhi = _spectral_box(pair)
+    xlo, xhi, ylo, yhi = _spectral_box(pair.x, pair.y)
     xs = np.linspace(xlo, xhi, grid_n)
     ys = np.linspace(ylo, yhi, grid_n)
     x1, x2 = pair.x.first.entries, pair.x.second.entries
@@ -296,14 +408,15 @@ def grid_bound(
     smallest = np.linalg.eigvalsh(pen)[..., 0]
     i, j = np.unravel_index(int(np.argmin(smallest)), smallest.shape)
     if polish:
-        vec, value, xm, ym, iters, conv, _ = _descend(
-            pair, float(xs[i]), float(ys[j]), tol, max_iter
+        run = _seesaw_rows(
+            pair.x, pair.y, [pair.lam], [pair.mu], [xs[i]], [ys[j]], tol, max_iter
         )
+        conv = bool(run.converged[0])
         return BoundResult(
-            value=value,
-            minimizer=PureState(vec),
-            means=(xm, ym),
-            iterations=iters,
+            value=float(run.values[0]),
+            minimizer=PureState(run.vecs[0]),
+            means=(float(run.xm[0]), float(run.ym[0])),
+            iterations=int(run.iterations[0]),
             converged=conv,
             method="grid_refined",
             certified=conv,
@@ -318,6 +431,17 @@ def grid_bound(
         converged=True,
         method="grid",
     )
+
+
+def _certify(
+    pair: WeightedPair, res: BoundResult, tol: float, max_iter: int, grid_n: int
+) -> BoundResult:
+    """The one trust rule for a seesaw result; see `certified_bound`."""
+    if res.certified:
+        return res
+    alt = grid_bound(pair, grid_n=grid_n, polish=True, tol=tol, max_iter=max_iter)
+    agreed = alt.certified and abs(alt.value - res.value) <= AGREE_TOL
+    return replace(alt if alt.value <= res.value else res, certified=agreed)
 
 
 def certified_bound(
@@ -336,11 +460,28 @@ def certified_bound(
     oracle, so a stalled run never raises a bound it could have lowered.
     """
     res = seesaw_bound(pair, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
-    if res.certified:
-        return res
-    alt = grid_bound(pair, grid_n=grid_n, polish=True, tol=tol, max_iter=max_iter)
-    agreed = alt.certified and abs(alt.value - res.value) <= AGREE_TOL
-    return replace(alt if alt.value <= res.value else res, certified=agreed)
+    return _certify(pair, res, tol, max_iter, grid_n)
+
+
+def _certified_curve(
+    x: MomentPair,
+    y: MomentPair,
+    lams: Sequence[float],
+    starts: int,
+    tol: float,
+    max_iter: int,
+    seed: int,
+) -> List[BoundResult]:
+    """`certified_bound` at weights (lam, 1 - lam) for every lam, solved together.
+
+    One seesaw batch covers every weight; each weight that stalls goes to
+    its own mesh oracle.
+    """
+    pairs = [WeightedPair(lam, 1.0 - lam, x, y) for lam in lams]
+    found = _seesaw_many(
+        x, y, [p.lam for p in pairs], [p.mu for p in pairs], starts, tol, max_iter, seed
+    )
+    return [_certify(p, res, tol, max_iter, 201) for p, res in zip(pairs, found)]
 
 
 def compose_sep_bound(local_a: BoundResult, local_b: BoundResult) -> float:
@@ -377,25 +518,12 @@ def trace_region(
         raise ValueError("lambdas must lie strictly inside (0, 1)")
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be sorted ascending")
-    points = []
-    bounds = []
-    flags = []
-    for lam in lams:
-        res = certified_bound(
-            WeightedPair(lam, 1.0 - lam, x, y),
-            starts=starts,
-            tol=tol,
-            max_iter=max_iter,
-            seed=seed,
-        )
-        points.append((variance(res.minimizer, x), variance(res.minimizer, y)))
-        bounds.append(res.value)
-        flags.append(res.certified)
+    found = _certified_curve(x, y, lams, starts, tol, max_iter, seed)
     return RegionBoundary(
-        points=tuple(points),
+        points=tuple((variance(r.minimizer, x), variance(r.minimizer, y)) for r in found),
         lambdas=tuple(lams),
-        bounds=tuple(bounds),
-        converged=tuple(flags),
+        bounds=tuple(r.value for r in found),
+        certified=tuple(r.certified for r in found),
     )
 
 
@@ -416,16 +544,7 @@ def sep_bound_curve(
     query.
     """
     lams = np.linspace(0.0, 1.0, num)
-    vals = np.empty(num)
-    certified = np.empty(num, dtype=bool)
-    for k, lam in enumerate(lams):
-        res = certified_bound(
-            WeightedPair(float(lam), float(1.0 - lam), x, y),
-            starts=starts,
-            tol=tol,
-            max_iter=max_iter,
-            seed=seed,
-        )
-        vals[k] = 2.0 * res.value
-        certified[k] = res.certified
+    found = _certified_curve(x, y, [float(l) for l in lams], starts, tol, max_iter, seed)
+    vals = np.array([2.0 * r.value for r in found], dtype=float)
+    certified = np.array([r.certified for r in found], dtype=bool)
     return lams, vals, certified

@@ -108,6 +108,32 @@ class RunManifest:
         )
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, rejected while the arguments are parsed."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _resolve_seed(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is not None:
@@ -336,7 +362,7 @@ def cmd_region(args) -> int:
         )
         paths.append(svg_path)
     _emit_manifests(args, seed, paths)
-    return _uncertified_exit("region point", region.lambdas, region.converged)
+    return _uncertified_exit("region point", region.lambdas, region.certified)
 
 
 def cmd_witness(args) -> int:
@@ -611,7 +637,7 @@ def build_parser() -> _CliParser:
                    help="noise on the second party (default: same as --alpha)")
     b.add_argument("--method", choices=["seesaw", "grid", "both"], default="both")
     b.add_argument("--grid-n", dest="grid_n", type=int, default=201)
-    b.add_argument("--starts", type=int, default=16)
+    b.add_argument("--starts", type=_int_at_least(1), default=16)
     add_seed(b)
     b.set_defaults(func=cmd_bound)
 
@@ -619,7 +645,7 @@ def build_parser() -> _CliParser:
     r.add_argument("--lambdas", required=True,
                    help="interior point count, or comma-separated lambda values")
     r.add_argument("--alpha", type=float, default=0.0)
-    r.add_argument("--starts", type=int, default=16)
+    r.add_argument("--starts", type=_int_at_least(1), default=16)
     r.add_argument("--output-dir", dest="output_dir", default=".")
     r.add_argument("--svg", action="store_true")
     add_seed(r)
@@ -631,12 +657,12 @@ def build_parser() -> _CliParser:
     src.add_argument("--tuple", dest="tuple_", help="measured variances 'd2x,d2y'")
     w.add_argument("--alpha", type=float, default=0.0)
     w.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    w.add_argument("--lambda-grid", dest="lambda_grid", type=int, default=201)
+    w.add_argument("--lambda-grid", dest="lambda_grid", type=_int_at_least(2), default=201)
     w.add_argument("--adapted", dest="adapted", action="store_true", default=True,
                    help="judge against the noise-adapted bound (default)")
     w.add_argument("--non-adapted", dest="adapted", action="store_false",
                    help="judge against the noiseless bound")
-    w.add_argument("--starts", type=int, default=16)
+    w.add_argument("--starts", type=_int_at_least(1), default=16)
     w.add_argument("--output-dir", dest="output_dir", default=None,
                    help="also write the lambda sweep CSV here")
     add_seed(w)
@@ -674,9 +700,9 @@ def build_parser() -> _CliParser:
     rsrc.add_argument("--state", help="'singlet' or a JSON state file")
     rsrc.add_argument("--tuple", dest="tuple_", help="measured variances 'd2x,d2y'")
     rep.add_argument("--alpha", type=float, default=0.0)
-    rep.add_argument("--lambda-grid", dest="lambda_grid", type=int, default=201)
-    rep.add_argument("--resolution", type=float, default=1e-3)
-    rep.add_argument("--starts", type=int, default=16)
+    rep.add_argument("--lambda-grid", dest="lambda_grid", type=_int_at_least(2), default=201)
+    rep.add_argument("--resolution", type=_positive_float, default=1e-3)
+    rep.add_argument("--starts", type=_int_at_least(1), default=16)
     rep.add_argument("--output-dir", dest="output_dir", default=".")
     rep.add_argument("--svg", action="store_true")
     add_seed(rep)

@@ -49,3 +49,61 @@ def random_channel(rng, dim, n_branches):
             (float(p), random_unitary(rng, dim)) for p in probs
         )
     )
+
+
+def scalar_descend(pair, x_bar, y_bar, tol, max_iter):
+    """Reference seesaw run from one start: one 3x3 eigensolve per step.
+
+    A test-only copy of the per-start loop the batched engine in
+    `varwit.bounds` replaced; the engine must reproduce it bit for bit.
+    """
+    x1, x2 = pair.x.first.entries, pair.x.second.entries
+    y1, y2 = pair.y.first.entries, pair.y.second.entries
+    eye = np.eye(pair.dim)
+    val = np.inf
+    vec = None
+    history = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        pen = pair.lam * (x2 - 2.0 * x_bar * x1 + x_bar**2 * eye) + pair.mu * (
+            y2 - 2.0 * y_bar * y1 + y_bar**2 * eye
+        )
+        w, vecs = np.linalg.eigh(pen)
+        vec = vecs[:, 0]
+        newval = float(w[0])
+        history.append(newval)
+        x_bar = float((vec.conj() @ x1 @ vec).real)
+        y_bar = float((vec.conj() @ y1 @ vec).real)
+        if abs(val - newval) < tol:
+            converged = True
+            break
+        val = newval
+    xm = float((vec.conj() @ x1 @ vec).real)
+    ym = float((vec.conj() @ y1 @ vec).real)
+    vx = float((vec.conj() @ x2 @ vec).real) - xm * xm
+    vy = float((vec.conj() @ y2 @ vec).real) - ym * ym
+    return vec, pair.lam * vx + pair.mu * vy, xm, ym, iterations, converged, history
+
+
+def scalar_seesaw(pair, starts=16, tol=1e-10, max_iter=500, seed=0):
+    """Reference multi-start seesaw: scalar_descend from each seeded start.
+
+    Returns (vec, value, xm, ym, iterations, all_converged, history) of
+    the best run by (value, xm, ym), earliest start on ties.
+    """
+    ex = np.linalg.eigvalsh(pair.x.first.entries)
+    ey = np.linalg.eigvalsh(pair.y.first.entries)
+    xlo, xhi, ylo, yhi = float(ex[0]), float(ex[-1]), float(ey[0]), float(ey[-1])
+    rng = np.random.default_rng(seed)
+    best = None
+    all_converged = True
+    for _ in range(starts):
+        x0 = float(rng.uniform(xlo, xhi)) if xhi > xlo else xlo
+        y0 = float(rng.uniform(ylo, yhi)) if yhi > ylo else ylo
+        vec, value, xm, ym, iters, conv, hist = scalar_descend(pair, x0, y0, tol, max_iter)
+        all_converged = all_converged and conv
+        if best is None or (value, xm, ym) < best[1:4]:
+            best = (vec, value, xm, ym, iters, hist)
+    vec, value, xm, ym, iters, hist = best
+    return vec, value, xm, ym, iters, all_converged, hist

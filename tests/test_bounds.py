@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varwit import bounds
 from varwit import (
     BoundResult,
     PureState,
@@ -11,6 +12,7 @@ from varwit import (
     eig_hermitian,
     expectation,
     grid_bound,
+    moment_pair,
     penalty_operator,
     seesaw_bound,
     sep_bound_curve,
@@ -19,7 +21,7 @@ from varwit import (
     trace_region,
     variance_functional,
 )
-from helpers import random_pure
+from helpers import random_povm, random_pure, scalar_seesaw
 
 
 def spin1_pair(lam, mu, alpha=0.0):
@@ -36,6 +38,16 @@ def test_weighted_pair_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             WeightedPair(bad, 0.5, x, y)
+
+
+def test_weighted_pair_rejects_overflowing_weights():
+    x, y = spin1_moment_pairs(0.0)
+    with pytest.raises(ValueError, match=r"weights \(1e\+308, 1e\+308\)"):
+        WeightedPair(1e308, 1e308, x, y)
+    # large but safe weights still solve, without overflow warnings
+    with np.errstate(all="raise"):
+        res = certified_bound(WeightedPair(1e300, 1e300, x, y), max_iter=3)
+    assert np.isfinite(res.value)
 
 
 def test_penalty_single_observable_eigenstate():
@@ -236,7 +248,7 @@ def test_trace_region_supporting_lines():
     x, y = spin1_moment_pairs(0.2)
     lams = list(np.linspace(0.1, 0.9, 9))
     reg = trace_region(x, y, lams)
-    assert all(reg.converged)
+    assert all(reg.certified)
     for dx, dy in reg.points:
         for lam, c in zip(reg.lambdas, reg.bounds):
             assert lam * dx + (1 - lam) * dy >= c - 1e-8
@@ -259,7 +271,7 @@ def test_trace_region_flags_stalled_points():
     x, y = spin1_moment_pairs(0.0)
     reg = trace_region(x, y, [0.4, 0.6], max_iter=1)
     assert len(reg.points) == 2
-    assert not any(reg.converged)
+    assert not any(reg.certified)
 
 
 def test_region_boundary_rejects_undercut_point():
@@ -268,7 +280,7 @@ def test_region_boundary_rejects_undercut_point():
             points=((0.0, 0.0),),
             lambdas=(0.5,),
             bounds=(1.0,),
-            converged=(True,),
+            certified=(True,),
         )
 
 
@@ -314,3 +326,86 @@ def test_bound_result_rejects_negative_value():
             converged=True,
             method="newton",
         )
+
+
+def assert_same_as_scalar(res, pair, **kwargs):
+    vec, value, xm, ym, iters, conv, _ = scalar_seesaw(pair, **kwargs)
+    assert res.value == value
+    assert res.means == (xm, ym)
+    assert res.iterations == iters
+    assert res.converged == conv
+    assert np.array_equal(res.minimizer.amplitudes, vec)
+
+
+def random_povm_pairs():
+    rng = np.random.default_rng(8)
+    return [
+        (moment_pair(random_povm(rng, 3, 4)), moment_pair(random_povm(rng, 3, 3)))
+        for _ in range(2)
+    ]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+def test_engine_matches_scalar_seesaw_bit_for_bit(alpha, lam):
+    pair = spin1_pair(lam, 1.0 - lam, alpha)
+    for kwargs in ({"seed": 1}, {"seed": 2, "max_iter": 3}):
+        assert_same_as_scalar(seesaw_bound(pair, **kwargs), pair, **kwargs)
+
+
+def test_engine_squares_means_like_python_floats():
+    # on this point of the noiseless 201-point curve numpy's square and
+    # the libm pow behind a Python float's ** 2 round one mean differently
+    pair = spin1_pair(0.265, 0.735)
+    assert_same_as_scalar(seesaw_bound(pair), pair)
+
+
+def test_engine_matches_scalar_seesaw_on_random_povms():
+    for x, y in random_povm_pairs():
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            pair = WeightedPair(lam, 1.0 - lam, x, y)
+            for kwargs in ({}, {"max_iter": 3}):
+                assert_same_as_scalar(seesaw_bound(pair, **kwargs), pair, **kwargs)
+
+
+def test_engine_chunks_do_not_change_rows(monkeypatch):
+    # 6 weights x 16 starts run in 14 chunks of 7 rows
+    monkeypatch.setattr(bounds, "_CHUNK", 7)
+    x, y = spin1_moment_pairs(0.5)
+    lams = [0.0, 0.2, 0.45, 0.5, 0.8, 1.0]
+    found = bounds._seesaw_many(x, y, lams, [1.0 - l for l in lams], 16, 1e-10, 500, 3)
+    for lam, res in zip(lams, found):
+        assert_same_as_scalar(res, WeightedPair(lam, 1.0 - lam, x, y), seed=3)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5])
+def test_sep_bound_curve_rows_equal_certified_bound(alpha):
+    x, y = spin1_moment_pairs(alpha)
+    lams, values, certified = sep_bound_curve(x, y, num=11, seed=4)
+    for lam, value, ok in zip(lams, values, certified):
+        res = certified_bound(WeightedPair(float(lam), float(1.0 - lam), x, y), seed=4)
+        assert value == 2.0 * res.value
+        assert ok == res.certified
+
+
+def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
+    # one stacked eigensolve per seesaw step for the whole curve, plus at
+    # most one polish run per weight sent to the mesh oracle
+    counts = {"eigh": 0, "oracle": 0}
+    eigh, oracle = np.linalg.eigh, bounds.grid_bound
+
+    def counted_eigh(a, *args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    def counted_oracle(*args, **kwargs):
+        counts["oracle"] += 1
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(bounds, "grid_bound", counted_oracle)
+    max_iter = 500
+    x, y = spin1_moment_pairs(0.2)
+    sep_bound_curve(x, y, num=201, max_iter=max_iter)
+    assert counts["oracle"] >= 1
+    assert counts["eigh"] <= max_iter * (1 + counts["oracle"])

@@ -60,6 +60,18 @@ def test_malformed_tuple_is_usage_error(tmp_path):
     assert main(["witness", "--tuple", "1,2,3"]) == EXIT_USAGE
     assert main(["witness", "--tuple", "nan,0.1"]) == EXIT_USAGE
     assert main(["report", "--tuple", "inf,0.1", "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert main(["report", "--state", "singlet", "--resolution", "nan",
+                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert main(["report", "--state", "singlet", "--resolution", "0",
+                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert main(["report", "--state", "singlet", "--lambda-grid", "1",
+                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert main(["witness", "--tuple", "0.1,0.1", "--lambda-grid", "0",
+                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert main(["region", "--lambdas", "3", "--starts", "0",
+                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert main(["bound", "--lambda", "1e308", "--mu", "1e308"]) == EXIT_USAGE
+    assert os.listdir(tmp_path) == []
 
 
 def test_bad_env_seed_is_usage_error(monkeypatch):

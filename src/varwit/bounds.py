@@ -15,7 +15,7 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class BoundResult:
     iterations: int
     converged: bool
     method: str
-    history: Optional[Tuple[float, ...]] = None
     certified: bool = False
 
     def __post_init__(self):
@@ -197,7 +196,6 @@ class _Descent(NamedTuple):
     ym: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    history: Optional[List[List[float]]]  # penalty eigenvalues per step, if recorded
 
 
 def _seesaw_rows(
@@ -209,7 +207,6 @@ def _seesaw_rows(
     y0: Sequence[float],
     tol: float,
     max_iter: int,
-    record_history: bool = False,
 ) -> _Descent:
     """Seesaw descent of every row (lam, mu, x0, y0) at once.
 
@@ -231,7 +228,6 @@ def _seesaw_rows(
     xm, ym = np.empty(n), np.empty(n)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    history: Optional[List[List[float]]] = [[] for _ in range(n)] if record_history else None
     for lo in range(0, n, _CHUNK):
         rows = np.arange(lo, min(lo + _CHUNK, n))
         lam_r, mu_r = lam[rows, None, None], mu[rows, None, None]
@@ -253,9 +249,6 @@ def _seesaw_rows(
             v = v[:, :, 0]
             newval = w[:, 0]
             x_bar, y_bar = _expect(v, x1), _expect(v, y1)
-            if history is not None:
-                for r, h in zip(rows, newval):
-                    history[r].append(float(h))
             stop = np.abs(val - newval) < tol
             done = stop | (it == max_iter)
             out = rows[done]
@@ -269,7 +262,7 @@ def _seesaw_rows(
             rows, x_bar, y_bar, val = rows[keep], x_bar[keep], y_bar[keep], newval[keep]
             lam_r, mu_r = lam_r[keep], mu_r[keep]
     values = lam * (_expect(vecs, x2) - xm * xm) + mu * (_expect(vecs, y2) - ym * ym)
-    return _Descent(vecs, values, xm, ym, iterations, converged, history)
+    return _Descent(vecs, values, xm, ym, iterations, converged)
 
 
 def _start_means(x: MomentPair, y: MomentPair, starts: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -292,7 +285,6 @@ def _seesaw_many(
     tol: float,
     max_iter: int,
     seed: int,
-    record_history: bool = False,
 ) -> List[BoundResult]:
     """Multi-start seesaw bound at every weight pair (lams[k], mus[k]).
 
@@ -316,7 +308,6 @@ def _seesaw_many(
         np.tile(y0, k),
         tol,
         max_iter,
-        record_history,
     )
     results = []
     for lo in range(0, k * starts, starts):
@@ -332,7 +323,6 @@ def _seesaw_many(
                 iterations=int(runs.iterations[best]),
                 converged=ok,
                 method="seesaw",
-                history=tuple(runs.history[best]) if record_history else None,
                 certified=ok,
             )
         )
@@ -345,7 +335,6 @@ def seesaw_bound(
     tol: float = 1e-10,
     max_iter: int = 500,
     seed: int = 0,
-    record_history: bool = False,
 ) -> BoundResult:
     """Multi-start alternating minimization of the weighted variance sum.
 
@@ -362,14 +351,11 @@ def seesaw_bound(
         max_iter: iteration cap per run; converged=False if any run hits
             it (the best value found is still reported, uncertified).
         seed: RNG seed for the starting means.
-        record_history: attach the winning run's eigenvalue sequence.
 
     Returns:
         Best run by (value, then lexicographic means).
     """
-    return _seesaw_many(
-        pair.x, pair.y, [pair.lam], [pair.mu], starts, tol, max_iter, seed, record_history
-    )[0]
+    return _seesaw_many(pair.x, pair.y, [pair.lam], [pair.mu], starts, tol, max_iter, seed)[0]
 
 
 def grid_bound(

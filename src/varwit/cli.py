@@ -55,6 +55,7 @@ from .simulate import (
 )
 from .svgplot import svg_line_plot
 from .witness import (
+    MIN_RESOLUTION,
     bound_interpolant,
     build_global_moments,
     detection_window,
@@ -123,14 +124,16 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0."""
+def _resolution(text: str) -> float:
+    """argparse type: a detection-window resolution >= MIN_RESOLUTION."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects a number, got {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    if not (math.isfinite(value) and value >= MIN_RESOLUTION):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= {MIN_RESOLUTION}, got {text!r}"
+        )
     return value
 
 
@@ -701,7 +704,7 @@ def build_parser() -> _CliParser:
     rsrc.add_argument("--tuple", dest="tuple_", help="measured variances 'd2x,d2y'")
     rep.add_argument("--alpha", type=float, default=0.0)
     rep.add_argument("--lambda-grid", dest="lambda_grid", type=_int_at_least(2), default=201)
-    rep.add_argument("--resolution", type=_positive_float, default=1e-3)
+    rep.add_argument("--resolution", type=_resolution, default=1e-3)
     rep.add_argument("--starts", type=_int_at_least(1), default=16)
     rep.add_argument("--output-dir", dest="output_dir", default=".")
     rep.add_argument("--svg", action="store_true")

@@ -10,7 +10,7 @@ computing in the first place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,13 +24,11 @@ from .operators import (
     moment_pair,
     projective_povm,
     spin1_components,
+    variance,
 )
 
 UNITARITY_TOL = 1e-10
 PROB_TOL = 1e-12
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,98 +155,54 @@ def spin1_moment_pairs(alpha: float = 0.0) -> Tuple[MomentPair, MomentPair]:
     return pair_x, pair_y
 
 
-def _golden_section(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal f on [a, b] to width tol."""
-    h = b - a
-    if h <= tol:
-        return (a + b) / 2.0
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return (a + b) / 2.0
-
-
 def fit_alpha(
     calibration: Sequence[Tuple[PureState, float]],
     weights: Tuple[float, float] = (0.5, 0.5),
-    model: Callable[[float], NoiseChannel] = spin_flip_channel,
-    scan_points: int = 10001,
-    refine_tol: float = 1e-6,
 ) -> NoiseFitResult:
-    """Least-squares fit of the noise parameter from calibration sweeps.
+    """Exact least-squares fit of the spin-flip parameter from calibration sweeps.
 
     Args:
         calibration: (state, measured V) pairs; V is the weighted variance
             sum of the noisy L_X, L_Y measurements in that state.
-        weights: (lambda, mu) used in the model V, the plotted calibration
-            quantity uses 1/2, 1/2.
-        model: channel family alpha -> NoiseChannel.
-        scan_points: grid size of the initial scan over [0, 1]; 10001
-            points gives resolution 1e-4.
-        refine_tol: golden-section refinement width around the scan
-            minimum.
+        weights: (lambda, mu) of the fitted V; the plotted calibration
+            quantity uses 1/2, 1/2. Finite, nonnegative, not both zero.
 
     Returns:
-        The fitted alpha with its residual breakdown. The fit always
-        returns the scan minimum; there is no failure mode.
+        The fitted alpha with its residual breakdown.
 
-    The model V is evaluated by dual-applying the channel to the ideal
-    moment operators, which equals the moments of the noisy POVM by
-    linearity of the channel.
+    The spin flip contracts first moments by eta = 1 - alpha and fixes
+    second moments, so each fitted value is V_i = a_i - eta^2 b_i with
+    a_i = V_i(alpha=1) and b_i = V_i(1) - V_i(0). The loss
+    sum (a_i - t b_i - m_i)^2 is a parabola in t = eta^2, minimized over
+    [0, 1] at t = clip(b.(a - m) / b.b, 0, 1). Raises ValueError when
+    every b_i is zero (no state has a nonzero first-moment mean), since
+    then no alpha fits better than another.
     """
     if not calibration:
         raise ValueError("calibration data is empty")
     lam, mu = float(weights[0]), float(weights[1])
-    lx, ly, _ = spin1_components()
-    ideal_x = moment_pair(projective_povm(lx))
-    ideal_y = moment_pair(projective_povm(ly))
-    states = np.array([s.amplitudes for s, _ in calibration])
+    if not (np.isfinite(lam) and np.isfinite(mu) and lam >= 0 and mu >= 0 and lam + mu > 0):
+        raise ValueError(f"weights must be finite, nonnegative and not both zero, got {weights}")
     measured = np.array([float(v) for _, v in calibration])
     if not np.all(np.isfinite(measured)):
         raise ValueError("measured values must be finite")
 
-    ideal_ops = np.stack(
-        [ideal_x.first.entries, ideal_x.second.entries,
-         ideal_y.first.entries, ideal_y.second.entries]
-    )
-    conj = states.conj()
-
     def model_values(alpha: float) -> np.ndarray:
-        # One fused contraction over branches keeps the 10001-point scan
-        # from paying object-construction costs four times per grid point.
-        channel = model(alpha)
-        probs = np.array([p for p, _ in channel.branches])
-        us = np.stack([u for _, u in channel.branches])
-        duals = np.einsum("b,bji,kjl,blm->kim", probs, us.conj(), ideal_ops, us)
-        ex1, ex2, ey1, ey2 = np.einsum("nd,kde,ne->kn", conj, duals, states).real
-        return lam * (ex2 - ex1**2) + mu * (ey2 - ey1**2)
+        x, y = spin1_moment_pairs(alpha)
+        return np.array([lam * variance(s, x) + mu * variance(s, y) for s, _ in calibration])
 
-    def loss(alpha: float) -> float:
-        return float(np.sum((model_values(alpha) - measured) ** 2))
-
-    grid = np.linspace(0.0, 1.0, scan_points)
-    losses = np.array([loss(a) for a in grid])
-    # ties resolve to the smaller alpha because argmin takes the first hit
-    best = int(np.argmin(losses))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, scan_points - 1)]
-    alpha_hat = _golden_section(loss, float(lo), float(hi), refine_tol)
-    if loss(alpha_hat) > losses[best]:
-        alpha_hat = float(grid[best])
-    per_state = (model_values(alpha_hat) - measured) ** 2
+    a = model_values(1.0)
+    b = a - model_values(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bb = float(b @ b)
+        if bb == 0.0:
+            raise ValueError("calibration data does not constrain alpha")
+        t = float(np.clip(b @ (a - measured) / bb, 0.0, 1.0))
+        per_state = (a - t * b - measured) ** 2
+    if not (np.isfinite(bb) and np.all(np.isfinite(per_state))):
+        raise ValueError("weights or measured values too large: the fit overflows float64")
     return NoiseFitResult(
-        alpha=float(alpha_hat),
+        alpha=1.0 - float(np.sqrt(t)),
         residual=float(np.sum(per_state)),
         per_state_residuals=tuple(float(r) for r in per_state),
     )

@@ -24,6 +24,9 @@ from .operators import (
     variance,
 )
 
+# detection_window scans 1/resolution + 1 weights, one interpolant call each
+MIN_RESOLUTION = 1e-6
+
 
 @dataclass(frozen=True)
 class WitnessVerdict:
@@ -164,10 +167,11 @@ def detection_window(
 
     The unit interval is scanned at the requested resolution and each
     detected edge is then sharpened by bisection; an empty list means the
-    tuple is never certified.
+    tuple is never certified. The resolution must be at least
+    MIN_RESOLUTION, which caps the scan at about a million points.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not resolution >= MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
     if d2x < 0 or d2y < 0:
         raise ValueError(f"variances must be nonnegative, got ({d2x}, {d2y})")
 

@@ -110,11 +110,15 @@ def test_seesaw_minimizer_reproduces_value():
         assert abs(variance_functional(pair, res.minimizer) - res.value) < 1e-8
 
 
-def test_seesaw_history_is_monotone_descent():
-    res = seesaw_bound(spin1_pair(0.5, 0.5), record_history=True)
-    assert res.history is not None
-    diffs = np.diff(np.array(res.history))
-    assert np.all(diffs <= 1e-12)
+def test_seesaw_value_is_monotone_in_iterations():
+    # V(psi_{k+1}) <= lambda_min(P(m_k)) <= V(psi_k): one more step never raises the value
+    for alpha in (0.0, 0.2, 0.5):
+        for lam in (0.3, 0.5):
+            pair = spin1_pair(lam, 1.0 - lam, alpha)
+            values = [
+                seesaw_bound(pair, starts=1, max_iter=k, seed=1).value for k in range(1, 81)
+            ]
+            assert np.all(np.diff(values) <= 1e-12)
 
 
 def test_grid_single_observable():

@@ -71,7 +71,17 @@ def test_malformed_tuple_is_usage_error(tmp_path):
     assert main(["region", "--lambdas", "3", "--starts", "0",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert main(["bound", "--lambda", "1e308", "--mu", "1e308"]) == EXIT_USAGE
+    assert main(["report", "--state", "singlet", "--resolution", "1e-7",
+                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert os.listdir(tmp_path) == []
+    calib = tmp_path / "calibration.csv"
+    calib.write_text("theta1_deg,theta2_deg,V_measured\n30,10,0.5\n60,30,0.6\n")
+    for weights in (["--lambda", "nan"], ["--lambda", "inf"], ["--lambda", "0", "--mu", "0"],
+                    ["--lambda", "1e300"]):
+        assert main(["fit-noise", "--input", str(calib)] + weights) == EXIT_USAGE
+    flat = tmp_path / "flat.csv"
+    flat.write_text("theta1_deg,theta2_deg,V_measured\n0,10,0.5\n0,30,0.6\n")
+    assert main(["fit-noise", "--input", str(flat)]) == EXIT_USAGE
 
 
 def test_bad_env_seed_is_usage_error(monkeypatch):

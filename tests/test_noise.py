@@ -251,3 +251,69 @@ def test_fit_alpha_rejects_bad_input():
     cal[0] = (cal[0][0], float("nan"))
     with pytest.raises(ValueError):
         fit_alpha(cal)
+    cal = make_calibration(0.2, num=3)
+    for weights in ((float("nan"), 0.5), (float("inf"), 0.5), (0.0, 0.0), (-0.1, 0.5),
+                    (1e300, 0.5)):
+        with pytest.raises(ValueError):
+            fit_alpha(cal, weights=weights)
+    from varwit import TestStateParams, make_test_state
+
+    # theta1 = 0 states have zero first-moment means, so V does not depend on alpha
+    flat = [(make_test_state(TestStateParams(theta1=0.0, theta2=t)), 0.5) for t in (10.0, 30.0)]
+    with pytest.raises(ValueError, match="does not constrain alpha"):
+        fit_alpha(flat)
+
+
+def _fit_terms(calibration, weights):
+    """a_i, b_i of V_i = a_i - eta^2 b_i, from the ideal L_X, L_Y expectations."""
+    lx, ly, _ = spin1_components()
+    lam, mu = weights
+    a, b = [], []
+    for psi, _ in calibration:
+        v = psi.amplitudes
+        ex1, ey1 = (float((v.conj() @ op.entries @ v).real) for op in (lx, ly))
+        ex2, ey2 = (float((v.conj() @ op.entries @ op.entries @ v).real) for op in (lx, ly))
+        a.append(lam * ex2 + mu * ey2)
+        b.append(lam * ex1**2 + mu * ey1**2)
+    return np.array(a), np.array(b)
+
+
+def test_fit_alpha_is_the_exact_least_squares_minimum():
+    cal = make_calibration(0.2)
+    rng = np.random.default_rng(23)
+    grid = np.linspace(0.0, 1.0, 10001)
+    for weights in ((0.5, 0.5), (0.7, 0.3)):
+        a, b = _fit_terms(cal, weights)
+        for _ in range(5):
+            measured = np.array([v for _, v in cal]) + rng.normal(0.0, 0.01, len(cal))
+            res = fit_alpha([(psi, m) for (psi, _), m in zip(cal, measured)], weights=weights)
+            t = np.clip(b @ (a - measured) / (b @ b), 0.0, 1.0)
+            assert abs(res.alpha - (1.0 - np.sqrt(t))) < 1e-12
+            model = a[None, :] - ((1.0 - grid) ** 2)[:, None] * b[None, :]
+            grid_losses = np.sum((model - measured[None, :]) ** 2, axis=1)
+            assert res.residual <= grid_losses.min() + 1e-15
+
+
+def test_fit_alpha_clips_to_the_unit_interval():
+    cal = make_calibration(0.2)
+    a, b = _fit_terms(cal, (0.5, 0.5))
+    states = [psi for psi, _ in cal]
+    res = fit_alpha(list(zip(states, a - 1.2 * b)))
+    assert res.alpha == 0.0
+    res = fit_alpha(list(zip(states, a + 0.1 * b)))
+    assert res.alpha == 1.0
+
+
+def test_spin_flip_variance_is_linear_in_eta_squared():
+    rng = np.random.default_rng(31)
+    lam, mu = 0.7, 0.3
+
+    def v_of(alpha, psi):
+        x, y = spin1_moment_pairs(alpha)
+        return lam * variance(psi, x) + mu * variance(psi, y)
+
+    for _ in range(20):
+        psi = random_pure(rng, 3)
+        v1, v0 = v_of(1.0, psi), v_of(0.0, psi)
+        for alpha in (0.1, 0.37, 0.8):
+            assert abs(v_of(alpha, psi) - (v1 - (1.0 - alpha) ** 2 * (v1 - v0))) < 1e-12

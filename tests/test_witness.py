@@ -21,6 +21,7 @@ from varwit import (
     tensor,
     variance,
 )
+from varwit.witness import MIN_RESOLUTION
 from helpers import random_density, random_pure
 
 
@@ -136,6 +137,13 @@ def test_detection_window_type_validation():
         DetectionWindow(lambda_lo=0.8, lambda_hi=0.2, resolution=1e-3)
     with pytest.raises(ValueError):
         DetectionWindow(lambda_lo=-0.1, lambda_hi=0.5, resolution=1e-3)
+
+
+def test_detection_window_rejects_resolution_below_floor():
+    interp = bound_interpolant(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    for resolution in (MIN_RESOLUTION / 10, 0.0, float("nan")):
+        with pytest.raises(ValueError):
+            detection_window(0.1, 0.1, interp, resolution)
 
 
 def test_window_perfect_tuple_noiseless(curve_noiseless):

@@ -8,13 +8,15 @@ that minimum, the local uncertainty bound
 
     c(lam) = inf over pure states of  lam * Var(L_X) + (1 - lam) * Var(L_Y),
 
-by two independent routes and shows why the result can be trusted.
+by two independent routes and shows why the result can be trusted,
+even where the fast route stalls.
 """
 
 import numpy as np
 
 from varwit import (
     WeightedPair,
+    certified_bound,
     compose_sep_bound,
     grid_bound,
     penalty_operator,
@@ -50,6 +52,23 @@ print(f"exact value  : {7 / 32:.12f}  (= 7/32)")
 # realizes the bound with equality
 dx = by_seesaw.means
 print(f"minimizer means (<L_X>, <L_Y>) = ({dx[0]:+.6f}, {dx[1]:+.6f})")
+
+# --- when the seesaw stalls -----------------------------------------
+# A descent can stop early, for instance in a flat valley or from a poor
+# start; its value is then the variance of a real state but may sit above
+# the infimum. certified_bound proves a lower bound instead of trusting
+# it: the bound is the minimum over the means of g + lam x^2 + mu y^2,
+# where g is the smallest penalty eigenvalue without its x^2, y^2 terms.
+# g is concave, so on a triangle of means it lies above the plane through
+# its three corners, and that plane plus the quadratic has a closed-form
+# minimum. Triangles that could still hold a lower value are split until
+# the proven bound meets the best value found. A single start from this
+# seed stalls far above the infimum at lam = 0.2:
+stall_pair = WeightedPair(0.2, 0.8, x_pair, y_pair)
+stalled = seesaw_bound(stall_pair, starts=1, seed=2)
+proven = certified_bound(stall_pair, starts=1, seed=2)
+print(f"\nstalled seesaw at lam = 0.2: {stalled.value:.12f}  (converged={stalled.converged})")
+print(f"certified bound            : {proven.value:.12f}  (certified={proven.certified})")
 
 # --- from local bound to separability bound -------------------------
 # For a product state the global variances split into local parts, so

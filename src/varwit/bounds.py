@@ -3,13 +3,15 @@
 The central quantity is the infimum of V = lambda Var(X) + mu Var(Y) over
 pure states. At fixed means (x_bar, y_bar) the functional is the
 expectation of a penalty operator, so the infimum becomes a minimization
-of a smallest eigenvalue over two real mean parameters. Two independent
-routes compute it: an alternating seesaw descent and a brute-force mesh
-over the mean box. The seesaw is fast but local, the mesh is the trust
-anchor; acceptance requires them to agree. One engine, `_seesaw_rows`,
-runs every seesaw descent, batched over weights and starts; the rule of
+of a smallest eigenvalue over two real mean parameters. An alternating
+seesaw descent finds minimizers fast but only locally; one engine,
+`_seesaw_rows`, runs every descent, batched over weights and starts.
+When a seesaw stalls, a branch-and-bound over the mean box proves a
+lower bound for the infimum (the penalty-operator form of Dammeier,
+Schwonnek & Werner, NJP 17, 093046 (2015)). The rule of
 `certified_bound` is the one place that decides whether a bound may be
-trusted.
+trusted. `grid_bound`, a brute-force mesh over the means, is kept as an
+independent route to compare against.
 """
 
 from __future__ import annotations
@@ -29,10 +31,15 @@ from .operators import (
 
 VALUE_FLOOR = -1e-9
 SUPPORT_TOL = 1e-8
-# a stalled seesaw is trusted only when the mesh oracle lands this close
-AGREE_TOL = 1e-4
-# rows per stacked eigensolve in the seesaw engine: a 201-point curve at
-# 16 starts fits one chunk, and no input makes the engine hold more
+# a stalled seesaw is trusted only when its proven lower bound lies this
+# close to its value, in units of the penalty's scale (`_penalty_scale`)
+GAP_TOL = 1e-8
+# branch-and-bound cells one weight may create before it gives up
+# uncertified; the ring of minimizers at lam = mu needs about 180k
+_MAX_CELLS = 1 << 19
+# rows per stacked eigensolve in the seesaw engine, and weights per
+# branch-and-bound: a 201-point curve at 16 starts fits one chunk, and no
+# input makes either hold more
 _CHUNK = 4096
 
 _METHODS = ("seesaw", "grid", "grid_refined")
@@ -87,10 +94,12 @@ class BoundResult:
 
     For the seesaw and grid_refined methods the value is the functional
     evaluated on the minimizer (they agree within 1e-8 by construction);
-    an unpolished grid result reports the mesh minimum instead, which can
-    sit slightly above what its own ground state achieves. `certified`
-    says whether the value may serve as a separability bound; the solver
-    that builds the result sets it.
+    grid_refined is a seesaw polish started from the best point of a mesh,
+    the fixed one of `grid_bound` or the adaptive one of the
+    branch-and-bound. An unpolished grid result reports the mesh minimum
+    instead, which can sit slightly above what its own ground state
+    achieves. `certified` says whether the value may serve as a
+    separability bound; the solver that builds the result sets it.
     """
 
     value: float
@@ -365,7 +374,10 @@ def grid_bound(
     tol: float = 1e-10,
     max_iter: int = 500,
 ) -> BoundResult:
-    """Brute-force mesh oracle for the same minimization.
+    """Brute-force mesh route for the same minimization.
+
+    Independent of the seesaw starts and of the branch-and-bound, it is the
+    route `bound --method grid|both` compares the seesaw against.
 
     Evaluates the smallest penalty eigenvalue on a grid_n x grid_n mesh
     of means over the spectral box, batched through the eigensolver.
@@ -419,15 +431,203 @@ def grid_bound(
     )
 
 
+class _Proof(NamedTuple):
+    """Per-row outcome of the branch-and-bound."""
+
+    lower: np.ndarray  # proven lower bound on the infimum
+    scale: np.ndarray  # the penalty scale that GAP_TOL is measured in
+    xm: np.ndarray  # means of the lowest vertex evaluated
+    ym: np.ndarray
+
+
+def _edge_lower(fp: np.ndarray, fq: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """min over t in [0, 1] of (1 - t) fp + t fq - a t (1 - t), for a >= 0."""
+    d = fq - fp
+    inner = np.abs(d) < a
+    ratio = (a - d) / np.where(inner, 4.0 * a, 1.0)
+    return np.where(inner, fp - (a - d) * ratio, np.minimum(fp, fq))
+
+
+def _cell_lower(
+    f: np.ndarray, dx: np.ndarray, dy: np.ndarray, lam: np.ndarray, mu: np.ndarray
+) -> np.ndarray:
+    """Lower bound of f = g + lam x^2 + mu y^2 on each triangle of means.
+
+    f holds the values at the three vertices, (dx, dy) the edges from
+    vertex 0 to vertices 1 and 2. g is concave, so it lies above its
+    affine interpolant; that plus the quadratic is, in barycentric
+    coordinates (s, t), the convex quadratic
+    f0 + s (D1 - Q1) + t (D2 - Q2) + Q(s d1 + t d2), with D = f - f0 and
+    Q(d) = lam dx^2 + mu dy^2. Its minimum lies on an edge, where it has a
+    closed form, or at the interior stationary point.
+    """
+    q1 = lam * dx[:, 0] ** 2 + mu * dy[:, 0] ** 2
+    q2 = lam * dx[:, 1] ** 2 + mu * dy[:, 1] ** 2
+    q12 = lam * (dx[:, 1] - dx[:, 0]) ** 2 + mu * (dy[:, 1] - dy[:, 0]) ** 2
+    b = lam * dx[:, 0] * dx[:, 1] + mu * dy[:, 0] * dy[:, 1]
+    f0, f1, f2 = f[:, 0], f[:, 1], f[:, 2]
+    low = np.minimum(
+        np.minimum(_edge_lower(f0, f1, q1), _edge_lower(f0, f2, q2)), _edge_lower(f1, f2, q12)
+    )
+    g1, g2 = f1 - f0 - q1, f2 - f0 - q2
+    det = q1 * q2 - b * b
+    pd = det > 0.0
+    safe = np.where(pd, det, 1.0)
+    s = -0.5 * (q2 * g1 - b * g2) / safe
+    t = -0.5 * (q1 * g2 - b * g1) / safe
+    inside = pd & (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
+    # evaluated at the solved point, so a rounding error in (s, t) only
+    # enters to second order
+    mid = f0 + s * g1 + t * g2 + s * s * q1 + t * t * q2 + 2.0 * s * t * b
+    return np.where(inside, np.minimum(low, mid), low)
+
+
+def _branch_and_bound(
+    x: MomentPair,
+    y: MomentPair,
+    lam: np.ndarray,
+    mu: np.ndarray,
+    upper: np.ndarray,
+) -> _Proof:
+    """Proven lower bounds on inf V for every row (lam, mu), solved together.
+
+    inf V is the minimum over the spectral box of the means of
+    f = g + lam x^2 + mu y^2, g = lambda_min(lam X2 + mu Y2 - 2 lam x X1
+    - 2 mu y Y1). The box is split into right triangles; `_cell_lower`
+    bounds f on each. Every evaluated f is an upper bound, as is the
+    row's `upper` (a seesaw value). A cell is pruned once its bound lies
+    within GAP_TOL / 2 of the row's best upper bound; every surviving cell
+    is bisected through its hypotenuse, its longest edge in units of the
+    box, and the new vertices of all rows
+    are evaluated in one `eigvalsh` call per round. A row stops at
+    _MAX_CELLS cells with the bound its cells give so far. Each row works
+    in units of its penalty scale, so the result does not depend on the
+    weights' magnitude, and subtracts a rounding slack of a few eps. Rows
+    do not interact, so a row's result does not depend on the batch.
+    """
+    scale = lam * _penalty_scale(x) + mu * _penalty_scale(y)
+    lam, mu, upper = lam / scale, mu / scale, upper / scale
+    n = lam.shape[0]
+    xlo, xhi, ylo, yhi = _spectral_box(x, y)
+    wx, wy = xhi - xlo, yhi - ylo
+    x1, x2 = x.first.entries, x.second.entries
+    y1, y2 = y.first.entries, y.second.entries
+
+    def evaluate(rows, u, v):
+        # u, v are the means in units of the box, exact dyadic fractions
+        xb, yb = xlo + u * wx, ylo + v * wy
+        lr, mr = lam[rows], mu[rows]
+        pen = (
+            lr[:, None, None] * x2
+            + mr[:, None, None] * y2
+            - (2.0 * lr * xb)[:, None, None] * x1
+            - (2.0 * mr * yb)[:, None, None] * y1
+        )
+        return np.linalg.eigvalsh(pen)[:, 0] + lr * xb * xb + mr * yb * yb
+
+    best = np.zeros((n, 3))  # (f, u, v) of each row's lowest vertex
+    best[:, 0] = np.inf
+
+    def keep_best(rows, u, v, fv):
+        # lexicographic (f, u, v) minimum, so ties do not depend on the batch
+        cand = np.concatenate([best, np.column_stack([fv, u, v])])
+        owner = np.concatenate([np.arange(n), rows])
+        order = np.lexsort((cand[:, 2], cand[:, 1], cand[:, 0], owner))
+        first = order[np.unique(owner[order], return_index=True)[1]]
+        best[:] = cand[first]
+
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    rows = np.repeat(np.arange(n), 4)
+    fc = evaluate(rows, np.tile(corners[:, 0], n), np.tile(corners[:, 1], n))
+    keep_best(rows, np.tile(corners[:, 0], n), np.tile(corners[:, 1], n), fc)
+    # two triangles per row, vertices ordered (a, b, c) with the right angle at b
+    tri = np.array([[0, 1, 2], [0, 3, 2]])
+    rows = np.repeat(np.arange(n), 2)
+    uv = np.tile(corners[tri], (n, 1, 1))
+    fv = fc.reshape(n, 4)[:, tri].reshape(-1, 3)
+    lower = np.full(n, np.inf)
+    cells = np.full(n, 2)
+    while rows.size:
+        upper = np.minimum(upper, best[:, 0])
+        edges = uv[:, 1:] - uv[:, :1]
+        low = _cell_lower(fv, edges[..., 0] * wx, edges[..., 1] * wy, lam[rows], mu[rows])
+        split = low < upper[rows] - 0.5 * GAP_TOL
+        cells += 2 * np.bincount(rows[split], minlength=n)
+        split &= cells[rows] <= _MAX_CELLS
+        np.minimum.at(lower, rows[~split], low[~split])
+        rows, uv, fv = rows[split], uv[split], fv[split]
+        if not rows.size:
+            break
+        # the new vertex halves the hypotenuse a-c; a vertex two cells share
+        # is evaluated once
+        mid = 0.5 * (uv[:, 0] + uv[:, 2])
+        key, inverse = np.unique(
+            np.column_stack([rows, mid]), axis=0, return_inverse=True
+        )
+        new_rows = key[:, 0].astype(int)
+        fk = evaluate(new_rows, key[:, 1], key[:, 2])
+        keep_best(new_rows, key[:, 1], key[:, 2], fk)
+        fm = fk[inverse.ravel()]
+        a, b, c = uv[:, 0], uv[:, 1], uv[:, 2]
+        uv = np.concatenate([np.stack([a, mid, b], 1), np.stack([b, mid, c], 1)])
+        fv = np.concatenate(
+            [np.stack([fv[:, 0], fm, fv[:, 1]], 1), np.stack([fv[:, 1], fm, fv[:, 2]], 1)]
+        )
+        rows = np.concatenate([rows, rows])
+    slack = 4.0 * x.dim**2 * np.finfo(float).eps
+    return _Proof(
+        lower=(lower - slack) * scale,
+        scale=scale,
+        xm=xlo + best[:, 1] * wx,
+        ym=ylo + best[:, 2] * wy,
+    )
+
+
 def _certify(
-    pair: WeightedPair, res: BoundResult, tol: float, max_iter: int, grid_n: int
-) -> BoundResult:
-    """The one trust rule for a seesaw result; see `certified_bound`."""
-    if res.certified:
-        return res
-    alt = grid_bound(pair, grid_n=grid_n, polish=True, tol=tol, max_iter=max_iter)
-    agreed = alt.certified and abs(alt.value - res.value) <= AGREE_TOL
-    return replace(alt if alt.value <= res.value else res, certified=agreed)
+    x: MomentPair,
+    y: MomentPair,
+    lams: Sequence[float],
+    mus: Sequence[float],
+    found: List[BoundResult],
+    tol: float,
+    max_iter: int,
+) -> List[BoundResult]:
+    """The one trust rule for seesaw results; see `certified_bound`.
+
+    Every uncertified row goes through one batched branch-and-bound, and
+    one seesaw batch polishes each row's best vertex. The proof takes the
+    rows in chunks of _CHUNK, so its memory does not grow with their
+    number; rows do not interact, so chunks do not change them.
+    """
+    todo = [k for k, res in enumerate(found) if not res.certified]
+    if not todo:
+        return found
+    lam = np.array([lams[k] for k in todo], dtype=float)
+    mu = np.array([mus[k] for k in todo], dtype=float)
+    upper = np.array([found[k].value for k in todo])
+    parts = [
+        _branch_and_bound(
+            x, y, lam[lo : lo + _CHUNK], mu[lo : lo + _CHUNK], upper[lo : lo + _CHUNK]
+        )
+        for lo in range(0, len(todo), _CHUNK)
+    ]
+    proof = _Proof(*(np.concatenate(field) for field in zip(*parts)))
+    run = _seesaw_rows(x, y, lam, mu, proof.xm, proof.ym, tol, max_iter)
+    out = list(found)
+    for i, k in enumerate(todo):
+        res = found[k]
+        if run.values[i] <= res.value:
+            res = BoundResult(
+                value=float(run.values[i]),
+                minimizer=PureState(run.vecs[i]),
+                means=(float(run.xm[i]), float(run.ym[i])),
+                iterations=int(run.iterations[i]),
+                converged=bool(run.converged[i]),
+                method="grid_refined",
+            )
+        gap = GAP_TOL * proof.scale[i]
+        out[k] = replace(res, certified=bool(proof.lower[i] >= res.value - gap))
+    return out
 
 
 def certified_bound(
@@ -436,17 +636,18 @@ def certified_bound(
     tol: float = 1e-10,
     max_iter: int = 500,
     seed: int = 0,
-    grid_n: int = 201,
 ) -> BoundResult:
-    """Seesaw first; if any start stalls, consult the mesh oracle.
+    """Seesaw first; if any start stalls, prove a lower bound.
 
-    A converged seesaw is certified. A stalled one is certified only when
-    the polished oracle converges and agrees with it within AGREE_TOL.
-    Either way the lower of the two values is returned, ties going to the
-    oracle, so a stalled run never raises a bound it could have lowered.
+    A converged seesaw is certified. A stalled one goes through the
+    branch-and-bound (`_branch_and_bound`), and a seesaw run polishes the
+    lowest point it evaluated. The lower of the stalled and the polished
+    value is returned, ties going to the polish, so the value is always V
+    at a real minimizer. It is certified when the proven lower bound lies
+    within GAP_TOL times the penalty's scale of it.
     """
     res = seesaw_bound(pair, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
-    return _certify(pair, res, tol, max_iter, grid_n)
+    return _certify(pair.x, pair.y, [pair.lam], [pair.mu], [res], tol, max_iter)[0]
 
 
 def _certified_curve(
@@ -460,14 +661,13 @@ def _certified_curve(
 ) -> List[BoundResult]:
     """`certified_bound` at weights (lam, 1 - lam) for every lam, solved together.
 
-    One seesaw batch covers every weight; each weight that stalls goes to
-    its own mesh oracle.
+    One seesaw batch covers every weight, and one branch-and-bound every
+    weight that stalls.
     """
     pairs = [WeightedPair(lam, 1.0 - lam, x, y) for lam in lams]
-    found = _seesaw_many(
-        x, y, [p.lam for p in pairs], [p.mu for p in pairs], starts, tol, max_iter, seed
-    )
-    return [_certify(p, res, tol, max_iter, 201) for p, res in zip(pairs, found)]
+    lam, mu = [p.lam for p in pairs], [p.mu for p in pairs]
+    found = _seesaw_many(x, y, lam, mu, starts, tol, max_iter, seed)
+    return _certify(x, y, lam, mu, found, tol, max_iter)
 
 
 def compose_sep_bound(local_a: BoundResult, local_b: BoundResult) -> float:

@@ -107,3 +107,29 @@ def scalar_seesaw(pair, starts=16, tol=1e-10, max_iter=500, seed=0):
             best = (vec, value, xm, ym, iters, hist)
     vec, value, xm, ym, iters, hist = best
     return vec, value, xm, ym, iters, all_converged, hist
+
+
+def local_infimum(lam, mu, alpha):
+    """Exact inf over qutrit states of lam Var X + mu Var Y in the noisy spin-1 box.
+
+    X and Y are L_X and L_Y measured through the spin-flip channel, whose
+    first moments are (1 - alpha) L and second moments L^2. The infimum is
+    the minimum over the means (x, y) of the smallest eigenvalue of
+    lam (X2 - 2 x X1 + x^2) + mu (Y2 - 2 y Y1 + y^2). In the Cartesian
+    spin-1 basis that matrix is diag(mu, lam, lam + mu) coupled only through
+    the z row, so its stationary points have closed forms: both means 0,
+    or one mean 0 and the other solving a 2x2 block. (Points with both
+    means nonzero have the value (lam + mu) / (4 eta^2), never below
+    these.) The infimum is the smallest of them. At lam = mu = 1/2 it is
+    the local uncertainty bound of Hofmann & Takeuchi, PRA 68, 032103
+    (2003) and Guehne, PRL 92, 117903 (2004). Independent of `varwit`.
+    """
+    eta2 = (1.0 - alpha) ** 2
+    if lam <= 0.0 or mu <= 0.0:
+        return 0.0  # an eigenstate of the remaining observable
+    values = [min(lam, mu)]
+    for a, b in ((lam, mu), (mu, lam)):
+        # the mean weighted by a nonzero, the other 0, its block eigenvalue lowest
+        if 4.0 * eta2 * a >= b and a - 2.0 * eta2 * a <= b / 2.0:
+            values.append(a + b / 2.0 - eta2 * a - b**2 / (16.0 * eta2 * a))
+    return min(values)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varwit import bounds
 from varwit import (
     BoundResult,
+    MomentPair,
     PureState,
     RegionBoundary,
     WeightedPair,
@@ -21,7 +24,7 @@ from varwit import (
     trace_region,
     variance_functional,
 )
-from helpers import random_povm, random_pure, scalar_seesaw
+from helpers import local_infimum, random_povm, random_pure, scalar_seesaw
 
 
 def spin1_pair(lam, mu, alpha=0.0):
@@ -151,25 +154,50 @@ def test_certified_bound_is_certified():
     assert res.converged or res.method in ("grid", "grid_refined")
 
 
+def proven_lower(pair, upper):
+    """The branch-and-bound's proven lower bound for one weighted pair."""
+    proof = bounds._branch_and_bound(
+        pair.x, pair.y, np.array([pair.lam]), np.array([pair.mu]), np.array([upper])
+    )
+    return float(proof.lower[0])
+
+
+def penalty_scale(pair):
+    return pair.lam * bounds._penalty_scale(pair.x) + pair.mu * bounds._penalty_scale(pair.y)
+
+
 def test_certified_bound_trusts_a_stall_the_oracle_confirms():
-    # this seed's starts stall in the flat valley a hair below the oracle
+    # this seed's starts stall in the flat valley; the branch-and-bound
+    # proves the stalled value within the gap
     pair = spin1_pair(0.355, 0.645, 0.2)
     stalled = seesaw_bound(pair, seed=1)
     assert not stalled.converged and not stalled.certified
-    oracle = grid_bound(pair)
-    assert oracle.certified
     res = certified_bound(pair, seed=1)
     assert res.certified
-    assert res.value == min(stalled.value, oracle.value)
+    assert res.value <= stalled.value
+    lower = proven_lower(pair, stalled.value)
+    assert res.value - bounds.GAP_TOL * penalty_scale(pair) <= lower <= res.value
+    assert lower <= local_infimum(0.355, 0.645, 0.2) <= res.value + 1e-12
 
 
-def test_certified_bound_rejects_a_stall_the_oracle_undercuts():
-    # a single start from this seed stalls far above the mesh oracle
+def test_certified_bound_rejects_a_stall_the_oracle_undercuts(monkeypatch):
+    # a single start from this seed stalls far above the infimum; the
+    # branch-and-bound finds the lower basin, and its polish is returned,
+    # proven and certified
     pair = spin1_pair(0.2, 0.8)
     stalled = seesaw_bound(pair, starts=1, seed=2)
+    assert not stalled.converged
     res = certified_bound(pair, starts=1, seed=2)
-    assert not res.certified
-    assert res.value == grid_bound(pair).value < stalled.value - 1e-2
+    assert res.certified and res.method == "grid_refined"
+    assert res.value < stalled.value - 1e-2
+    exact = local_infimum(0.2, 0.8, 0.0)
+    assert exact - 1e-12 <= res.value <= exact + bounds.GAP_TOL * penalty_scale(pair)
+    assert abs(variance_functional(pair, res.minimizer) - res.value) < 1e-12
+    # a cell cap the proof cannot close within leaves the stall uncertified
+    monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
+    capped = certified_bound(pair, starts=1, seed=2)
+    assert not capped.certified
+    assert capped.value <= stalled.value
     assert not grid_bound(pair, polish=False).certified
 
 
@@ -271,8 +299,13 @@ def test_trace_region_symmetric_weight_has_mirrored_twin():
     assert abs((dx + dy) / 2.0 - 7.0 / 32.0) < 1e-8
 
 
-def test_trace_region_flags_stalled_points():
+def test_trace_region_flags_stalled_points(monkeypatch):
     x, y = spin1_moment_pairs(0.0)
+    # one step stalls every start, and the proof then certifies each point
+    reg = trace_region(x, y, [0.4, 0.6], max_iter=1)
+    assert all(reg.certified)
+    # with a cell cap the proof cannot close within, the points stay flagged
+    monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
     reg = trace_region(x, y, [0.4, 0.6], max_iter=1)
     assert len(reg.points) == 2
     assert not any(reg.certified)
@@ -382,6 +415,20 @@ def test_engine_chunks_do_not_change_rows(monkeypatch):
         assert_same_as_scalar(res, WeightedPair(lam, 1.0 - lam, x, y), seed=3)
 
 
+def test_proof_chunks_do_not_change_rows(monkeypatch):
+    # three steps stall every start, so all 8 weights go to the proof,
+    # which then runs in 3 chunks
+    x, y = spin1_moment_pairs(0.2)
+    lams = [0.1, 0.2, 0.3, 0.35, 0.45, 0.6, 0.72, 0.9]
+    whole = trace_region(x, y, lams, max_iter=3)
+    monkeypatch.setattr(bounds, "_CHUNK", 3)
+    chunked = trace_region(x, y, lams, max_iter=3)
+    assert all(whole.certified)
+    assert chunked.bounds == whole.bounds
+    assert chunked.points == whole.points
+    assert chunked.certified == whole.certified
+
+
 @pytest.mark.parametrize("alpha", [0.2, 0.5])
 def test_sep_bound_curve_rows_equal_certified_bound(alpha):
     x, y = spin1_moment_pairs(alpha)
@@ -393,23 +440,149 @@ def test_sep_bound_curve_rows_equal_certified_bound(alpha):
 
 
 def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
-    # one stacked eigensolve per seesaw step for the whole curve, plus at
-    # most one polish run per weight sent to the mesh oracle
-    counts = {"eigh": 0, "oracle": 0}
-    eigh, oracle = np.linalg.eigh, bounds.grid_bound
-
-    def counted_eigh(a, *args, **kwargs):
-        counts["eigh"] += 1
-        return eigh(a, *args, **kwargs)
-
-    def counted_oracle(*args, **kwargs):
-        counts["oracle"] += 1
-        return oracle(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(bounds, "grid_bound", counted_oracle)
-    max_iter = 500
+    # one stacked eigensolve per seesaw step for the whole curve, one more
+    # per step of the polish, and one branch-and-bound for every stalled
+    # weight: its rounds, and so its eigvalsh calls, are those of the
+    # hardest weight alone
     x, y = spin1_moment_pairs(0.2)
-    sep_bound_curve(x, y, num=201, max_iter=max_iter)
-    assert counts["oracle"] >= 1
-    assert counts["eigh"] <= max_iter * (1 + counts["oracle"])
+    counts = {"eigh": 0, "eigvalsh": 0, "oracle": 0}
+    eigh, eigvalsh, oracle = np.linalg.eigh, np.linalg.eigvalsh, bounds.grid_bound
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    monkeypatch.setattr(bounds, "grid_bound", counted("oracle", oracle))
+    max_iter = 500
+    lams, _, certified = sep_bound_curve(x, y, num=201, max_iter=max_iter)
+    assert certified.all()
+    assert counts["oracle"] == 0
+    assert counts["eigh"] <= 2 * max_iter
+    curve_calls = counts["eigvalsh"]
+    found = bounds._seesaw_many(x, y, lams, 1.0 - lams, 16, 1e-10, max_iter, 0)
+    stalled = [float(lam) for lam, res in zip(lams, found) if not res.converged]
+    assert len(stalled) >= 4
+    single_calls = []
+    for lam in stalled:
+        counts["eigvalsh"] = 0
+        certified_bound(WeightedPair(lam, 1.0 - lam, x, y), max_iter=max_iter)
+        single_calls.append(counts["eigvalsh"])
+    assert curve_calls <= max(single_calls)
+
+
+def assert_within_gap(value, exact, pair):
+    # a certified value is V at a real state, proven within the gap
+    assert exact - 1e-12 <= value <= exact + bounds.GAP_TOL * penalty_scale(pair)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0])
+def test_sep_bound_curve_matches_the_exact_infimum(alpha):
+    x, y = spin1_moment_pairs(alpha)
+    lams, values, certified = sep_bound_curve(x, y, num=201)
+    assert certified.all()
+    for lam, value in zip(lams, values):
+        pair = WeightedPair(float(lam), float(1.0 - lam), x, y)
+        assert_within_gap(value / 2.0, local_infimum(pair.lam, pair.mu, alpha), pair)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0])
+def test_trace_region_matches_the_exact_infimum(alpha):
+    x, y = spin1_moment_pairs(alpha)
+    reg = trace_region(x, y, list(np.linspace(0.05, 0.95, 19)), seed=3)
+    assert all(reg.certified)
+    for lam, c in zip(reg.lambdas, reg.bounds):
+        pair = WeightedPair(lam, 1.0 - lam, x, y)
+        assert_within_gap(c, local_infimum(lam, 1.0 - lam, alpha), pair)
+
+
+def test_proof_on_a_degenerate_box():
+    # at alpha = 1 the first moments vanish and the box of means shrinks to
+    # a point: to rounding dust for the noisy box, exactly for a box built
+    # with X1 = 0
+    x, y = spin1_moment_pairs(1.0)
+    exact_x = MomentPair(np.zeros((3, 3)), x.second)
+    for pair in (spin1_pair(0.3, 0.7, 1.0), WeightedPair(0.3, 0.7, exact_x, y)):
+        assert np.max(np.abs(bounds._spectral_box(pair.x, pair.y))) < 1e-15
+        stalled = seesaw_bound(pair, max_iter=1)
+        assert not stalled.certified
+        res = certified_bound(pair, max_iter=1)
+        assert res.certified
+        exact = local_infimum(0.3, 0.7, 1.0)
+        assert_within_gap(res.value, exact, pair)
+        lower = proven_lower(pair, stalled.value)
+        assert exact - 1e-12 <= lower <= exact
+
+
+@pytest.mark.parametrize("alpha, alpha_b", [(0.0, 0.2), (0.2, 1.0), (0.5, 0.1)])
+def test_proof_composes_unequal_parties(alpha, alpha_b):
+    # two steps stall every start, so each party's bound is the proven one
+    for lam in (0.3, 0.72):
+        pair_a, pair_b = spin1_pair(lam, 1.0 - lam, alpha), spin1_pair(lam, 1.0 - lam, alpha_b)
+        local_a = certified_bound(pair_a, max_iter=2)
+        local_b = certified_bound(pair_b, max_iter=2)
+        exact = local_infimum(lam, 1.0 - lam, alpha) + local_infimum(lam, 1.0 - lam, alpha_b)
+        gap = bounds.GAP_TOL * (penalty_scale(pair_a) + penalty_scale(pair_b))
+        assert exact - 2e-12 <= compose_sep_bound(local_a, local_b) <= exact + gap
+
+
+def test_proof_does_not_depend_on_the_weights_scale():
+    # in units of the penalty's scale the proof is the same at any magnitude
+    x, y = spin1_moment_pairs(0.2)
+    exact = local_infimum(0.3, 0.7, 0.2)
+    for w in (1e-12, 1.0, 1e200):
+        pair = WeightedPair(0.3 * w, 0.7 * w, x, y)
+        lower = proven_lower(pair, np.inf)
+        assert exact - bounds.GAP_TOL * penalty_scale(pair) / w <= lower / w <= exact
+
+
+# property tests over random POVM boxes; derandomized, so every run of the
+# suite draws the same examples
+random_box = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+def random_pairs(seed):
+    rng = np.random.default_rng(seed)
+    return moment_pair(random_povm(rng, 3, 4)), moment_pair(random_povm(rng, 3, 3)), rng
+
+
+@random_box
+@given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.02, 0.98))
+def test_proven_lower_bound_lies_below_every_state(seed, lam):
+    x, y, rng = random_pairs(seed)
+    pair = WeightedPair(lam, 1.0 - lam, x, y)
+    found = seesaw_bound(pair, starts=4, seed=seed % 1000)
+    lower = proven_lower(pair, found.value)
+    assert lower <= found.value
+    for _ in range(50):
+        assert lower <= variance_functional(pair, random_pure(rng, 3))
+
+
+@random_box
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sep_bound_curve_is_concave_in_lambda(seed):
+    # c(lam) is an infimum of functions affine in lam, so certified values,
+    # each proven within the gap, bend down up to that gap
+    x, y, _ = random_pairs(seed)
+    lams, values, certified = sep_bound_curve(x, y, num=21)
+    scale = 2.0 * max(bounds._penalty_scale(x), bounds._penalty_scale(y))
+    bend = values[:-2] - 2.0 * values[1:-1] + values[2:]
+    ok = certified[:-2] & certified[1:-1] & certified[2:]
+    assert np.all(bend[ok] <= 4.0 * bounds.GAP_TOL * scale)
+    # every certified minimizer's variance pair lies on or above every
+    # certified supporting line; RegionBoundary raises otherwise
+    trace_region(x, y, list(lams[1:-1]))
+
+
+@random_box
+@given(lam=st.floats(0.0, 1.0), alpha=st.floats(0.0, 1.0))
+def test_proven_lower_bound_brackets_the_exact_infimum(lam, alpha):
+    # with no seesaw value to start from, the proof alone closes the gap
+    pair = spin1_pair(lam, 1.0 - lam, alpha)
+    lower = proven_lower(pair, np.inf)
+    exact = local_infimum(lam, 1.0 - lam, alpha)
+    assert exact - bounds.GAP_TOL * penalty_scale(pair) <= lower <= exact

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from varwit import bounds
 from varwit import (
     TestStateParams,
     __version__,
@@ -55,7 +56,7 @@ def test_witness_sources_are_mutually_exclusive():
     assert main(["witness"]) == EXIT_USAGE
 
 
-def test_malformed_tuple_is_usage_error(tmp_path):
+def test_malformed_tuple_is_usage_error(tmp_path, capsys):
     assert main(["witness", "--tuple", "nope"]) == EXIT_USAGE
     assert main(["witness", "--tuple", "1,2,3"]) == EXIT_USAGE
     assert main(["witness", "--tuple", "nan,0.1"]) == EXIT_USAGE
@@ -82,6 +83,11 @@ def test_malformed_tuple_is_usage_error(tmp_path):
     flat = tmp_path / "flat.csv"
     flat.write_text("theta1_deg,theta2_deg,V_measured\n0,10,0.5\n0,30,0.6\n")
     assert main(["fit-noise", "--input", str(flat)]) == EXIT_USAGE
+    # the right header and no rows is empty data, not a missing column
+    empty = tmp_path / "empty.csv"
+    empty.write_text("theta1_deg,theta2_deg,V_measured\n")
+    assert main(["fit-noise", "--input", str(empty)]) == EXIT_USAGE
+    assert "calibration data is empty" in capsys.readouterr().err
 
 
 def test_bad_env_seed_is_usage_error(monkeypatch):
@@ -153,13 +159,15 @@ def test_region_writes_csv_svg_and_manifests(tmp_path, capsys):
         assert manifest["parameters"]["argv"][0] == "region"
 
 
-def test_region_uncertified_point_warns(tmp_path, capsys):
+def test_region_uncertified_point_warns(tmp_path, capsys, monkeypatch):
     # a single start from this seed stalls near a shallow stationary
-    # value well above the mesh oracle's answer
+    # value well above the infimum; the branch-and-bound proves the
+    # polished point, unless a cell cap stops it first
     out = str(tmp_path)
-    code = main(
-        ["region", "--lambdas", "0.2", "--starts", "1", "--seed", "2", "--output-dir", out]
-    )
+    argv = ["region", "--lambdas", "0.2", "--starts", "1", "--seed", "2", "--output-dir", out]
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_NUMERICAL
     assert "did not certify" in captured.err
@@ -239,12 +247,15 @@ def test_witness_trusts_a_stall_the_oracle_confirms(capsys):
 
 
 @pytest.mark.parametrize("command", ["report", "witness"])
-def test_uncertified_sweep_point_is_named(command, tmp_path, capsys):
-    # a single start from this seed stalls 0.1 above the oracle at lambda = 0.2
-    code = main(
-        [command, "--tuple", "0.1,0.1", "--lambda-grid", "6", "--starts", "1",
-         "--seed", "2", "--output-dir", str(tmp_path)]
-    )
+def test_uncertified_sweep_point_is_named(command, tmp_path, capsys, monkeypatch):
+    # a single start from this seed stalls 0.1 above the infimum at
+    # lambda = 0.2; with a cell cap the proof cannot close within, that
+    # point stays uncertified
+    argv = [command, "--tuple", "0.1,0.1", "--lambda-grid", "6", "--starts", "1",
+            "--seed", "2", "--output-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
     assert "did not certify at lambda = 0.2" in err

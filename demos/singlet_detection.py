@@ -12,7 +12,6 @@ is (or is not) adapted to the noise.
 
 from varwit import (
     DensityMatrix,
-    bound_interpolant,
     build_global_moments,
     detection_window,
     evaluate_witness,
@@ -65,9 +64,11 @@ for name, c_half in (
 
 # --- how robust is the detection? ------------------------------------
 # sweeping the weight lam gives a whole window of detecting witnesses,
-# not a single lucky choice
-window = detection_window(d2x, d2y, bound_interpolant(lams, c_adapted))
+# not a single lucky choice; each edge is the exact crossing of the
+# interpolated curve, good to one knot step (the window's resolution)
+window = detection_window(d2x, d2y, lams, c_adapted)
 for w in window:
     print(
         f"\ndetection window (adapted): lam in [{w.lambda_lo:.3f}, {w.lambda_hi:.3f}]"
+        f" (knot step {w.resolution:.3f})"
     )

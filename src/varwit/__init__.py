@@ -51,7 +51,6 @@ from .bounds import (
 from .witness import (
     DetectionWindow,
     WitnessVerdict,
-    bound_interpolant,
     build_global_moments,
     detection_window,
     evaluate_witness,
@@ -88,7 +87,6 @@ __all__ = [
     "TestStateParams",
     "WeightedPair",
     "WitnessVerdict",
-    "bound_interpolant",
     "build_global_moments",
     "certified_bound",
     "compose_sep_bound",

@@ -56,11 +56,10 @@ from .simulate import (
 )
 from .svgplot import svg_line_plot
 from .witness import (
-    MIN_RESOLUTION,
-    bound_interpolant,
     build_global_moments,
     detection_window,
     evaluate_witness_from_tuple,
+    knot_spacing,
 )
 
 ENV_SEED = "VARWIT_SEED"
@@ -126,19 +125,6 @@ def _int_at_least(low: int):
         return value
 
     return parse
-
-
-def _resolution(text: str) -> float:
-    """argparse type: a detection-window resolution >= MIN_RESOLUTION."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}")
-    if not (math.isfinite(value) and value >= MIN_RESOLUTION):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and >= {MIN_RESOLUTION}, got {text!r}"
-        )
-    return value
 
 
 def _resolve_seed(args) -> int:
@@ -260,6 +246,8 @@ def _parse_tuple(text: str) -> Tuple[float, float]:
         raise _UsageError(f"--tuple expects two numbers, got {text!r}")
     if not (math.isfinite(d2x) and math.isfinite(d2y)):
         raise _UsageError(f"--tuple expects finite numbers, got {text!r}")
+    if d2x < 0 or d2y < 0:
+        raise _UsageError(f"--tuple variances must be nonnegative, got {text!r}")
     return d2x, d2y
 
 
@@ -441,8 +429,11 @@ def cmd_simulate(args) -> int:
 def _load_sweep_file(path: str) -> List[TestStateParams]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        # the header decides the format, so a file with no data rows reaches
+        # run_calibration and fails there as an empty sweep
+        columns = set(reader.fieldnames or ())
         rows = list(reader)
-    if not rows or "theta1_deg" not in rows[0] or "theta2_deg" not in rows[0]:
+    if not {"theta1_deg", "theta2_deg"}.issubset(columns):
         raise OSError(f"sweep file {path!r} needs columns theta1_deg,theta2_deg")
     return [
         TestStateParams(theta1=float(r["theta1_deg"]), theta2=float(r["theta2_deg"]))
@@ -541,12 +532,10 @@ def cmd_report(args) -> int:
         _, c_adapted, ok_adapted = sep_bound_curve(
             *noisy_pairs, num=args.lambda_grid, starts=args.starts, seed=seed
         )
-    interp_nl = bound_interpolant(lams, c_noiseless)
-    interp_ad = bound_interpolant(lams, c_adapted)
     windows = {
-        "ideal": detection_window(*tuple_ideal, interp_nl, resolution=args.resolution),
-        "adapted": detection_window(*tuple_noisy, interp_ad, resolution=args.resolution),
-        "non_adapted": detection_window(*tuple_noisy, interp_nl, resolution=args.resolution),
+        "ideal": detection_window(*tuple_ideal, lams, c_noiseless),
+        "adapted": detection_window(*tuple_noisy, lams, c_adapted),
+        "non_adapted": detection_window(*tuple_noisy, lams, c_noiseless),
     }
     rows = []
     for k, lam in enumerate(lams):
@@ -591,7 +580,7 @@ def cmd_report(args) -> int:
     windows_path = os.path.join(args.output_dir, "windows.json")
     summary = {
         "alpha": args.alpha,
-        "resolution": args.resolution,
+        "resolution": knot_spacing(lams),
         "tuple_ideal": [tuple_ideal[0], tuple_ideal[1]],
         "tuple_noisy": [tuple_noisy[0], tuple_noisy[1]],
         "windows": {key: [w.to_dict() for w in ws] for key, ws in windows.items()},
@@ -711,7 +700,6 @@ def build_parser() -> _CliParser:
     rsrc.add_argument("--tuple", dest="tuple_", help="measured variances 'd2x,d2y'")
     rep.add_argument("--alpha", type=float, default=0.0)
     rep.add_argument("--lambda-grid", dest="lambda_grid", type=_int_at_least(2), default=201)
-    rep.add_argument("--resolution", type=_resolution, default=1e-3)
     rep.add_argument("--starts", type=_int_at_least(1), default=16)
     rep.add_argument("--output-dir", dest="output_dir", default=".")
     rep.add_argument("--svg", action="store_true")

@@ -3,15 +3,15 @@
 A witness verdict compares the weighted variance sum of global (joint)
 measurements against a separability bound: strictly smaller means the
 state cannot be separable. Detection windows collect the weights lambda
-(with mu = 1 - lambda) for which a measured variance tuple is certified,
-using a cached bound curve since each exact bound evaluation is a full
-optimization.
+(with mu = 1 - lambda) for which a measured variance tuple is certified;
+they are read in closed form off a cached bound curve's knots, since each
+exact bound evaluation is a full optimization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
@@ -23,10 +23,6 @@ from .operators import (
     tensor,
     variance,
 )
-
-# detection_window scans 1/resolution + 1 weights, one interpolant call each
-MIN_RESOLUTION = 1e-6
-
 
 @dataclass(frozen=True)
 class WitnessVerdict:
@@ -130,70 +126,59 @@ def evaluate_witness_from_tuple(
     return _verdict(lam, mu, float(lam) * float(d2x) + float(mu) * float(d2y), c_sep)
 
 
-def bound_interpolant(lams: np.ndarray, values: np.ndarray) -> Callable[[float], float]:
-    """Linear interpolant of a cached bound curve, usable as c_of_lambda."""
-    lams = np.asarray(lams, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if lams.shape != values.shape or lams.ndim != 1 or lams.size < 2:
-        raise ValueError("need matching 1-D grids with at least two points")
+def knot_spacing(lams: np.ndarray) -> float:
+    """Largest step between neighbouring knots of a bound curve.
 
-    def c_of_lambda(lam: float) -> float:
-        return float(np.interp(lam, lams, values))
-
-    return c_of_lambda
-
-
-def _bisect_edge(
-    margin: Callable[[float], float], a: float, b: float, resolution: float
-) -> float:
-    """Locate the sign change of margin inside [a, b] to within resolution."""
-    pos_a = margin(a) > 0
-    while b - a > resolution:
-        mid = 0.5 * (a + b)
-        if (margin(mid) > 0) == pos_a:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    It is the accuracy of a detection-window edge: c(lambda) is concave
+    and its knots are exact, so the true window reaches at most one knot
+    step past each edge read off the interpolant.
+    """
+    return float(np.max(np.diff(lams)))
 
 
 def detection_window(
-    d2x: float,
-    d2y: float,
-    c_of_lambda: Callable[[float], float],
-    resolution: float = 1e-3,
+    d2x: float, d2y: float, lams: np.ndarray, values: np.ndarray
 ) -> List[DetectionWindow]:
     """Maximal intervals of lambda where lam d2x + (1 - lam) d2y < c(lambda).
 
-    The unit interval is scanned at the requested resolution and each
-    detected edge is then sharpened by bisection; an empty list means the
-    tuple is never certified. The resolution must be at least
-    MIN_RESOLUTION, which caps the scan at about a million points.
+    c is the linear interpolant of the bound curve's knots (lams, values),
+    so the margin c - V is linear between knots. Each maximal run of knots
+    with a positive margin is one window; an edge inside the grid is the
+    exact zero of the margin on the segment where it changes sign, and an
+    edge at a grid end is that end. An empty list means the tuple is never
+    certified.
     """
-    if not resolution >= MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
-    if d2x < 0 or d2y < 0:
-        raise ValueError(f"variances must be nonnegative, got ({d2x}, {d2y})")
+    lams = np.asarray(lams, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if lams.ndim != 1 or lams.shape != values.shape or lams.size < 2:
+        raise ValueError("need matching 1-D knot arrays with at least two points")
+    if not (np.isfinite(lams).all() and np.isfinite(values).all()):
+        raise ValueError("knots must be finite")
+    if lams[0] != 0.0 or lams[-1] != 1.0 or not (np.diff(lams) > 0).all():
+        raise ValueError("lams must ascend strictly from 0.0 to 1.0")
+    if not (0.0 <= d2x < np.inf and 0.0 <= d2y < np.inf):
+        raise ValueError(f"variances must be finite and nonnegative, got ({d2x}, {d2y})")
 
-    def margin(lam: float) -> float:
-        return c_of_lambda(lam) - (lam * d2x + (1.0 - lam) * d2y)
+    margin = values - (lams * d2x + (1.0 - lams) * d2y)
+    # +1 where a run of positive margins starts, -1 one past where it ends
+    step = np.diff((margin > 0).astype(np.int8), prepend=0, append=0)
+    firsts, lasts = np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1
 
-    n = int(np.ceil(1.0 / resolution)) + 1
-    grid = np.linspace(0.0, 1.0, n)
-    pos = np.array([margin(l) > 0 for l in grid])
-    windows: List[DetectionWindow] = []
-    k = 0
-    while k < n:
-        if not pos[k]:
-            k += 1
-            continue
-        j = k
-        while j + 1 < n and pos[j + 1]:
-            j += 1
-        lo = grid[k] if k == 0 else _bisect_edge(margin, grid[k - 1], grid[k], resolution)
-        hi = grid[j] if j == n - 1 else _bisect_edge(margin, grid[j], grid[j + 1], resolution)
-        windows.append(
-            DetectionWindow(lambda_lo=float(lo), lambda_hi=float(hi), resolution=resolution)
+    def edge(inside: int, outside: int) -> float:
+        # zero of the linear margin between a positive knot and a nonpositive
+        # neighbour; clipped so that rounding cannot carry it off its segment
+        # (windows that touch at a zero knot would otherwise overlap by an ulp)
+        m_in, m_out = margin[inside], margin[outside]
+        zero = lams[inside] + (lams[outside] - lams[inside]) * m_in / (m_in - m_out)
+        return float(np.clip(zero, *sorted((lams[inside], lams[outside]))))
+
+    last = lams.size - 1
+    resolution = knot_spacing(lams)
+    return [
+        DetectionWindow(
+            lambda_lo=0.0 if k == 0 else edge(k, k - 1),
+            lambda_hi=1.0 if j == last else edge(j, j + 1),
+            resolution=resolution,
         )
-        k = j + 1
-    return windows
+        for k, j in zip(firsts, lasts)
+    ]

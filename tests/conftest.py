@@ -1,20 +1,29 @@
-import numpy as np
 import pytest
 
 from varwit import sep_bound_curve, spin1_moment_pairs
 
 
 @pytest.fixture(scope="session")
-def curve_noiseless():
+def certified_curves():
+    """Composed bound curves c(lambda), 201 points, keyed by spin-flip noise alpha.
+
+    Each entry is sep_bound_curve's (lams, values, certified) at its defaults.
+    """
+    return {
+        alpha: sep_bound_curve(*spin1_moment_pairs(alpha), num=201)
+        for alpha in (0.0, 0.2, 0.5, 1.0)
+    }
+
+
+@pytest.fixture(scope="session")
+def curve_noiseless(certified_curves):
     """Composed bound curve c(lambda) for ideal spin-1 measurements, 201 points."""
-    x, y = spin1_moment_pairs(0.0)
-    lams, values, _ = sep_bound_curve(x, y, num=201)
+    lams, values, _ = certified_curves[0.0]
     return lams, values
 
 
 @pytest.fixture(scope="session")
-def curve_adapted_02():
+def curve_adapted_02(certified_curves):
     """Composed bound curve at spin-flip noise alpha = 0.2, 201 points."""
-    x, y = spin1_moment_pairs(0.2)
-    lams, values, _ = sep_bound_curve(x, y, num=201)
+    lams, values, _ = certified_curves[0.2]
     return lams, values

@@ -133,3 +133,56 @@ def local_infimum(lam, mu, alpha):
         if 4.0 * eta2 * a >= b and a - 2.0 * eta2 * a <= b / 2.0:
             values.append(a + b / 2.0 - eta2 * a - b**2 / (16.0 * eta2 * a))
     return min(values)
+
+
+# spin-1 angular momentum components L_X, L_Y in the L_Z eigenbasis
+SPIN1_LX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
+SPIN1_LY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / np.sqrt(2.0)
+
+
+def spin1_box(alpha):
+    """Moment matrices (X1, X2, Y1, Y2) of L_X and L_Y measured through spin flip.
+
+    The channel contracts first moments by 1 - alpha and leaves second
+    moments alone. Independent of `varwit`.
+    """
+    eta = 1.0 - alpha
+    return eta * SPIN1_LX, SPIN1_LX @ SPIN1_LX, eta * SPIN1_LY, SPIN1_LY @ SPIN1_LY
+
+
+def descent_minima(problems, starts=32, steps=1000, seed=0):
+    """Smallest lam Var X + mu Var Y that gradient descent reaches, per problem.
+
+    Each problem is (lam, mu, X1, X2, Y1, Y2) on C^3. Every start of every
+    problem descends together, one batch of 3-vectors: a gradient step in
+    the tangent space of the unit sphere, then renormalisation. The
+    gradient of V at a unit psi is H psi, with H = lam (X2 - 2 <X1> X1) +
+    mu (Y2 - 2 <Y1> Y1). A state is a state, so no minimum returned can lie
+    below the true infimum. Numpy only; independent of `varwit`.
+    """
+    rng = np.random.default_rng(seed)
+    ops = np.repeat(np.array([p[2:] for p in problems], dtype=complex), starts, axis=0)
+    weights = np.repeat(np.array([p[:2] for p in problems], dtype=float), starts, axis=0)
+    lam, mu = weights[:, :1], weights[:, 1:]
+    norms = np.linalg.norm(ops, ord=2, axis=(2, 3))
+    # a step well inside the gradient's Lipschitz constant
+    rate = 0.25 / (lam[:, 0] * (norms[:, 1] + 4 * norms[:, 0] ** 2)
+                   + mu[:, 0] * (norms[:, 3] + 4 * norms[:, 2] ** 2))
+
+    def measure(psi):
+        applied = np.einsum("rkij,rj->rki", ops, psi)
+        return applied, np.einsum("ri,rki->rk", psi.conj(), applied).real
+
+    psi = rng.normal(size=(len(ops), 3)) + 1j * rng.normal(size=(len(ops), 3))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    for _ in range(steps):
+        applied, means = measure(psi)
+        grad = lam * (applied[:, 1] - 2 * means[:, :1] * applied[:, 0]) + mu * (
+            applied[:, 3] - 2 * means[:, 2:3] * applied[:, 2]
+        )
+        grad -= np.einsum("ri,ri->r", psi.conj(), grad).real[:, None] * psi
+        psi = psi - rate[:, None] * grad
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    _, means = measure(psi)
+    v = lam[:, 0] * (means[:, 1] - means[:, 0] ** 2) + mu[:, 0] * (means[:, 3] - means[:, 2] ** 2)
+    return v.reshape(len(problems), starts).min(axis=1)

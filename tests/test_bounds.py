@@ -24,7 +24,14 @@ from varwit import (
     trace_region,
     variance_functional,
 )
-from helpers import local_infimum, random_povm, random_pure, scalar_seesaw
+from helpers import (
+    descent_minima,
+    local_infimum,
+    random_povm,
+    random_pure,
+    scalar_seesaw,
+    spin1_box,
+)
 
 
 def spin1_pair(lam, mu, alpha=0.0):
@@ -481,9 +488,9 @@ def assert_within_gap(value, exact, pair):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0])
-def test_sep_bound_curve_matches_the_exact_infimum(alpha):
+def test_sep_bound_curve_matches_the_exact_infimum(alpha, certified_curves):
     x, y = spin1_moment_pairs(alpha)
-    lams, values, certified = sep_bound_curve(x, y, num=201)
+    lams, values, certified = certified_curves[alpha]
     assert certified.all()
     for lam, value in zip(lams, values):
         pair = WeightedPair(float(lam), float(1.0 - lam), x, y)
@@ -498,6 +505,28 @@ def test_trace_region_matches_the_exact_infimum(alpha):
     for lam, c in zip(reg.lambdas, reg.bounds):
         pair = WeightedPair(lam, 1.0 - lam, x, y)
         assert_within_gap(c, local_infimum(lam, 1.0 - lam, alpha), pair)
+
+
+def test_no_descended_state_falls_below_a_certified_bound(certified_curves):
+    # an independent search that probes near the minimizers: batched gradient
+    # descent on the unit sphere of C^3 from many starts, numpy only
+    cases = []  # (alpha, lam, certified local value)
+    for alpha in (0.0, 0.2):
+        lams, values, certified = certified_curves[alpha]
+        for k in range(20, 181, 20):
+            assert certified[k]
+            cases.append((alpha, float(lams[k]), values[k] / 2.0))
+    for alpha in (0.5, 1.0):
+        for lam in (0.3, 0.5, 0.8):
+            res = certified_bound(spin1_pair(lam, 1.0 - lam, alpha))
+            assert res.certified
+            cases.append((alpha, lam, res.value))
+    found = descent_minima([(lam, 1.0 - lam, *spin1_box(alpha)) for alpha, lam, _ in cases])
+    for (alpha, lam, value), v in zip(cases, found):
+        pair = spin1_pair(lam, 1.0 - lam, alpha)
+        assert v >= value - bounds.GAP_TOL * penalty_scale(pair) - 1e-12
+        # the descent gets close enough to the minimizers to test them
+        assert v <= value + 1e-6
 
 
 def test_proof_on_a_degenerate_box():

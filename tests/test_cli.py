@@ -61,10 +61,9 @@ def test_malformed_tuple_is_usage_error(tmp_path, capsys):
     assert main(["witness", "--tuple", "1,2,3"]) == EXIT_USAGE
     assert main(["witness", "--tuple", "nan,0.1"]) == EXIT_USAGE
     assert main(["report", "--tuple", "inf,0.1", "--output-dir", str(tmp_path)]) == EXIT_USAGE
-    assert main(["report", "--state", "singlet", "--resolution", "nan",
-                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
-    assert main(["report", "--state", "singlet", "--resolution", "0",
-                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert main(["report", "--tuple=-0.1,0.1", "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert main(["witness", "--tuple=-0.1,0.1"]) == EXIT_USAGE
+    assert "variances must be nonnegative" in capsys.readouterr().err
     assert main(["report", "--state", "singlet", "--lambda-grid", "1",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert main(["witness", "--tuple", "0.1,0.1", "--lambda-grid", "0",
@@ -72,8 +71,10 @@ def test_malformed_tuple_is_usage_error(tmp_path, capsys):
     assert main(["region", "--lambdas", "3", "--starts", "0",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert main(["bound", "--lambda", "1e308", "--mu", "1e308"]) == EXIT_USAGE
-    assert main(["report", "--state", "singlet", "--resolution", "1e-7",
+    # no resolution knob: window edges are exact for the interpolated curve
+    assert main(["report", "--state", "singlet", "--resolution", "0.001",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert "unrecognized arguments: --resolution" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
     calib = tmp_path / "calibration.csv"
     calib.write_text("theta1_deg,theta2_deg,V_measured\n30,10,0.5\n60,30,0.6\n")
@@ -88,6 +89,13 @@ def test_malformed_tuple_is_usage_error(tmp_path, capsys):
     empty.write_text("theta1_deg,theta2_deg,V_measured\n")
     assert main(["fit-noise", "--input", str(empty)]) == EXIT_USAGE
     assert "calibration data is empty" in capsys.readouterr().err
+    # the same for a sweep file: an empty sweep, not a missing column
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("theta1_deg,theta2_deg\n")
+    assert main(["calibrate", "--sweep", str(sweep),
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "theta sweep is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_env_seed_is_usage_error(monkeypatch):
@@ -415,7 +423,6 @@ def test_report_tuple_outside_any_window(tmp_path, capsys):
             "--tuple", "10,10",
             "--alpha", "0.2",
             "--lambda-grid", "21",
-            "--resolution", "0.01",
             "--output-dir", out,
         ],
         capsys,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from varwit import (
     DensityMatrix,
@@ -8,7 +10,6 @@ from varwit import (
     MomentPair,
     PureState,
     WitnessVerdict,
-    bound_interpolant,
     build_global_moments,
     detection_window,
     evaluate_witness,
@@ -21,7 +22,6 @@ from varwit import (
     tensor,
     variance,
 )
-from varwit.witness import MIN_RESOLUTION
 from helpers import random_density, random_pure
 
 
@@ -139,24 +139,55 @@ def test_detection_window_type_validation():
         DetectionWindow(lambda_lo=-0.1, lambda_hi=0.5, resolution=1e-3)
 
 
-def test_detection_window_rejects_resolution_below_floor():
-    interp = bound_interpolant(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-    for resolution in (MIN_RESOLUTION / 10, 0.0, float("nan")):
+def test_detection_window_rejects_bad_knots():
+    lams, values = np.linspace(0.0, 1.0, 5), np.full(5, 0.5)
+    bad = [
+        (lams[[0, 2, 1, 3, 4]], values),  # unsorted
+        (np.array([0.0, 0.5, 0.5, 1.0]), values[:4]),  # not strictly ascending
+        (np.array([0.0]), np.array([0.5])),  # too short
+        (np.linspace(0.0, 0.9, 5), values),  # does not reach 1
+        (np.linspace(0.1, 1.0, 5), values),  # does not start at 0
+        (np.array([0.0, np.nan, 1.0]), values[:3]),  # non-finite knot
+        (lams, np.array([0.5, 0.5, np.inf, 0.5, 0.5])),  # non-finite value
+        (lams, values[:4]),  # shape mismatch
+        (lams.reshape(1, 5), values.reshape(1, 5)),  # not 1-D
+    ]
+    for bad_lams, bad_values in bad:
         with pytest.raises(ValueError):
-            detection_window(0.1, 0.1, interp, resolution)
+            detection_window(0.1, 0.1, bad_lams, bad_values)
+    for d2x in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            detection_window(d2x, 0.1, lams, values)
+    assert len(detection_window(0.1, 0.1, lams, values)) == 1
+
+
+def test_window_edges_on_a_hand_curve():
+    # margins (-0.1, 0.2, 0.2, -0.2, -0.2): the margin is zero a third of the
+    # way into the first segment and half way into the third
+    lams = np.linspace(0.0, 1.0, 5)
+    windows = detection_window(0.0, 0.0, lams, np.array([-0.1, 0.2, 0.2, -0.2, -0.2]))
+    assert [(w.lambda_lo, w.lambda_hi) for w in windows] == [
+        pytest.approx((0.25 / 3.0, 0.625), abs=1e-15)
+    ]
+    assert windows[0].resolution == 0.25
+    # a positive margin at a grid end keeps that end; a touching zero at a
+    # knot ends a window there
+    windows = detection_window(0.0, 0.0, lams, np.array([0.1, 0.0, 0.1, 0.1, 0.0]))
+    assert [(w.lambda_lo, w.lambda_hi) for w in windows] == [(0.0, 0.25), (0.25, 1.0)]
 
 
 def test_window_perfect_tuple_noiseless(curve_noiseless):
     lams, values = curve_noiseless
-    windows = detection_window(0.0, 0.0, bound_interpolant(lams, values), 1e-3)
+    windows = detection_window(0.0, 0.0, lams, values)
     assert len(windows) == 1
     w = windows[0]
     assert w.lambda_lo < 0.028 and w.lambda_hi > 0.985
+    assert w.resolution == np.max(np.diff(lams))
 
 
 def test_window_noisy_singlet_tuple(curve_adapted_02):
     lams, values = curve_adapted_02
-    windows = detection_window(0.48, 0.48, bound_interpolant(lams, values), 1e-3)
+    windows = detection_window(0.48, 0.48, lams, values)
     assert len(windows) == 1
     w = windows[0]
     assert 0.0 < w.lambda_lo < 0.5 < w.lambda_hi < 1.0
@@ -164,29 +195,91 @@ def test_window_noisy_singlet_tuple(curve_adapted_02):
 
 def test_window_hopeless_tuple_is_empty(curve_adapted_02):
     lams, values = curve_adapted_02
-    windows = detection_window(10.0, 10.0, bound_interpolant(lams, values), 1e-3)
+    windows = detection_window(10.0, 10.0, lams, values)
     assert windows == []
 
 
 def test_window_membership_matches_pointwise_verdicts(curve_adapted_02):
     lams, values = curve_adapted_02
-    interp = bound_interpolant(lams, values)
-    windows = detection_window(0.48, 0.48, interp, 1e-3)
+    windows = detection_window(0.48, 0.48, lams, values)
     w = windows[0]
-    for lam in np.linspace(0.0, 1.0, 101):
-        verdict = evaluate_witness_from_tuple(0.48, 0.48, lam, 1 - lam, interp(lam))
-        if w.lambda_lo + 1e-3 <= lam <= w.lambda_hi - 1e-3:
+    # the edges are exact for the interpolated curve
+    for lam in np.linspace(0.0, 1.0, 1001):
+        c = float(np.interp(lam, lams, values))
+        verdict = evaluate_witness_from_tuple(0.48, 0.48, lam, 1 - lam, c)
+        if w.lambda_lo + 1e-12 <= lam <= w.lambda_hi - 1e-12:
             assert verdict.detected
-        elif lam < w.lambda_lo - 1e-3 or lam > w.lambda_hi + 1e-3:
+        elif lam < w.lambda_lo - 1e-12 or lam > w.lambda_hi + 1e-12:
             assert not verdict.detected
 
 
 def test_window_symmetric_for_symmetric_tuple(curve_adapted_02):
     lams, values = curve_adapted_02
     for d2 in (0.3, 0.48, 0.6):
-        windows = detection_window(d2, d2, bound_interpolant(lams, values), 1e-3)
+        windows = detection_window(d2, d2, lams, values)
         for w in windows:
             assert abs((w.lambda_lo + w.lambda_hi) / 2.0 - 0.5) < 1e-3
+
+
+# property tests; derandomized, so every run of the suite draws the same examples
+random_curve = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+variance_value = st.floats(0.0, 3.0)
+
+
+@random_curve
+@given(
+    steps=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30),
+    values=st.lists(st.floats(-2.0, 2.0), min_size=31, max_size=31),
+    d2x=variance_value,
+    d2y=variance_value,
+)
+# rounding once put a lower edge below 0, and made two windows that touch at
+# a zero knot overlap by an ulp
+@example(steps=[0.7265625, 0.5, 0.5], values=[0.0, 0.5] + [0.0] * 29, d2x=0.40625, d2y=0.0)
+@example(steps=[0.1, 0.1, 0.7265625], values=[0.0, 0.5, 0.0, 0.5] + [0.0] * 27, d2x=0.0, d2y=0.0)
+def test_windows_are_the_positive_runs_of_the_margin(steps, values, d2x, d2y):
+    lams = np.concatenate([[0.0], np.cumsum(steps)])
+    lams = lams / lams[-1]
+    lams[-1] = 1.0
+    assume((np.diff(lams) > 0).all())
+    values = np.array(values[: lams.size])
+    margin = values - (lams * d2x + (1.0 - lams) * d2y)
+    windows = detection_window(d2x, d2y, lams, values)
+    for w in windows:
+        assert w.resolution == np.max(np.diff(lams))
+    for prev, nxt in zip(windows, windows[1:]):
+        assert prev.lambda_hi <= nxt.lambda_lo
+    # a knot strictly inside a window has a positive margin, one outside every
+    # window a nonpositive one
+    inside = np.zeros(lams.size, dtype=bool)
+    for w in windows:
+        inside |= (w.lambda_lo < lams) & (lams < w.lambda_hi)
+    outside = ~inside
+    for w in windows:
+        outside &= (lams < w.lambda_lo) | (lams > w.lambda_hi)
+    assert (margin[inside] > 0).all()
+    assert (margin[outside] <= 0).all()
+    # each edge inside the grid is the zero of the interpolated margin, up to
+    # rounding: one ulp of lambda moves the margin by its slope times eps
+    for w in windows:
+        for lam in (w.lambda_lo, w.lambda_hi):
+            if 0.0 < lam < 1.0:
+                k = min(np.searchsorted(lams, lam, side="right"), lams.size - 1) - 1
+                rise = abs(margin[k + 1] - margin[k])
+                scale = abs(margin[k]) + abs(margin[k + 1]) + rise / (lams[k + 1] - lams[k])
+                assert abs(np.interp(lam, lams, margin)) <= 4 * np.finfo(float).eps * scale
+
+
+@random_curve
+@given(d2x=variance_value, d2y=variance_value)
+def test_certified_curves_give_at_most_one_window(certified_curves, d2x, d2y):
+    # a certified c(lambda) is concave, so the margin against a line is too
+    # and its positive set is one interval; rounding could split it, which
+    # this checks rather than assumes
+    for lams, values, certified in certified_curves.values():
+        assert certified.all()
+        assert len(detection_window(d2x, d2y, lams, values)) <= 1
 
 
 def test_variance_additivity_on_product_states():

@@ -40,7 +40,8 @@ print(np.round(pen.entries.real, 6))
 # --- two independent solvers ----------------------------------------
 # Route 1: alternating minimization (ground state <-> means update),
 # restarted from 16 random points in the spectral box.
-# Route 2: a brute-force 201 x 201 mesh over the means, then a polish.
+# Route 2: the lowest node of a 201 x 201 mesh over the means, then a
+# polish; cell bounds skip the nodes that cannot be the lowest.
 pair = WeightedPair(0.5, 0.5, x_pair, y_pair)
 by_seesaw = seesaw_bound(pair)
 by_grid = grid_bound(pair)

@@ -10,8 +10,9 @@ When a seesaw stalls, a branch-and-bound over the mean box proves a
 lower bound for the infimum (the penalty-operator form of Dammeier,
 Schwonnek & Werner, NJP 17, 093046 (2015)). The rule of
 `certified_bound` is the one place that decides whether a bound may be
-trusted. `grid_bound`, a brute-force mesh over the means, is kept as an
-independent route to compare against.
+trusted. `grid_bound`, the minimum node of a fixed mesh over the means,
+is kept as an independent route to compare against; it evaluates only the
+nodes that the same cell bounds cannot rule out.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .operators import (
     variance,
 )
 
+# how far below zero rounding may carry a bound value, in units of the
+# penalty's scale (`WeightedPair.scale`)
 VALUE_FLOOR = -1e-9
 SUPPORT_TOL = 1e-8
 # a stalled seesaw is trusted only when its proven lower bound lies this
@@ -39,8 +42,11 @@ GAP_TOL = 1e-8
 _MAX_CELLS = 1 << 19
 # rows per stacked eigensolve in the seesaw engine, and weights per
 # branch-and-bound: a 201-point curve at 16 starts fits one chunk, and no
-# input makes either hold more
+# input makes either hold more; also the nodes per eigensolve and the
+# blocks per bound of `grid_bound`'s mesh
 _CHUNK = 4096
+# mesh intervals per side of a first-round block of `grid_bound`
+_BLOCK = 8
 
 _METHODS = ("seesaw", "grid", "grid_refined")
 
@@ -75,17 +81,21 @@ class WeightedPair:
             raise ValueError("at least one weight must be positive")
         if self.x.dim != self.y.dim:
             raise ValueError(f"moment pair dims differ: {self.x.dim} vs {self.y.dim}")
-        # every penalty eigenvalue is at most dim times its largest entry;
-        # the factor 4 keeps sums and doubles of two bound values finite
-        scale = lam * _penalty_scale(self.x) + mu * _penalty_scale(self.y)
-        if not np.isfinite(4.0 * self.x.dim * scale):
-            raise ValueError(f"weights ({lam}, {mu}) are too large: the penalty overflows float64")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
+        # every penalty eigenvalue is at most dim times its largest entry;
+        # the factor 4 keeps sums and doubles of two bound values finite
+        if not np.isfinite(4.0 * self.dim * self.scale):
+            raise ValueError(f"weights ({lam}, {mu}) are too large: the penalty overflows float64")
 
     @property
     def dim(self) -> int:
         return self.x.dim
+
+    @property
+    def scale(self) -> float:
+        """Bound on the penalty's entries over the means; the unit of its tolerances."""
+        return self.lam * _penalty_scale(self.x) + self.mu * _penalty_scale(self.y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +110,8 @@ class BoundResult:
     instead, which can sit slightly above what its own ground state
     achieves. `certified` says whether the value may serve as a
     separability bound; the solver that builds the result sets it.
+    `scale` is the pair's penalty scale, the unit in which the value may
+    fall below zero by rounding (VALUE_FLOOR).
     """
 
     value: float
@@ -109,11 +121,12 @@ class BoundResult:
     converged: bool
     method: str
     certified: bool = False
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.value < VALUE_FLOOR:
+        if self.value < VALUE_FLOOR * self.scale:
             raise ValueError(f"bound value {self.value!r} below zero beyond tolerance")
 
     def to_dict(self) -> dict:
@@ -308,6 +321,7 @@ def _seesaw_many(
         raise ValueError(f"tol must be positive, got {tol}")
     x0, y0 = _start_means(x, y, starts, seed)
     k = len(lams)
+    sx, sy = _penalty_scale(x), _penalty_scale(y)
     runs = _seesaw_rows(
         x,
         y,
@@ -333,6 +347,7 @@ def _seesaw_many(
                 converged=ok,
                 method="seesaw",
                 certified=ok,
+                scale=lams[lo // starts] * sx + mus[lo // starts] * sy,
             )
         )
     return results
@@ -374,13 +389,14 @@ def grid_bound(
     tol: float = 1e-10,
     max_iter: int = 500,
 ) -> BoundResult:
-    """Brute-force mesh route for the same minimization.
+    """Fixed-mesh route for the same minimization.
 
     Independent of the seesaw starts and of the branch-and-bound, it is the
     route `bound --method grid|both` compares the seesaw against.
 
-    Evaluates the smallest penalty eigenvalue on a grid_n x grid_n mesh
-    of means over the spectral box, batched through the eigensolver.
+    Picks the node of a grid_n x grid_n mesh of means over the spectral
+    box with the smallest penalty eigenvalue, the first in C order on
+    ties. `_mesh_values` evaluates only the nodes that could be it.
     With polish=True (the default) a single seesaw run refines the best
     mesh cell and the result is labeled grid_refined, certified when the
     polish converges; polish=False returns the raw mesh minimum, never
@@ -391,19 +407,7 @@ def grid_bound(
     xlo, xhi, ylo, yhi = _spectral_box(pair.x, pair.y)
     xs = np.linspace(xlo, xhi, grid_n)
     ys = np.linspace(ylo, yhi, grid_n)
-    x1, x2 = pair.x.first.entries, pair.x.second.entries
-    y1, y2 = pair.y.first.entries, pair.y.second.entries
-    eye = np.eye(pair.dim)
-    base = pair.lam * x2 + pair.mu * y2
-    # stack of penalties over the whole mesh, shape (grid_n, grid_n, d, d)
-    pen = (
-        base[None, None]
-        - 2.0 * pair.lam * xs[:, None, None, None] * x1[None, None]
-        - 2.0 * pair.mu * ys[None, :, None, None] * y1[None, None]
-        + (pair.lam * xs[:, None] ** 2 + pair.mu * ys[None, :] ** 2)[:, :, None, None]
-        * eye[None, None]
-    )
-    smallest = np.linalg.eigvalsh(pen)[..., 0]
+    smallest = _mesh_values(pair, xs, ys)
     i, j = np.unravel_index(int(np.argmin(smallest)), smallest.shape)
     if polish:
         run = _seesaw_rows(
@@ -418,6 +422,7 @@ def grid_bound(
             converged=conv,
             method="grid_refined",
             certified=conv,
+            scale=pair.scale,
         )
     pen_best = _penalty_raw(pair, float(xs[i]), float(ys[j]))
     w, vecs = np.linalg.eigh(pen_best)
@@ -428,7 +433,111 @@ def grid_bound(
         iterations=0,
         converged=True,
         method="grid",
+        scale=pair.scale,
     )
+
+
+def _mesh_values(pair: WeightedPair, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Smallest penalty eigenvalues on the mesh xs x ys where its minimum can lie.
+
+    Every other node reads +inf, so np.argmin of the result is np.argmin of
+    the whole mesh, ties included. f = g + lam x^2 + mu y^2 with g concave,
+    so `_cell_lower` on the two triangles of a block of nodes bounds f at
+    every node in it. The mesh starts as blocks of _BLOCK x _BLOCK
+    intervals. A block is dropped when its bound lies above the lowest node
+    found so far by more than the rounding of a few node values: each of its
+    nodes' computed values then lies strictly above the minimum. Surviving
+    blocks are quartered and the new nodes of a round evaluated together,
+    until every node of a surviving block has been evaluated. A node's
+    penalty repeats the per-node operations of the full
+    (grid_n, grid_n, d, d) stack in the same order, so its value is
+    bit-equal to that stack's. Nodes are evaluated in slices of _CHUNK, so
+    even a mesh where every node ties (alpha = 1, a box 4.6e-16 wide) holds
+    less memory than the full stack.
+    """
+    n = xs.shape[0]
+    lam, mu = pair.lam, pair.mu
+    x1, x2 = pair.x.first.entries, pair.x.second.entries
+    y1, y2 = pair.y.first.entries, pair.y.second.entries
+    eye = np.eye(pair.dim)
+    base = lam * x2 + mu * y2
+    # bounds work in units of the penalty's scale, like `_branch_and_bound`
+    scale = pair.scale
+    lam_u, mu_u = lam / scale, mu / scale
+    # the rounding of two node values and of the bound's own arithmetic
+    margin = 16.0 * pair.dim**2 * np.finfo(float).eps
+    # +inf marks a node not evaluated yet; a finite pair has finite values
+    values = np.full((n, n), np.inf)
+
+    def evaluate(flat):
+        fresh = np.zeros(n * n, dtype=bool)
+        fresh[flat] = True
+        flat = np.flatnonzero(fresh & (values.ravel() == np.inf))
+        for lo in range(0, flat.size, _CHUNK):
+            k = flat[lo : lo + _CHUNK]
+            xv, yv = xs[k // n], ys[k % n]
+            pen = (
+                base
+                - (2.0 * lam * xv)[:, None, None] * x1
+                - (2.0 * mu * yv)[:, None, None] * y1
+                + (lam * xv**2 + mu * yv**2)[:, None, None] * eye
+            )
+            values.flat[k] = np.linalg.eigvalsh(pen)[:, 0]
+
+    def corners(blocks):
+        i0, i1, j0, j1 = blocks.T
+        return np.concatenate([i0 * n + j0, i1 * n + j0, i1 * n + j1, i0 * n + j1])
+
+    def lower(blocks):
+        # f bounded on the triangles (a, b, c) and (a, d, c) of each block,
+        # corners a = (i0, j0), b = (i1, j0), c = (i1, j1), d = (i0, j1)
+        i0, i1, j0, j1 = blocks.T
+        fa, fb, fc, fd = (values[i, j] / scale for i, j in ((i0, j0), (i1, j0), (i1, j1), (i0, j1)))
+        dx, dy = xs[i1] - xs[i0], ys[j1] - ys[j0]
+        zero = np.zeros_like(dx)
+        abc = _cell_lower(
+            np.stack([fa, fb, fc], 1), np.stack([dx, dx], 1), np.stack([zero, dy], 1), lam_u, mu_u
+        )
+        adc = _cell_lower(
+            np.stack([fa, fd, fc], 1), np.stack([zero, dx], 1), np.stack([dy, dy], 1), lam_u, mu_u
+        )
+        return np.minimum(abc, adc)
+
+    def span(lo, hi):
+        # every node of a zero-width axis ties with node 0, which argmin picks
+        edges = np.append(np.arange(0, n - 1, _BLOCK), n - 1) if hi > lo else np.zeros(2, int)
+        return edges[:-1], edges[1:]
+
+    (a0, a1), (b0, b1) = span(xs[0], xs[-1]), span(ys[0], ys[-1])
+    blocks = np.column_stack(
+        [np.repeat(a0, b0.size), np.repeat(a1, b0.size), np.tile(b0, a0.size), np.tile(b1, a0.size)]
+    )
+    evaluate(corners(blocks))
+    while True:
+        # a block at most one interval wide each way holds only its corners
+        blocks = blocks[(blocks[:, 1] - blocks[:, 0] > 1) | (blocks[:, 3] - blocks[:, 2] > 1)]
+        best = values.min() / scale
+        keep = np.empty(blocks.shape[0], dtype=bool)
+        for lo in range(0, blocks.shape[0], _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            # a NaN bound keeps its block
+            keep[part] = ~(lower(blocks[part]) > best + margin)
+        blocks = blocks[keep]
+        if not blocks.size:
+            return values
+        i0, i1, j0, j1 = blocks.T
+        sx, sy = i1 - i0 > 1, j1 - j0 > 1
+        im = np.where(sx, (i0 + i1) // 2, i1)
+        jm = np.where(sy, (j0 + j1) // 2, j1)
+        blocks = np.concatenate(
+            [
+                np.stack([i0, im, j0, jm], 1),
+                np.stack([im, i1, j0, jm], 1)[sx],
+                np.stack([i0, im, jm, j1], 1)[sy],
+                np.stack([im, i1, jm, j1], 1)[sx & sy],
+            ]
+        )
+        evaluate(corners(blocks))
 
 
 class _Proof(NamedTuple):
@@ -624,6 +733,7 @@ def _certify(
                 iterations=int(run.iterations[i]),
                 converged=bool(run.converged[i]),
                 method="grid_refined",
+                scale=float(proof.scale[i]),
             )
         gap = GAP_TOL * proof.scale[i]
         out[k] = replace(res, certified=bool(proof.lower[i] >= res.value - gap))

@@ -635,7 +635,7 @@ def build_parser() -> _CliParser:
     b.add_argument("--alpha-b", dest="alpha_b", type=float, default=None,
                    help="noise on the second party (default: same as --alpha)")
     b.add_argument("--method", choices=["seesaw", "grid", "both"], default="both")
-    b.add_argument("--grid-n", dest="grid_n", type=int, default=201)
+    b.add_argument("--grid-n", dest="grid_n", type=_int_at_least(10), default=201)
     b.add_argument("--starts", type=_int_at_least(1), default=16)
     add_seed(b)
     b.set_defaults(func=cmd_bound)

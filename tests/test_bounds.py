@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varwit import bounds
@@ -25,6 +27,7 @@ from varwit import (
     variance_functional,
 )
 from helpers import (
+    dense_mesh_argmin,
     descent_minima,
     local_infimum,
     random_povm,
@@ -154,6 +157,52 @@ def test_grid_full_noise_diagonal_case():
 def test_grid_requires_minimum_resolution():
     with pytest.raises(ValueError):
         grid_bound(spin1_pair(0.5, 0.5), grid_n=9)
+
+
+def test_value_floor_is_measured_in_the_penalty_scale():
+    # at lam = 1e300 a zero bound comes out near -8e283 by rounding, about
+    # 1e-17 of the penalty's scale; no solver may reject that as negative
+    pair = spin1_pair(1e300, 0.0)
+    for res in (seesaw_bound(pair), grid_bound(pair), grid_bound(pair, polish=False),
+                certified_bound(pair)):
+        assert bounds.VALUE_FLOOR * pair.scale <= res.value <= 1e-12 * pair.scale
+    BoundResult(value=-1e-6, minimizer=PureState(np.array([1.0, 0.0, 0.0])), means=(0.0, 0.0),
+                iterations=1, converged=True, method="seesaw", scale=1e4)
+
+
+def dense_mesh(pair, grid_n):
+    x1, x2 = pair.x.first.entries, pair.x.second.entries
+    y1, y2 = pair.y.first.entries, pair.y.second.entries
+    return dense_mesh_argmin(pair.lam, pair.mu, x1, x2, y1, y2, grid_n)
+
+
+def test_mesh_solves_few_nodes(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    grid_bound(spin1_pair(0.3, 0.7, 0.2), grid_n=201)
+    assert sum(solved) <= 0.05 * 201**2
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_mesh_holds_no_more_memory_than_the_dense_stack(alpha):
+    # alpha = 1 is the worst case: its box is 4.6e-16 wide and every node ties
+    pair = spin1_pair(0.5, 0.5, alpha)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: grid_bound(pair)) <= peak(lambda: dense_mesh(pair, 201))
 
 
 def test_certified_bound_is_certified():
@@ -615,3 +664,43 @@ def test_proven_lower_bound_brackets_the_exact_infimum(lam, alpha):
     lower = proven_lower(pair, np.inf)
     exact = local_infimum(lam, 1.0 - lam, alpha)
     assert exact - bounds.GAP_TOL * penalty_scale(pair) <= lower <= exact
+
+
+@random_box
+@given(
+    lam=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.001, 0.999)),
+    alpha=st.floats(0.0, 1.0),
+    grid_n=st.integers(10, 64),
+    weight=st.sampled_from([1.0, 1e-12, 1e300]),
+    seed=st.none() | st.integers(0, 2**32 - 1),
+)
+@example(lam=0.5, alpha=1.0, grid_n=201, weight=1.0, seed=None)
+@example(lam=0.0, alpha=0.2, grid_n=201, weight=1.0, seed=None)
+@example(lam=1.0, alpha=0.2, grid_n=201, weight=1.0, seed=None)
+@example(lam=0.5, alpha=0.0, grid_n=201, weight=1.0, seed=None)
+@example(lam=0.5, alpha=0.2, grid_n=201, weight=1.0, seed=None)
+@example(lam=0.5, alpha=0.5, grid_n=201, weight=1.0, seed=None)
+@example(lam=0.3, alpha=0.2, grid_n=10, weight=1.0, seed=None)
+@example(lam=0.3, alpha=0.2, grid_n=11, weight=1.0, seed=None)
+@example(lam=0.3, alpha=0.2, grid_n=51, weight=1.0, seed=None)
+@example(lam=0.3, alpha=0.2, grid_n=256, weight=1.0, seed=None)
+@example(lam=0.3, alpha=0.2, grid_n=201, weight=1e-12, seed=None)
+@example(lam=0.3, alpha=0.2, grid_n=201, weight=1e300, seed=None)
+@example(lam=1.0, alpha=0.0, grid_n=201, weight=1e300, seed=None)
+def test_mesh_picks_the_dense_argmin(lam, alpha, grid_n, weight, seed):
+    # the mesh evaluates only the nodes that can hold the minimum, each
+    # bit-equal to the full stack's, and so picks its node, ties included;
+    # seed draws a random POVM box in place of the spin-1 one at alpha
+    x, y = spin1_moment_pairs(alpha) if seed is None else random_pairs(seed)[:2]
+    pair = WeightedPair(lam * weight, (1.0 - lam) * weight, x, y)
+    means, dense = dense_mesh(pair, grid_n)
+    xlo, xhi, ylo, yhi = bounds._spectral_box(x, y)
+    with np.errstate(all="raise"):
+        found = grid_bound(pair, grid_n=grid_n, polish=False)
+        values = bounds._mesh_values(
+            pair, np.linspace(xlo, xhi, grid_n), np.linspace(ylo, yhi, grid_n)
+        )
+    assert found.means == means
+    assert np.argmin(values) == np.argmin(dense)
+    evaluated = np.isfinite(values)
+    assert np.array_equal(values[evaluated], dense[evaluated])

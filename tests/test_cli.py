@@ -21,6 +21,7 @@ from varwit import (
     variance,
 )
 from varwit.cli import (
+    AGREE_TOL,
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -71,6 +72,11 @@ def test_malformed_tuple_is_usage_error(tmp_path, capsys):
     assert main(["region", "--lambdas", "3", "--starts", "0",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert main(["bound", "--lambda", "1e308", "--mu", "1e308"]) == EXIT_USAGE
+    # checked while parsing, before the seesaw route runs
+    assert main(["bound", "--lambda", "0.5", "--mu", "0.5", "--grid-n", "5"]) == EXIT_USAGE
+    assert main(["bound", "--lambda", "0.5", "--mu", "0.5", "--method", "seesaw",
+                 "--grid-n", "5"]) == EXIT_USAGE
+    assert "--grid-n: must be >= 10" in capsys.readouterr().err
     # no resolution knob: window edges are exact for the interpolated curve
     assert main(["report", "--state", "singlet", "--resolution", "0.001",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE
@@ -113,6 +119,24 @@ def test_bound_noiseless_both_methods(capsys):
     assert abs(payload["results"]["grid"]["c_sep"] - 7.0 / 16.0) < 1e-4
     assert payload["lambda"] == 0.5 and payload["mu"] == 0.5
     assert payload["alpha"] == 0.0 and payload["alpha_b"] == 0.0
+
+
+def test_bound_at_huge_weights_prints_its_rounding_dust(capsys):
+    # at lam = 1e300 the zero bound comes out near -8e283 by rounding, 8e-17
+    # of the weights' scale: valid JSON and the usual exit rule, not a usage error
+    code = main(["bound", "--lambda", "1e300", "--mu", "0"])
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    routes = payload["results"]
+    assert set(routes) == {"seesaw", "grid"}
+    for route in routes.values():
+        assert abs(route["c_sep"]) < 1e-15 * 1e300
+    converged = all(r[k]["converged"] for r in routes.values() for k in ("local_a", "local_b"))
+    agree = abs(routes["seesaw"]["c_sep"] - routes["grid"]["c_sep"]) <= AGREE_TOL
+    assert code == (EXIT_OK if converged and agree else EXIT_NUMERICAL)
 
 
 def test_bound_mixed_party_noise(capsys):

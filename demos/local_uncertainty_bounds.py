@@ -40,13 +40,13 @@ print(np.round(pen.entries.real, 6))
 # --- two independent solvers ----------------------------------------
 # Route 1: alternating minimization (ground state <-> means update),
 # restarted from 16 random points in the spectral box.
-# Route 2: the lowest node of a 201 x 201 mesh over the means, then a
-# polish; cell bounds skip the nodes that cannot be the lowest.
+# Route 2: a coarse branch-and-bound over the means, from the box alone,
+# then a polish of the lowest vertex it found.
 pair = WeightedPair(0.5, 0.5, x_pair, y_pair)
 by_seesaw = seesaw_bound(pair)
 by_grid = grid_bound(pair)
 print(f"\nseesaw bound : {by_seesaw.value:.12f}  (converged={by_seesaw.converged})")
-print(f"mesh bound   : {by_grid.value:.12f}  (method={by_grid.method})")
+print(f"grid bound   : {by_grid.value:.12f}  (method={by_grid.method})")
 print(f"exact value  : {7 / 32:.12f}  (= 7/32)")
 
 # the minimizer itself is an ordinary pure state; its variance pair

@@ -3,7 +3,7 @@
 The package splits into small layers: operators (dense matrices, POVMs,
 moments), noise (Heisenberg-picture channels and the noise fit), bounds
 (local uncertainty minimization by seesaw, proven by branch-and-bound
-where the seesaw stalls, plus an independent mesh route), witness
+where the seesaw stalls, plus an independent coarse-proof route), witness
 (global moment pairs, verdicts, detection windows), simulate (benchmark
 states and finite statistics), and cli (reproducible workflows).
 """

@@ -10,9 +10,9 @@ When a seesaw stalls, a branch-and-bound over the mean box proves a
 lower bound for the infimum (the penalty-operator form of Dammeier,
 Schwonnek & Werner, NJP 17, 093046 (2015)). The rule of
 `certified_bound` is the one place that decides whether a bound may be
-trusted. `grid_bound`, the minimum node of a fixed mesh over the means,
-is kept as an independent route to compare against; it evaluates only the
-nodes that the same cell bounds cannot rule out.
+trusted. `grid_bound` is the route to compare against, independent of the
+seesaw: one coarse run of the same branch-and-bound from the box alone,
+then a polish of its lowest vertex.
 """
 
 from __future__ import annotations
@@ -37,18 +37,18 @@ SUPPORT_TOL = 1e-8
 # a stalled seesaw is trusted only when its proven lower bound lies this
 # close to its value, in units of the penalty's scale (`_penalty_scale`)
 GAP_TOL = 1e-8
+# the pruning gap of `grid_bound`'s run, in the same units; its lowest
+# vertex lies within half of it of the infimum
+GRID_GAP = 1e-5
 # branch-and-bound cells one weight may create before it gives up
 # uncertified; the ring of minimizers at lam = mu needs about 180k
 _MAX_CELLS = 1 << 19
 # rows per stacked eigensolve in the seesaw engine, and weights per
 # branch-and-bound: a 201-point curve at 16 starts fits one chunk, and no
-# input makes either hold more; also the nodes per eigensolve and the
-# blocks per bound of `grid_bound`'s mesh
+# input makes either hold more
 _CHUNK = 4096
-# mesh intervals per side of a first-round block of `grid_bound`
-_BLOCK = 8
 
-_METHODS = ("seesaw", "grid", "grid_refined")
+_METHODS = ("seesaw", "grid_refined")
 
 
 def _penalty_scale(m: MomentPair) -> float:
@@ -102,13 +102,9 @@ class WeightedPair:
 class BoundResult:
     """A local bound value with its minimizer and solver metadata.
 
-    For the seesaw and grid_refined methods the value is the functional
-    evaluated on the minimizer (they agree within 1e-8 by construction);
-    grid_refined is a seesaw polish started from the best point of a mesh,
-    the fixed one of `grid_bound` or the adaptive one of the
-    branch-and-bound. An unpolished grid result reports the mesh minimum
-    instead, which can sit slightly above what its own ground state
-    achieves. `certified` says whether the value may serve as a
+    The value is the functional evaluated on the minimizer; grid_refined
+    is a seesaw polish started from the lowest vertex of a
+    branch-and-bound. `certified` says whether the value may serve as a
     separability bound; the solver that builds the result sets it.
     `scale` is the pair's penalty scale, the unit in which the value may
     fall below zero by rounding (VALUE_FLOOR).
@@ -382,169 +378,11 @@ def seesaw_bound(
     return _seesaw_many(pair.x, pair.y, [pair.lam], [pair.mu], starts, tol, max_iter, seed)[0]
 
 
-def grid_bound(
-    pair: WeightedPair,
-    grid_n: int = 201,
-    polish: bool = True,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> BoundResult:
-    """Fixed-mesh route for the same minimization.
-
-    Independent of the seesaw starts and of the branch-and-bound, it is the
-    route `bound --method grid|both` compares the seesaw against.
-
-    Picks the node of a grid_n x grid_n mesh of means over the spectral
-    box with the smallest penalty eigenvalue, the first in C order on
-    ties. `_mesh_values` evaluates only the nodes that could be it.
-    With polish=True (the default) a single seesaw run refines the best
-    mesh cell and the result is labeled grid_refined, certified when the
-    polish converges; polish=False returns the raw mesh minimum, never
-    certified since it can sit above the infimum.
-    """
-    if grid_n < 10:
-        raise ValueError(f"grid_n must be >= 10, got {grid_n}")
-    xlo, xhi, ylo, yhi = _spectral_box(pair.x, pair.y)
-    xs = np.linspace(xlo, xhi, grid_n)
-    ys = np.linspace(ylo, yhi, grid_n)
-    smallest = _mesh_values(pair, xs, ys)
-    i, j = np.unravel_index(int(np.argmin(smallest)), smallest.shape)
-    if polish:
-        run = _seesaw_rows(
-            pair.x, pair.y, [pair.lam], [pair.mu], [xs[i]], [ys[j]], tol, max_iter
-        )
-        conv = bool(run.converged[0])
-        return BoundResult(
-            value=float(run.values[0]),
-            minimizer=PureState(run.vecs[0]),
-            means=(float(run.xm[0]), float(run.ym[0])),
-            iterations=int(run.iterations[0]),
-            converged=conv,
-            method="grid_refined",
-            certified=conv,
-            scale=pair.scale,
-        )
-    pen_best = _penalty_raw(pair, float(xs[i]), float(ys[j]))
-    w, vecs = np.linalg.eigh(pen_best)
-    return BoundResult(
-        value=float(w[0]),
-        minimizer=PureState(vecs[:, 0]),
-        means=(float(xs[i]), float(ys[j])),
-        iterations=0,
-        converged=True,
-        method="grid",
-        scale=pair.scale,
-    )
-
-
-def _mesh_values(pair: WeightedPair, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Smallest penalty eigenvalues on the mesh xs x ys where its minimum can lie.
-
-    Every other node reads +inf, so np.argmin of the result is np.argmin of
-    the whole mesh, ties included. f = g + lam x^2 + mu y^2 with g concave,
-    so `_cell_lower` on the two triangles of a block of nodes bounds f at
-    every node in it. The mesh starts as blocks of _BLOCK x _BLOCK
-    intervals. A block is dropped when its bound lies above the lowest node
-    found so far by more than the rounding of a few node values: each of its
-    nodes' computed values then lies strictly above the minimum. Surviving
-    blocks are quartered and the new nodes of a round evaluated together,
-    until every node of a surviving block has been evaluated. A node's
-    penalty repeats the per-node operations of the full
-    (grid_n, grid_n, d, d) stack in the same order, so its value is
-    bit-equal to that stack's. Nodes are evaluated in slices of _CHUNK, so
-    even a mesh where every node ties (alpha = 1, a box 4.6e-16 wide) holds
-    less memory than the full stack.
-    """
-    n = xs.shape[0]
-    lam, mu = pair.lam, pair.mu
-    x1, x2 = pair.x.first.entries, pair.x.second.entries
-    y1, y2 = pair.y.first.entries, pair.y.second.entries
-    eye = np.eye(pair.dim)
-    base = lam * x2 + mu * y2
-    # bounds work in units of the penalty's scale, like `_branch_and_bound`
-    scale = pair.scale
-    lam_u, mu_u = lam / scale, mu / scale
-    # the rounding of two node values and of the bound's own arithmetic
-    margin = 16.0 * pair.dim**2 * np.finfo(float).eps
-    # +inf marks a node not evaluated yet; a finite pair has finite values
-    values = np.full((n, n), np.inf)
-
-    def evaluate(flat):
-        fresh = np.zeros(n * n, dtype=bool)
-        fresh[flat] = True
-        flat = np.flatnonzero(fresh & (values.ravel() == np.inf))
-        for lo in range(0, flat.size, _CHUNK):
-            k = flat[lo : lo + _CHUNK]
-            xv, yv = xs[k // n], ys[k % n]
-            pen = (
-                base
-                - (2.0 * lam * xv)[:, None, None] * x1
-                - (2.0 * mu * yv)[:, None, None] * y1
-                + (lam * xv**2 + mu * yv**2)[:, None, None] * eye
-            )
-            values.flat[k] = np.linalg.eigvalsh(pen)[:, 0]
-
-    def corners(blocks):
-        i0, i1, j0, j1 = blocks.T
-        return np.concatenate([i0 * n + j0, i1 * n + j0, i1 * n + j1, i0 * n + j1])
-
-    def lower(blocks):
-        # f bounded on the triangles (a, b, c) and (a, d, c) of each block,
-        # corners a = (i0, j0), b = (i1, j0), c = (i1, j1), d = (i0, j1)
-        i0, i1, j0, j1 = blocks.T
-        fa, fb, fc, fd = (values[i, j] / scale for i, j in ((i0, j0), (i1, j0), (i1, j1), (i0, j1)))
-        dx, dy = xs[i1] - xs[i0], ys[j1] - ys[j0]
-        zero = np.zeros_like(dx)
-        abc = _cell_lower(
-            np.stack([fa, fb, fc], 1), np.stack([dx, dx], 1), np.stack([zero, dy], 1), lam_u, mu_u
-        )
-        adc = _cell_lower(
-            np.stack([fa, fd, fc], 1), np.stack([zero, dx], 1), np.stack([dy, dy], 1), lam_u, mu_u
-        )
-        return np.minimum(abc, adc)
-
-    def span(lo, hi):
-        # every node of a zero-width axis ties with node 0, which argmin picks
-        edges = np.append(np.arange(0, n - 1, _BLOCK), n - 1) if hi > lo else np.zeros(2, int)
-        return edges[:-1], edges[1:]
-
-    (a0, a1), (b0, b1) = span(xs[0], xs[-1]), span(ys[0], ys[-1])
-    blocks = np.column_stack(
-        [np.repeat(a0, b0.size), np.repeat(a1, b0.size), np.tile(b0, a0.size), np.tile(b1, a0.size)]
-    )
-    evaluate(corners(blocks))
-    while True:
-        # a block at most one interval wide each way holds only its corners
-        blocks = blocks[(blocks[:, 1] - blocks[:, 0] > 1) | (blocks[:, 3] - blocks[:, 2] > 1)]
-        best = values.min() / scale
-        keep = np.empty(blocks.shape[0], dtype=bool)
-        for lo in range(0, blocks.shape[0], _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            # a NaN bound keeps its block
-            keep[part] = ~(lower(blocks[part]) > best + margin)
-        blocks = blocks[keep]
-        if not blocks.size:
-            return values
-        i0, i1, j0, j1 = blocks.T
-        sx, sy = i1 - i0 > 1, j1 - j0 > 1
-        im = np.where(sx, (i0 + i1) // 2, i1)
-        jm = np.where(sy, (j0 + j1) // 2, j1)
-        blocks = np.concatenate(
-            [
-                np.stack([i0, im, j0, jm], 1),
-                np.stack([im, i1, j0, jm], 1)[sx],
-                np.stack([i0, im, jm, j1], 1)[sy],
-                np.stack([im, i1, jm, j1], 1)[sx & sy],
-            ]
-        )
-        evaluate(corners(blocks))
-
-
 class _Proof(NamedTuple):
     """Per-row outcome of the branch-and-bound."""
 
     lower: np.ndarray  # proven lower bound on the infimum
-    scale: np.ndarray  # the penalty scale that GAP_TOL is measured in
+    scale: np.ndarray  # the penalty scale, the unit of the gap
     xm: np.ndarray  # means of the lowest vertex evaluated
     ym: np.ndarray
 
@@ -597,6 +435,7 @@ def _branch_and_bound(
     lam: np.ndarray,
     mu: np.ndarray,
     upper: np.ndarray,
+    gap: float,
 ) -> _Proof:
     """Proven lower bounds on inf V for every row (lam, mu), solved together.
 
@@ -604,10 +443,11 @@ def _branch_and_bound(
     f = g + lam x^2 + mu y^2, g = lambda_min(lam X2 + mu Y2 - 2 lam x X1
     - 2 mu y Y1). The box is split into right triangles; `_cell_lower`
     bounds f on each. Every evaluated f is an upper bound, as is the
-    row's `upper` (a seesaw value). A cell is pruned once its bound lies
-    within GAP_TOL / 2 of the row's best upper bound; every surviving cell
-    is bisected through its hypotenuse, its longest edge in units of the
-    box, and the new vertices of all rows
+    row's `upper` (a seesaw value, or +inf). A cell is pruned once its
+    bound lies within gap / 2 of the row's best upper bound, so a row that
+    ends by pruning has its lowest vertex within gap / 2 plus the slack of
+    the infimum. Every surviving cell is bisected through its hypotenuse,
+    its longest edge in units of the box, and the new vertices of all rows
     are evaluated in one `eigvalsh` call per round. A row stops at
     _MAX_CELLS cells with the bound its cells give so far. Each row works
     in units of its penalty scale, so the result does not depend on the
@@ -660,7 +500,7 @@ def _branch_and_bound(
         upper = np.minimum(upper, best[:, 0])
         edges = uv[:, 1:] - uv[:, :1]
         low = _cell_lower(fv, edges[..., 0] * wx, edges[..., 1] * wy, lam[rows], mu[rows])
-        split = low < upper[rows] - 0.5 * GAP_TOL
+        split = low < upper[rows] - 0.5 * gap
         cells += 2 * np.bincount(rows[split], minlength=n)
         split &= cells[rows] <= _MAX_CELLS
         np.minimum.at(lower, rows[~split], low[~split])
@@ -692,6 +532,45 @@ def _branch_and_bound(
     )
 
 
+def _prove_and_polish(
+    x: MomentPair,
+    y: MomentPair,
+    lam: np.ndarray,
+    mu: np.ndarray,
+    upper: np.ndarray,
+    gap: float,
+    tol: float,
+    max_iter: int,
+) -> Tuple[_Proof, _Descent]:
+    """Branch-and-bound every row (lam, mu), then polish each row's lowest vertex.
+
+    The polish is one seesaw batch over all rows. The proof takes the rows
+    in chunks of _CHUNK, so its memory does not grow with their number;
+    rows do not interact, so chunks do not change them.
+    """
+    parts = [
+        _branch_and_bound(
+            x, y, lam[lo : lo + _CHUNK], mu[lo : lo + _CHUNK], upper[lo : lo + _CHUNK], gap
+        )
+        for lo in range(0, lam.shape[0], _CHUNK)
+    ]
+    proof = _Proof(*(np.concatenate(field) for field in zip(*parts)))
+    return proof, _seesaw_rows(x, y, lam, mu, proof.xm, proof.ym, tol, max_iter)
+
+
+def _polished(run: _Descent, i: int, scale: float) -> BoundResult:
+    """Row i of a polish batch, uncertified."""
+    return BoundResult(
+        value=float(run.values[i]),
+        minimizer=PureState(run.vecs[i]),
+        means=(float(run.xm[i]), float(run.ym[i])),
+        iterations=int(run.iterations[i]),
+        converged=bool(run.converged[i]),
+        method="grid_refined",
+        scale=float(scale),
+    )
+
+
 def _certify(
     x: MomentPair,
     y: MomentPair,
@@ -703,10 +582,9 @@ def _certify(
 ) -> List[BoundResult]:
     """The one trust rule for seesaw results; see `certified_bound`.
 
-    Every uncertified row goes through one batched branch-and-bound, and
-    one seesaw batch polishes each row's best vertex. The proof takes the
-    rows in chunks of _CHUNK, so its memory does not grow with their
-    number; rows do not interact, so chunks do not change them.
+    Every uncertified row goes through one batched branch-and-bound at
+    GAP_TOL, with its seesaw value as the upper bound, and one seesaw
+    batch polishes each row's best vertex.
     """
     todo = [k for k, res in enumerate(found) if not res.certified]
     if not todo:
@@ -714,27 +592,12 @@ def _certify(
     lam = np.array([lams[k] for k in todo], dtype=float)
     mu = np.array([mus[k] for k in todo], dtype=float)
     upper = np.array([found[k].value for k in todo])
-    parts = [
-        _branch_and_bound(
-            x, y, lam[lo : lo + _CHUNK], mu[lo : lo + _CHUNK], upper[lo : lo + _CHUNK]
-        )
-        for lo in range(0, len(todo), _CHUNK)
-    ]
-    proof = _Proof(*(np.concatenate(field) for field in zip(*parts)))
-    run = _seesaw_rows(x, y, lam, mu, proof.xm, proof.ym, tol, max_iter)
+    proof, run = _prove_and_polish(x, y, lam, mu, upper, GAP_TOL, tol, max_iter)
     out = list(found)
     for i, k in enumerate(todo):
         res = found[k]
         if run.values[i] <= res.value:
-            res = BoundResult(
-                value=float(run.values[i]),
-                minimizer=PureState(run.vecs[i]),
-                means=(float(run.xm[i]), float(run.ym[i])),
-                iterations=int(run.iterations[i]),
-                converged=bool(run.converged[i]),
-                method="grid_refined",
-                scale=float(proof.scale[i]),
-            )
+            res = _polished(run, i, proof.scale[i])
         gap = GAP_TOL * proof.scale[i]
         out[k] = replace(res, certified=bool(proof.lower[i] >= res.value - gap))
     return out
@@ -758,6 +621,36 @@ def certified_bound(
     """
     res = seesaw_bound(pair, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
     return _certify(pair.x, pair.y, [pair.lam], [pair.mu], [res], tol, max_iter)[0]
+
+
+def grid_bound(
+    pair: WeightedPair,
+    tol: float = 1e-10,
+    max_iter: int = 500,
+) -> BoundResult:
+    """The route `bound --method grid|both` compares the seesaw against.
+
+    Independent of the seesaw's starts and values: one run of the
+    branch-and-bound from the box alone (upper bound +inf) with the coarse
+    gap GRID_GAP, then a single seesaw run polishes its lowest vertex.
+    When the run ends by pruning rather than at the cell cap, that vertex
+    lies within GRID_GAP / 2 plus a rounding slack of the infimum, in
+    units of the penalty scale, and the polish can only lower it, so the
+    value carries that window whether or not the polish converges. The result is labeled grid_refined and is certified when
+    the polish converges.
+    """
+    proof, run = _prove_and_polish(
+        pair.x,
+        pair.y,
+        np.array([pair.lam]),
+        np.array([pair.mu]),
+        np.array([np.inf]),
+        GRID_GAP,
+        tol,
+        max_iter,
+    )
+    res = _polished(run, 0, proof.scale[0])
+    return replace(res, certified=res.converged)
 
 
 def _certified_curve(

@@ -8,7 +8,8 @@ solve did not certify; stderr names its lambdas), 64 usage, 74 I/O.
 Whether a bound certifies is decided by `bounds.certified_bound` alone:
 a converged seesaw, or a stalled one whose branch-and-bound lower bound
 proves it within `bounds.GAP_TOL`. Only `bound`, which prints the seesaw
-and the independent mesh route side by side, has its own rule: both must
+and the independent `grid_bound` route (a coarse branch-and-bound from the
+box alone, then a polish) side by side, has its own rule: both must
 converge and agree within `AGREE_TOL`.
 """
 
@@ -69,7 +70,7 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-# `bound --method both` passes only when the seesaw and the mesh land this close
+# `bound --method both` passes only when the seesaw and `grid_bound` land this close
 AGREE_TOL = 1e-4
 
 
@@ -308,8 +309,8 @@ def cmd_bound(args) -> int:
             res_a = seesaw_bound(pair_a, starts=args.starts, seed=seed)
             res_b = res_a if pair_b is pair_a else seesaw_bound(pair_b, starts=args.starts, seed=seed)
         else:
-            res_a = grid_bound(pair_a, grid_n=args.grid_n)
-            res_b = res_a if pair_b is pair_a else grid_bound(pair_b, grid_n=args.grid_n)
+            res_a = grid_bound(pair_a)
+            res_b = res_a if pair_b is pair_a else grid_bound(pair_b)
         warn = warn or not (res_a.converged and res_b.converged)
         results[method] = {
             "local_a": res_a.to_dict(),
@@ -635,7 +636,6 @@ def build_parser() -> _CliParser:
     b.add_argument("--alpha-b", dest="alpha_b", type=float, default=None,
                    help="noise on the second party (default: same as --alpha)")
     b.add_argument("--method", choices=["seesaw", "grid", "both"], default="both")
-    b.add_argument("--grid-n", dest="grid_n", type=_int_at_least(10), default=201)
     b.add_argument("--starts", type=_int_at_least(1), default=16)
     add_seed(b)
     b.set_defaults(func=cmd_bound)

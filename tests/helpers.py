@@ -186,29 +186,3 @@ def descent_minima(problems, starts=32, steps=1000, seed=0):
     _, means = measure(psi)
     v = lam[:, 0] * (means[:, 1] - means[:, 0] ** 2) + mu[:, 0] * (means[:, 3] - means[:, 2] ** 2)
     return v.reshape(len(problems), starts).min(axis=1)
-
-
-def dense_mesh_argmin(lam, mu, x1, x2, y1, y2, grid_n):
-    """Reference mesh: the smallest penalty eigenvalue at every node.
-
-    A test-only copy of the full (grid_n, grid_n, d, d) stack that
-    `varwit.bounds.grid_bound` once solved: grid_n x grid_n means over the
-    spectral box of (X1, Y1), one batched eigvalsh. Returns the means of
-    the first node in C order with the smallest value, and the value at
-    every node. Numpy only; independent of `varwit`.
-    """
-    ex, ey = np.linalg.eigvalsh(x1), np.linalg.eigvalsh(y1)
-    xs = np.linspace(float(ex[0]), float(ex[-1]), grid_n)
-    ys = np.linspace(float(ey[0]), float(ey[-1]), grid_n)
-    eye = np.eye(x1.shape[0])
-    base = lam * x2 + mu * y2
-    pen = (
-        base[None, None]
-        - 2.0 * lam * xs[:, None, None, None] * x1[None, None]
-        - 2.0 * mu * ys[None, :, None, None] * y1[None, None]
-        + (lam * xs[:, None] ** 2 + mu * ys[None, :] ** 2)[:, :, None, None]
-        * eye[None, None]
-    )
-    values = np.linalg.eigvalsh(pen)[..., 0]
-    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-    return (float(xs[i]), float(ys[j])), values

@@ -27,7 +27,6 @@ from varwit import (
     variance_functional,
 )
 from helpers import (
-    dense_mesh_argmin,
     descent_minima,
     local_infimum,
     random_povm,
@@ -135,13 +134,14 @@ def test_seesaw_value_is_monotone_in_iterations():
 
 
 def test_grid_single_observable():
-    res = grid_bound(spin1_pair(1.0, 0.0), grid_n=101, polish=False)
-    assert res.method == "grid"
-    assert res.value < 1e-4
+    # an eigenstate of L_X alone has no variance
+    res = grid_bound(spin1_pair(1.0, 0.0))
+    assert res.method == "grid_refined" and res.certified
+    assert abs(res.value) < 1e-12
 
 
 def test_grid_polished_noiseless_bound():
-    res = grid_bound(spin1_pair(1.0, 1.0), grid_n=201)
+    res = grid_bound(spin1_pair(1.0, 1.0))
     assert res.method == "grid_refined"
     assert abs(res.value - 0.4375) < 1e-5
 
@@ -149,34 +149,23 @@ def test_grid_polished_noiseless_bound():
 def test_grid_full_noise_diagonal_case():
     # at alpha=1 the first moments vanish, so the optimum sits at means
     # (0, 0) where the penalty is L_X^2 + L_Y^2 = diag(1, 2, 1)
-    res = grid_bound(spin1_pair(1.0, 1.0, 1.0), grid_n=51)
+    res = grid_bound(spin1_pair(1.0, 1.0, 1.0))
     assert abs(res.value - 1.0) < 1e-9
     assert abs(res.means[0]) < 1e-12 and abs(res.means[1]) < 1e-12
-
-
-def test_grid_requires_minimum_resolution():
-    with pytest.raises(ValueError):
-        grid_bound(spin1_pair(0.5, 0.5), grid_n=9)
 
 
 def test_value_floor_is_measured_in_the_penalty_scale():
     # at lam = 1e300 a zero bound comes out near -8e283 by rounding, about
     # 1e-17 of the penalty's scale; no solver may reject that as negative
     pair = spin1_pair(1e300, 0.0)
-    for res in (seesaw_bound(pair), grid_bound(pair), grid_bound(pair, polish=False),
-                certified_bound(pair)):
+    for res in (seesaw_bound(pair), grid_bound(pair), certified_bound(pair)):
         assert bounds.VALUE_FLOOR * pair.scale <= res.value <= 1e-12 * pair.scale
     BoundResult(value=-1e-6, minimizer=PureState(np.array([1.0, 0.0, 0.0])), means=(0.0, 0.0),
                 iterations=1, converged=True, method="seesaw", scale=1e4)
 
 
-def dense_mesh(pair, grid_n):
-    x1, x2 = pair.x.first.entries, pair.x.second.entries
-    y1, y2 = pair.y.first.entries, pair.y.second.entries
-    return dense_mesh_argmin(pair.lam, pair.mu, x1, x2, y1, y2, grid_n)
-
-
-def test_mesh_solves_few_nodes(monkeypatch):
+def eigvalsh_matrices(monkeypatch, fn):
+    """How many matrices fn passes through np.linalg.eigvalsh."""
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -185,35 +174,49 @@ def test_mesh_solves_few_nodes(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    grid_bound(spin1_pair(0.3, 0.7, 0.2), grid_n=201)
-    assert sum(solved) <= 0.05 * 201**2
+    fn()
+    monkeypatch.undo()
+    return sum(solved)
+
+
+def test_grid_bound_solves_few_matrices(monkeypatch):
+    # 5% of the 40,401 nodes of a 201 x 201 mesh of means
+    pair = spin1_pair(0.3, 0.7, 0.2)
+    solved = eigvalsh_matrices(monkeypatch, lambda: grid_bound(pair))
+    assert solved <= 0.05 * 201**2
+
+
+def test_grid_bound_on_the_degenerate_box_solves_its_corners(monkeypatch):
+    # at alpha = 1 the box is 4.6e-16 wide and every vertex ties, so the
+    # coarse gap prunes both first cells
+    pair = spin1_pair(0.5, 0.5, 1.0)
+    solved = eigvalsh_matrices(monkeypatch, lambda: grid_bound(pair))
+    assert solved <= 64
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-def test_mesh_holds_no_more_memory_than_the_dense_stack(alpha):
-    # alpha = 1 is the worst case: its box is 4.6e-16 wide and every node ties
+def test_grid_bound_peaks_below_one_mib(alpha):
     pair = spin1_pair(0.5, 0.5, alpha)
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(lambda: grid_bound(pair)) <= peak(lambda: dense_mesh(pair, 201))
+    tracemalloc.start()
+    try:
+        grid_bound(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_certified_bound_is_certified():
     res = certified_bound(spin1_pair(0.5, 0.5, 0.2))
-    assert res.converged or res.method in ("grid", "grid_refined")
+    assert res.certified
+    exact = local_infimum(0.5, 0.5, 0.2)
+    assert abs(res.value - exact) <= bounds.GAP_TOL * res.scale
 
 
-def proven_lower(pair, upper):
+def proven_lower(pair, upper, gap=bounds.GAP_TOL):
     """The branch-and-bound's proven lower bound for one weighted pair."""
     proof = bounds._branch_and_bound(
-        pair.x, pair.y, np.array([pair.lam]), np.array([pair.mu]), np.array([upper])
+        pair.x, pair.y, np.array([pair.lam]), np.array([pair.mu]), np.array([upper]), gap
     )
     return float(proof.lower[0])
 
@@ -254,7 +257,6 @@ def test_certified_bound_rejects_a_stall_the_oracle_undercuts(monkeypatch):
     capped = certified_bound(pair, starts=1, seed=2)
     assert not capped.certified
     assert capped.value <= stalled.value
-    assert not grid_bound(pair, polish=False).certified
 
 
 def test_compose_sep_bound_sums_locals():
@@ -284,7 +286,7 @@ def test_oracle_agreement_smoke():
         for lam in (0.25, 0.5, 0.75):
             pair = spin1_pair(lam, 1.0 - lam, alpha)
             s = seesaw_bound(pair)
-            g = grid_bound(pair, grid_n=201)
+            g = grid_bound(pair)
             assert abs(s.value - g.value) < 1e-4
 
 
@@ -311,9 +313,9 @@ def test_weight_scaling_homogeneity():
     s1 = seesaw_bound(pair1)
     s3 = seesaw_bound(pair3)
     assert abs(s3.value - 3.0 * s1.value) < 1e-8
-    g1 = grid_bound(pair1, grid_n=101, polish=False)
-    g3 = grid_bound(pair3, grid_n=101, polish=False)
-    assert abs(g3.value - 3.0 * g1.value) < 1e-12
+    g1 = grid_bound(pair1)
+    g3 = grid_bound(pair3)
+    assert abs(g3.value - 3.0 * g1.value) < 1e-8
 
 
 def test_trace_region_validates_lambdas():
@@ -670,37 +672,32 @@ def test_proven_lower_bound_brackets_the_exact_infimum(lam, alpha):
 @given(
     lam=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.001, 0.999)),
     alpha=st.floats(0.0, 1.0),
-    grid_n=st.integers(10, 64),
     weight=st.sampled_from([1.0, 1e-12, 1e300]),
     seed=st.none() | st.integers(0, 2**32 - 1),
 )
-@example(lam=0.5, alpha=1.0, grid_n=201, weight=1.0, seed=None)
-@example(lam=0.0, alpha=0.2, grid_n=201, weight=1.0, seed=None)
-@example(lam=1.0, alpha=0.2, grid_n=201, weight=1.0, seed=None)
-@example(lam=0.5, alpha=0.0, grid_n=201, weight=1.0, seed=None)
-@example(lam=0.5, alpha=0.2, grid_n=201, weight=1.0, seed=None)
-@example(lam=0.5, alpha=0.5, grid_n=201, weight=1.0, seed=None)
-@example(lam=0.3, alpha=0.2, grid_n=10, weight=1.0, seed=None)
-@example(lam=0.3, alpha=0.2, grid_n=11, weight=1.0, seed=None)
-@example(lam=0.3, alpha=0.2, grid_n=51, weight=1.0, seed=None)
-@example(lam=0.3, alpha=0.2, grid_n=256, weight=1.0, seed=None)
-@example(lam=0.3, alpha=0.2, grid_n=201, weight=1e-12, seed=None)
-@example(lam=0.3, alpha=0.2, grid_n=201, weight=1e300, seed=None)
-@example(lam=1.0, alpha=0.0, grid_n=201, weight=1e300, seed=None)
-def test_mesh_picks_the_dense_argmin(lam, alpha, grid_n, weight, seed):
-    # the mesh evaluates only the nodes that can hold the minimum, each
-    # bit-equal to the full stack's, and so picks its node, ties included;
-    # seed draws a random POVM box in place of the spin-1 one at alpha
+@example(lam=0.5, alpha=1.0, weight=1.0, seed=None)
+@example(lam=0.0, alpha=0.2, weight=1.0, seed=None)
+@example(lam=1.0, alpha=0.2, weight=1.0, seed=None)
+@example(lam=0.5, alpha=0.0, weight=1.0, seed=None)
+@example(lam=0.5, alpha=0.2, weight=1.0, seed=None)
+@example(lam=0.5, alpha=0.5, weight=1.0, seed=None)
+@example(lam=0.3, alpha=0.2, weight=1e-12, seed=None)
+@example(lam=0.3, alpha=0.2, weight=1e300, seed=None)
+@example(lam=1.0, alpha=0.0, weight=1e300, seed=None)
+def test_grid_bound_lies_in_its_proven_window(lam, alpha, weight, seed):
+    # the coarse run's lowest vertex lies within GRID_GAP / 2 of the
+    # infimum and the polish only lowers it; seed draws a random POVM box in
+    # place of the spin-1 one at alpha, where the GAP_TOL proof stands in
+    # for the exact infimum
     x, y = spin1_moment_pairs(alpha) if seed is None else random_pairs(seed)[:2]
     pair = WeightedPair(lam * weight, (1.0 - lam) * weight, x, y)
-    means, dense = dense_mesh(pair, grid_n)
-    xlo, xhi, ylo, yhi = bounds._spectral_box(x, y)
+    slack = 4.0 * pair.dim**2 * np.finfo(float).eps * pair.scale
+    if seed is None:
+        low = high = weight * local_infimum(lam, 1.0 - lam, alpha)
+    else:
+        low = proven_lower(pair, np.inf)
+        high = low + bounds.GAP_TOL * pair.scale
     with np.errstate(all="raise"):
-        found = grid_bound(pair, grid_n=grid_n, polish=False)
-        values = bounds._mesh_values(
-            pair, np.linspace(xlo, xhi, grid_n), np.linspace(ylo, yhi, grid_n)
-        )
-    assert found.means == means
-    assert np.argmin(values) == np.argmin(dense)
-    evaluated = np.isfinite(values)
-    assert np.array_equal(values[evaluated], dense[evaluated])
+        found = grid_bound(pair)
+    assert found.method == "grid_refined"
+    assert low - slack <= found.value <= high + 0.5 * bounds.GRID_GAP * pair.scale + slack

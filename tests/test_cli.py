@@ -72,11 +72,12 @@ def test_malformed_tuple_is_usage_error(tmp_path, capsys):
     assert main(["region", "--lambdas", "3", "--starts", "0",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert main(["bound", "--lambda", "1e308", "--mu", "1e308"]) == EXIT_USAGE
-    # checked while parsing, before the seesaw route runs
+    # no mesh knob: the grid route is a branch-and-bound with a fixed gap
     assert main(["bound", "--lambda", "0.5", "--mu", "0.5", "--grid-n", "5"]) == EXIT_USAGE
     assert main(["bound", "--lambda", "0.5", "--mu", "0.5", "--method", "seesaw",
                  "--grid-n", "5"]) == EXIT_USAGE
-    assert "--grid-n: must be >= 10" in capsys.readouterr().err
+    assert main(["bound", "--lambda", "0.5", "--mu", "0.5", "--grid-n", "201"]) == EXIT_USAGE
+    assert "unrecognized arguments: --grid-n" in capsys.readouterr().err
     # no resolution knob: window edges are exact for the interpolated curve
     assert main(["report", "--state", "singlet", "--resolution", "0.001",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE

@@ -38,7 +38,9 @@ print("penalty at means (0, 0), lam = 1/2:")
 print(np.round(pen.entries.real, 6))
 
 # --- two independent solvers ----------------------------------------
-# Route 1: alternating minimization (ground state <-> means update),
+# Route 1: a descent over the means (the ground state at the current
+# means, then a saddle-free Newton step on the means, or the plain
+# update to the state's expectations where that step would not help),
 # restarted from 16 random points in the spectral box.
 # Route 2: a coarse branch-and-bound over the means, from the box alone,
 # then a polish of the lowest vertex it found.
@@ -63,11 +65,12 @@ print(f"minimizer means (<L_X>, <L_Y>) = ({dx[0]:+.6f}, {dx[1]:+.6f})")
 # g is concave, so on a triangle of means it lies above the plane through
 # its three corners, and that plane plus the quadratic has a closed-form
 # minimum. Triangles that could still hold a lower value are split until
-# the proven bound meets the best value found. A single start from this
-# seed stalls far above the infimum at lam = 0.2:
+# the proven bound meets the best value found. Stopped after five steps,
+# a single start from this seed is stalled far above the infimum at
+# lam = 0.2:
 stall_pair = WeightedPair(0.2, 0.8, x_pair, y_pair)
-stalled = seesaw_bound(stall_pair, starts=1, seed=2)
-proven = certified_bound(stall_pair, starts=1, seed=2)
+stalled = seesaw_bound(stall_pair, starts=1, seed=2, max_iter=5)
+proven = certified_bound(stall_pair, starts=1, seed=2, max_iter=5)
 print(f"\nstalled seesaw at lam = 0.2: {stalled.value:.12f}  (converged={stalled.converged})")
 print(f"certified bound            : {proven.value:.12f}  (certified={proven.certified})")
 

@@ -3,16 +3,21 @@
 The central quantity is the infimum of V = lambda Var(X) + mu Var(Y) over
 pure states. At fixed means (x_bar, y_bar) the functional is the
 expectation of a penalty operator, so the infimum becomes a minimization
-of a smallest eigenvalue over two real mean parameters. An alternating
-seesaw descent finds minimizers fast but only locally; one engine,
-`_seesaw_rows`, runs every descent, batched over weights and starts.
-When a seesaw stalls, a branch-and-bound over the mean box proves a
-lower bound for the infimum (the penalty-operator form of Dammeier,
-Schwonnek & Werner, NJP 17, 093046 (2015)). The rule of
-`certified_bound` is the one place that decides whether a bound may be
-trusted. `grid_bound` is the route to compare against, independent of the
-seesaw: one coarse run of the same branch-and-bound from the box alone,
-then a polish of its lowest vertex.
+of f(x_bar, y_bar), the penalty's smallest eigenvalue, over two real mean
+parameters (the penalty-operator form of Dammeier, Schwonnek & Werner,
+NJP 17, 093046 (2015)). A descent finds minimizers fast but only locally;
+one engine, `_seesaw_rows`, runs every descent, batched over weights and
+starts. Each step solves the penalty's eigenpairs at the current means.
+Their gradient and Hessian of f give a saddle-free Newton step on the
+means; a trial that would raise V is rejected for the first-order seesaw
+step, moving the means to the ground state's expectations, so V never
+rises. A run stops when f moves less than tol times the penalty scale.
+When a descent stalls, a branch-and-bound over the mean box proves a
+lower bound for the infimum. The rule of `certified_bound` is the one
+place that decides whether a bound may be trusted. `grid_bound` is the
+route to compare against, independent of the descent's starts: one coarse
+run of the same branch-and-bound from the box alone, then a polish of its
+lowest vertex.
 """
 
 from __future__ import annotations
@@ -48,7 +53,19 @@ _MAX_CELLS = 1 << 19
 # input makes either hold more
 _CHUNK = 4096
 
+# the smallest |Hessian eigenvalue| a Newton step divides by, as a fraction
+# of the seesaw's own curvature lam + mu; it bounds the step near a saddle
+_CURVATURE_FLOOR = 0.01
+# a ground-state gap at or below this, in units of the penalty scale, is
+# rounding: the Hessian is then meaningless and the row takes the seesaw step
+_GAP_FLOOR = 64 * np.finfo(float).eps
+
 _METHODS = ("seesaw", "grid_refined")
+
+
+def _slack(dim: int) -> float:
+    """Rounding slack of a penalty eigenvalue, in units of the penalty scale."""
+    return 4.0 * dim**2 * np.finfo(float).eps
 
 
 def _penalty_scale(m: MomentPair) -> float:
@@ -102,8 +119,9 @@ class WeightedPair:
 class BoundResult:
     """A local bound value with its minimizer and solver metadata.
 
-    The value is the functional evaluated on the minimizer; grid_refined
-    is a seesaw polish started from the lowest vertex of a
+    The value is the functional evaluated on the minimizer, less a
+    rounding slack when `certified_bound` returns it; grid_refined is a
+    seesaw polish started from the lowest vertex of a
     branch-and-bound. `certified` says whether the value may serve as a
     separability bound; the solver that builds the result sets it.
     `scale` is the pair's penalty scale, the unit in which the value may
@@ -226,61 +244,141 @@ def _seesaw_rows(
     tol: float,
     max_iter: int,
 ) -> _Descent:
-    """Seesaw descent of every row (lam, mu, x0, y0) at once.
+    """Second-order seesaw descent of every row (lam, mu, x0, y0) at once.
 
     Each step stacks the active rows' penalty operators at their current
-    means, takes all ground states from one batched eigensolve, and moves
-    every row's means to its ground state's expectations. A row's penalty
-    eigenvalue sequence is non-increasing; the row stops when it moves
-    less than tol, or after max_iter steps, and drops out of the batch.
-    Rows run in chunks of _CHUNK, so memory does not grow with their
-    number. Each row repeats the floating-point operations of a one-row
-    run in the same order, so its result does not depend on the batch.
+    means and takes all eigenpairs from one batched eigensolve. The ground
+    state v has V(v) = w0 - lam (x_bar - <X1>)^2 - mu (y_bar - <Y1>)^2. A
+    trial reached by a Newton step is accepted only if its V is no larger
+    than that of the last accepted state; otherwise the row takes the
+    seesaw step from the accepted state (means := its expectations, so
+    V(v_next) <= f(means) <= V(v)), and the step after that too. From an
+    accepted state the next means are a saddle-free Newton step
+    (`_newton_step`), or the seesaw step when it is not usable. V is thus
+    non-increasing. A row stops when an accepted eigenvalue moves less
+    than tol times its penalty scale, or after max_iter eigensolves, and
+    drops out of the batch; it reports its last accepted state. Rows run
+    in chunks of _CHUNK, so memory does not grow with their number. Each
+    row repeats the floating-point operations of a one-row run in the same
+    order, so its result does not depend on the batch.
     """
     lam, mu, x0, y0 = (np.asarray(a, dtype=float) for a in (lam, mu, x0, y0))
-    n = lam.shape[0]
+    n, dim = lam.shape[0], x.dim
     x1, x2 = x.first.entries, x.second.entries
     y1, y2 = y.first.entries, y.second.entries
-    eye = np.eye(x.dim)
-    vecs = np.empty((n, x.dim), dtype=complex)
+    eye = np.eye(dim)
+    scale = lam * _penalty_scale(x) + mu * _penalty_scale(y)
+    vecs = np.empty((n, dim), dtype=complex)
     xm, ym = np.empty(n), np.empty(n)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     for lo in range(0, n, _CHUNK):
         rows = np.arange(lo, min(lo + _CHUNK, n))
-        lam_r, mu_r = lam[rows, None, None], mu[rows, None, None]
+        lr, mr, sr = lam[rows] / scale[rows], mu[rows] / scale[rows], scale[rows]
+        # the means of the next eigensolve, and whether they are a Newton trial
         x_bar, y_bar = x0[rows], y0[rows]
-        val = np.full(rows.shape, np.inf)
+        newton = np.zeros(rows.shape, dtype=bool)
+        hold = np.zeros(rows.shape, dtype=bool)
+        # the last accepted ground state: eigenvalue, V, vector, expectations
+        acc_w = np.full(rows.shape, np.inf)
+        acc_val = np.full(rows.shape, np.inf)
+        acc_v = np.empty((rows.size, dim), dtype=complex)
+        acc_x, acc_y = np.empty(rows.size), np.empty(rows.size)
         for it in range(1, max_iter + 1):
             # float_power is libm pow, the rounding of a Python float's ** 2
-            pen = lam_r * (
+            pen = lam[rows, None, None] * (
                 x2
                 - (2.0 * x_bar)[:, None, None] * x1
                 + np.float_power(x_bar, 2)[:, None, None] * eye
-            ) + mu_r * (
+            ) + mu[rows, None, None] * (
                 y2
                 - (2.0 * y_bar)[:, None, None] * y1
                 + np.float_power(y_bar, 2)[:, None, None] * eye
             )
-            w, v = np.linalg.eigh(pen)
+            w, basis = np.linalg.eigh(pen)
+            w = w / sr[:, None]
             # ascending order makes the degenerate tie-break deterministic
-            v = v[:, :, 0]
-            newval = w[:, 0]
-            x_bar, y_bar = _expect(v, x1), _expect(v, y1)
-            stop = np.abs(val - newval) < tol
+            v = basis[:, :, 0]
+            # <v|X1 and <v|Y1, the contraction order of `_expect`
+            rx = v.conj()[:, None, :] @ x1
+            ry = v.conj()[:, None, :] @ y1
+            xe = (rx @ v[:, :, None])[:, 0, 0].real
+            ye = (ry @ v[:, :, None])[:, 0, 0].real
+            dx, dy = x_bar - xe, y_bar - ye
+            val = w[:, 0] - lr * dx * dx - mr * dy * dy
+            ok = ~newton | (val <= acc_val)
+            stop = ok & (np.abs(acc_w - w[:, 0]) < tol)
+            acc_w, acc_val = np.where(ok, w[:, 0], acc_w), np.where(ok, val, acc_val)
+            acc_v[ok], acc_x[ok], acc_y[ok] = v[ok], xe[ok], ye[ok]
             done = stop | (it == max_iter)
             out = rows[done]
-            vecs[out] = v[done]
-            xm[out], ym[out] = x_bar[done], y_bar[done]
+            vecs[out] = acc_v[done]
+            xm[out], ym[out] = acc_x[done], acc_y[done]
             iterations[out] = it
             converged[out] = stop[done]
             keep = ~done
             if not keep.any():
                 break
-            rows, x_bar, y_bar, val = rows[keep], x_bar[keep], y_bar[keep], newval[keep]
-            lam_r, mu_r = lam_r[keep], mu_r[keep]
+            # a rejected trial returns to the seesaw step from the accepted
+            # state, and the step after that is a seesaw step too
+            step_x, step_y, usable = _newton_step(lr, mr, w, basis, rx, ry, dx, dy)
+            newton = ok & ~hold & usable
+            hold = ~ok
+            x_bar = np.where(newton, x_bar + step_x, acc_x)
+            y_bar = np.where(newton, y_bar + step_y, acc_y)
+            rows, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y = (
+                a[keep]
+                for a in (rows, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y)
+            )
     values = lam * (_expect(vecs, x2) - xm * xm) + mu * (_expect(vecs, y2) - ym * ym)
     return _Descent(vecs, values, xm, ym, iterations, converged)
+
+
+def _newton_step(lr, mr, w, basis, rx, ry, dx, dy):
+    """Saddle-free Newton step on f = lambda_min(penalty) at each row's means.
+
+    Weights and eigenvalues are in units of the penalty scale. With
+    p_k = <v_k|X1|v_0> and q_k = <v_k|Y1|v_0> (rx @ basis holds their
+    conjugates), the gradient is g = 2 (lr dx, mr dy) and the Hessian
+    H = 2 diag(lr, mr) - 8 sum_k Re[(lr p_k, mr q_k)^T (lr p_k, mr q_k)^*]
+    / (w_k - w_0). The step is -|H|^-1 g, where |H| takes the absolute
+    values of H's eigenvalues, floored at _CURVATURE_FLOOR (lr + mr).
+    Returns the step and whether it is usable: a ground-state gap above
+    _GAP_FLOOR and a finite step.
+    """
+    dim = w.shape[1]
+    gap = w[:, 1] - w[:, 0]
+    fine = gap > _GAP_FLOOR
+    px = rx @ basis
+    py = ry @ basis
+    sxx = np.zeros(w.shape[0])
+    sxy = np.zeros(w.shape[0])
+    syy = np.zeros(w.shape[0])
+    for k in range(1, dim):
+        den = np.where(fine, w[:, k] - w[:, 0], 1.0)
+        a, b = px[:, 0, k], py[:, 0, k]
+        sxx = sxx + (a.real * a.real + a.imag * a.imag) / den
+        sxy = sxy + (a.real * b.real + a.imag * b.imag) / den
+        syy = syy + (b.real * b.real + b.imag * b.imag) / den
+    hxx = 2.0 * lr - 8.0 * lr * lr * sxx
+    hyy = 2.0 * mr - 8.0 * mr * mr * syy
+    hxy = -8.0 * lr * mr * sxy
+    half = 0.5 * (hxx - hyy)
+    mean = 0.5 * (hxx + hyy)
+    r = np.sqrt(half * half + hxy * hxy)
+    floor = _CURVATURE_FLOOR * (lr + mr)
+    f1 = 1.0 / np.maximum(np.abs(mean - r), floor)
+    f2 = 1.0 / np.maximum(np.abs(mean + r), floor)
+    split = r > 0.0
+    safe = np.where(split, r, 1.0)
+    c2 = np.where(split, half / safe, 1.0)
+    s2 = np.where(split, hxy / safe, 0.0)
+    gx, gy = 2.0 * lr * dx, 2.0 * mr * dy
+    k = f2 - f1
+    sx = -(f1 * gx + k * (0.5 * ((1.0 + c2) * gx + s2 * gy)))
+    sy = -(f1 * gy + k * (0.5 * (s2 * gx + (1.0 - c2) * gy)))
+    fine = fine & np.isfinite(sx) & np.isfinite(sy)
+    return sx, sy, fine
 
 
 def _start_means(x: MomentPair, y: MomentPair, starts: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -308,8 +406,10 @@ def _seesaw_many(
 
     The same seeded starts serve every weight, since the spectral box does
     not depend on it; all (weight, start) rows descend together. Each
-    weight keeps its best run by (value, then lexicographic means), the
-    earliest start on ties, and is converged only if every start is.
+    weight keeps the earliest start whose value lies within the rounding
+    slack of the lowest, so runs that reach one minimum up to rounding
+    tie by start rather than by their rounding. It is converged only if
+    every start is.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
@@ -330,9 +430,10 @@ def _seesaw_many(
     )
     results = []
     for lo in range(0, k * starts, starts):
-        best = min(
-            range(lo, lo + starts), key=lambda r: (runs.values[r], runs.xm[r], runs.ym[r])
-        )
+        scale = lams[lo // starts] * sx + mus[lo // starts] * sy
+        # values within rounding of the lowest tie, and go to the earliest start
+        values = runs.values[lo : lo + starts]
+        best = lo + int(np.argmax(values <= values.min() + _slack(x.dim) * scale))
         ok = bool(runs.converged[lo : lo + starts].all())
         results.append(
             BoundResult(
@@ -343,7 +444,7 @@ def _seesaw_many(
                 converged=ok,
                 method="seesaw",
                 certified=ok,
-                scale=lams[lo // starts] * sx + mus[lo // starts] * sy,
+                scale=scale,
             )
         )
     return results
@@ -356,24 +457,26 @@ def seesaw_bound(
     max_iter: int = 500,
     seed: int = 0,
 ) -> BoundResult:
-    """Multi-start alternating minimization of the weighted variance sum.
+    """Multi-start second-order seesaw minimization of the weighted variance sum.
 
-    Alternates the ground state of the penalty at the current means with
-    updating the means to that state's expectations, from every start at
-    once (see `_seesaw_rows`).
+    Takes the ground state of the penalty at the current means, then moves
+    the means by a saddle-free Newton step built from the same eigenpairs,
+    or to that state's expectations when the Newton step is unusable or
+    would raise the value; every start runs at once (see `_seesaw_rows`).
 
     Args:
         pair: weights and moment pairs.
         starts: independent starting means, drawn uniformly from the
             spectral box of (X1, Y1) with a deterministic seed.
         tol: stop a run when the penalty eigenvalue changes less than
-            this.
-        max_iter: iteration cap per run; converged=False if any run hits
+            this times the penalty scale (`WeightedPair.scale`), so the
+            rule does not depend on the weights' magnitude.
+        max_iter: eigensolves per run; converged=False if any run hits
             it (the best value found is still reported, uncertified).
         seed: RNG seed for the starting means.
 
     Returns:
-        Best run by (value, then lexicographic means).
+        The earliest start whose value lies within rounding of the lowest.
     """
     return _seesaw_many(pair.x, pair.y, [pair.lam], [pair.mu], starts, tol, max_iter, seed)[0]
 
@@ -523,9 +626,8 @@ def _branch_and_bound(
             [np.stack([fv[:, 0], fm, fv[:, 1]], 1), np.stack([fv[:, 1], fm, fv[:, 2]], 1)]
         )
         rows = np.concatenate([rows, rows])
-    slack = 4.0 * x.dim**2 * np.finfo(float).eps
     return _Proof(
-        lower=(lower - slack) * scale,
+        lower=(lower - _slack(x.dim)) * scale,
         scale=scale,
         xm=xlo + best[:, 1] * wx,
         ym=ylo + best[:, 2] * wy,
@@ -584,23 +686,23 @@ def _certify(
 
     Every uncertified row goes through one batched branch-and-bound at
     GAP_TOL, with its seesaw value as the upper bound, and one seesaw
-    batch polishes each row's best vertex.
+    batch polishes each row's best vertex. Every value returned is then
+    lowered by the rounding slack of a penalty eigenvalue.
     """
-    todo = [k for k, res in enumerate(found) if not res.certified]
-    if not todo:
-        return found
-    lam = np.array([lams[k] for k in todo], dtype=float)
-    mu = np.array([mus[k] for k in todo], dtype=float)
-    upper = np.array([found[k].value for k in todo])
-    proof, run = _prove_and_polish(x, y, lam, mu, upper, GAP_TOL, tol, max_iter)
     out = list(found)
-    for i, k in enumerate(todo):
-        res = found[k]
-        if run.values[i] <= res.value:
-            res = _polished(run, i, proof.scale[i])
-        gap = GAP_TOL * proof.scale[i]
-        out[k] = replace(res, certified=bool(proof.lower[i] >= res.value - gap))
-    return out
+    todo = [k for k, res in enumerate(found) if not res.certified]
+    if todo:
+        lam = np.array([lams[k] for k in todo], dtype=float)
+        mu = np.array([mus[k] for k in todo], dtype=float)
+        upper = np.array([found[k].value for k in todo])
+        proof, run = _prove_and_polish(x, y, lam, mu, upper, GAP_TOL, tol, max_iter)
+        for i, k in enumerate(todo):
+            res = found[k]
+            if run.values[i] <= res.value:
+                res = _polished(run, i, proof.scale[i])
+            gap = GAP_TOL * proof.scale[i]
+            out[k] = replace(res, certified=bool(proof.lower[i] >= res.value - gap))
+    return [replace(res, value=float(res.value - _slack(x.dim) * res.scale)) for res in out]
 
 
 def certified_bound(
@@ -615,9 +717,13 @@ def certified_bound(
     A converged seesaw is certified. A stalled one goes through the
     branch-and-bound (`_branch_and_bound`), and a seesaw run polishes the
     lowest point it evaluated. The lower of the stalled and the polished
-    value is returned, ties going to the polish, so the value is always V
-    at a real minimizer. It is certified when the proven lower bound lies
-    within GAP_TOL times the penalty's scale of it.
+    value is kept, ties going to the polish, so the value is always V at a
+    real minimizer. It is certified when the proven lower bound lies
+    within GAP_TOL times the penalty's scale of it. The value returned is
+    that V less the rounding slack of a penalty eigenvalue, 4 dim^2 eps of
+    the penalty's scale: where the exact bound is linear in lambda, rounding
+    would otherwise put V an ulp above it as often as below, and a tuple on
+    that facet would be detected by rounding alone.
     """
     res = seesaw_bound(pair, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
     return _certify(pair.x, pair.y, [pair.lam], [pair.mu], [res], tol, max_iter)[0]

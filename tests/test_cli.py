@@ -31,6 +31,14 @@ from varwit.cli import (
 )
 
 
+def cap_seesaw_steps(monkeypatch, steps):
+    """Stop every run of the seesaw engine after at most `steps` steps."""
+    engine = bounds._seesaw_rows
+    monkeypatch.setattr(
+        bounds, "_seesaw_rows", lambda *args: engine(*args[:-1], min(args[-1], steps))
+    )
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -140,6 +148,26 @@ def test_bound_at_huge_weights_prints_its_rounding_dust(capsys):
     assert code == (EXIT_OK if converged and agree else EXIT_NUMERICAL)
 
 
+def test_bound_at_tiny_weights_converges_in_their_scale(capsys):
+    # the stop rule is relative to the penalty scale; an absolute 1e-10
+    # stopped this run after 2 steps at 8.75000018610379e-13
+    argv = ["bound", "--lambda", "1e-12", "--mu", "1e-12", "--method", "seesaw", "--seed", "1"]
+    code, payload = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert abs(payload["c_sep"] - 8.75e-13) <= 1e-12 * 8.75e-13
+
+
+def test_bound_seesaw_at_huge_weights_prints_valid_json(capsys):
+    code = main(["bound", "--lambda", "1e300", "--mu", "1e300", "--alpha", "0.2", "--method", "seesaw"])
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == EXIT_OK
+    assert abs(payload["c_sep"] - 1.5246875e300) <= 1e-12 * 1.5246875e300
+
+
 def test_bound_mixed_party_noise(capsys):
     code, payload = run_cli(
         [
@@ -193,9 +221,10 @@ def test_region_writes_csv_svg_and_manifests(tmp_path, capsys):
 
 
 def test_region_uncertified_point_warns(tmp_path, capsys, monkeypatch):
-    # a single start from this seed stalls near a shallow stationary
-    # value well above the infimum; the branch-and-bound proves the
-    # polished point, unless a cell cap stops it first
+    # after five steps a single start from this seed is stalled well above
+    # the infimum; the branch-and-bound proves the polished point, unless a
+    # cell cap stops it first
+    cap_seesaw_steps(monkeypatch, 5)
     out = str(tmp_path)
     argv = ["region", "--lambdas", "0.2", "--starts", "1", "--seed", "2", "--output-dir", out]
     assert main(argv) == EXIT_OK
@@ -272,8 +301,10 @@ def test_witness_rejects_unrecognized_state_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_witness_trusts_a_stall_the_oracle_confirms(capsys):
-    # the seesaw stalls here, but the mesh oracle agrees with it
+def test_witness_trusts_a_stall_the_oracle_confirms(capsys, monkeypatch):
+    # four steps leave the seesaw stalled here, but the branch-and-bound
+    # proves the stalled value
+    cap_seesaw_steps(monkeypatch, 4)
     argv = ["witness", "--tuple", "0.3,0.3", "--alpha", "0.2", "--lambda", "0.355", "--seed", "1"]
     code, _ = run_cli(argv, capsys)
     assert code == EXIT_OK
@@ -281,9 +312,10 @@ def test_witness_trusts_a_stall_the_oracle_confirms(capsys):
 
 @pytest.mark.parametrize("command", ["report", "witness"])
 def test_uncertified_sweep_point_is_named(command, tmp_path, capsys, monkeypatch):
-    # a single start from this seed stalls 0.1 above the infimum at
-    # lambda = 0.2; with a cell cap the proof cannot close within, that
-    # point stays uncertified
+    # after five steps a single start from this seed is stalled 0.1 above
+    # the infimum at lambda = 0.2; with a cell cap the proof cannot close
+    # within, that point stays uncertified
+    cap_seesaw_steps(monkeypatch, 5)
     argv = [command, "--tuple", "0.1,0.1", "--lambda-grid", "6", "--starts", "1",
             "--seed", "2", "--output-dir", str(tmp_path)]
     assert main(argv) == EXIT_OK

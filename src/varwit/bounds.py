@@ -532,6 +532,18 @@ def _cell_lower(
     return np.where(inside, np.minimum(low, mid), low)
 
 
+def _run_heads(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries that start a run of equal (keys[0][i], keys[1][i], ...).
+
+    The keys must be sorted together, so that equal tuples are adjacent.
+    """
+    head = np.zeros(keys[0].shape[0], dtype=bool)
+    head[:1] = True
+    for key in keys:
+        head[1:] |= key[1:] != key[:-1]
+    return head
+
+
 def _branch_and_bound(
     x: MomentPair,
     y: MomentPair,
@@ -551,7 +563,9 @@ def _branch_and_bound(
     ends by pruning has its lowest vertex within gap / 2 plus the slack of
     the infimum. Every surviving cell is bisected through its hypotenuse,
     its longest edge in units of the box, and the new vertices of all rows
-    are evaluated in one `eigvalsh` call per round. A row stops at
+    are evaluated in one `eigvalsh` call per round. One sort of the new
+    vertices by (row, u, v) per round finds those that neighbouring cells
+    share, so each vertex is evaluated once. A row stops at
     _MAX_CELLS cells with the bound its cells give so far. Each row works
     in units of its penalty scale, so the result does not depend on the
     weights' magnitude, and subtracts a rounding slack of a few eps. Rows
@@ -585,8 +599,7 @@ def _branch_and_bound(
         cand = np.concatenate([best, np.column_stack([fv, u, v])])
         owner = np.concatenate([np.arange(n), rows])
         order = np.lexsort((cand[:, 2], cand[:, 1], cand[:, 0], owner))
-        first = order[np.unique(owner[order], return_index=True)[1]]
-        best[:] = cand[first]
+        best[:] = cand[order[_run_heads(owner[order])]]
 
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     rows = np.repeat(np.arange(n), 4)
@@ -610,22 +623,27 @@ def _branch_and_bound(
         rows, uv, fv = rows[split], uv[split], fv[split]
         if not rows.size:
             break
-        # the new vertex halves the hypotenuse a-c; a vertex two cells share
-        # is evaluated once
+        # the new vertex halves the hypotenuse a-c; one sort by (row, u, v)
+        # brings together the cells that share a vertex, which is evaluated once
         mid = 0.5 * (uv[:, 0] + uv[:, 2])
-        key, inverse = np.unique(
-            np.column_stack([rows, mid]), axis=0, return_inverse=True
-        )
-        new_rows = key[:, 0].astype(int)
-        fk = evaluate(new_rows, key[:, 1], key[:, 2])
-        keep_best(new_rows, key[:, 1], key[:, 2], fk)
-        fm = fk[inverse.ravel()]
-        a, b, c = uv[:, 0], uv[:, 1], uv[:, 2]
-        uv = np.concatenate([np.stack([a, mid, b], 1), np.stack([b, mid, c], 1)])
-        fv = np.concatenate(
-            [np.stack([fv[:, 0], fm, fv[:, 1]], 1), np.stack([fv[:, 1], fm, fv[:, 2]], 1)]
-        )
-        rows = np.concatenate([rows, rows])
+        order = np.lexsort((mid[:, 1], mid[:, 0], rows))
+        key_rows, key_u, key_v = rows[order], mid[order, 0], mid[order, 1]
+        head = _run_heads(key_rows, key_u, key_v)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(head) - 1
+        key_rows, key_u, key_v = key_rows[head], key_u[head], key_v[head]
+        fk = evaluate(key_rows, key_u, key_v)
+        keep_best(key_rows, key_u, key_v, fk)
+        # children (a, mid, b) and (b, mid, c), each with the right angle at mid
+        m = rows.size
+        child_uv, child_f = np.empty((2 * m, 3, 2)), np.empty((2 * m, 3))
+        child_uv[:m, 0], child_uv[m:, 0] = uv[:, 0], uv[:, 1]
+        child_uv[:m, 1] = child_uv[m:, 1] = mid
+        child_uv[:m, 2], child_uv[m:, 2] = uv[:, 1], uv[:, 2]
+        child_f[:m, 0], child_f[m:, 0] = fv[:, 0], fv[:, 1]
+        child_f[:m, 1] = child_f[m:, 1] = fk[inverse]
+        child_f[:m, 2], child_f[m:, 2] = fv[:, 1], fv[:, 2]
+        uv, fv, rows = child_uv, child_f, np.concatenate([rows, rows])
     return _Proof(
         lower=(lower - _slack(x.dim)) * scale,
         scale=scale,
@@ -742,8 +760,9 @@ def grid_bound(
     When the run ends by pruning rather than at the cell cap, that vertex
     lies within GRID_GAP / 2 plus a rounding slack of the infimum, in
     units of the penalty scale, and the polish can only lower it, so the
-    value carries that window whether or not the polish converges. The result is labeled grid_refined and is certified when
-    the polish converges.
+    value carries that window whether or not the polish converges. The
+    result is labeled grid_refined and is certified when the polish
+    converges.
     """
     proof, run = _prove_and_polish(
         pair.x,

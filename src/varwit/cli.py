@@ -11,6 +11,11 @@ proves it within `bounds.GAP_TOL`. Only `bound`, which prints the seesaw
 and the independent `grid_bound` route (a coarse branch-and-bound from the
 box alone, then a polish) side by side, has its own rule: both must
 converge and agree within `AGREE_TOL`.
+
+The argument parser is built once, when the module is imported, and
+every `main` call reuses it; `main` looks up the command function
+`cmd_<command>` by name at call time, so replacing one in the module
+(a test, a tracer) takes effect on the next call.
 """
 
 from __future__ import annotations
@@ -35,14 +40,12 @@ from .bounds import (
     sep_bound_curve,
     trace_region,
 )
-from .noise import fit_alpha, noisy_povm, spin1_moment_pairs, spin_flip_channel
+from .noise import _spin1_povms, fit_alpha, noisy_povm, spin1_moment_pairs, spin_flip_channel
 from .operators import (
     DensityMatrix,
     HermitianOperator,
     MomentPair,
     PureState,
-    projective_povm,
-    spin1_components,
     variance,
 )
 from .simulate import (
@@ -141,7 +144,7 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-_SKIP_KEYS = {"command", "func", "seed"}
+_SKIP_KEYS = {"command", "seed"}
 
 _FLAG_NAMES = {"lam": "--lambda", "tuple_": "--tuple"}
 
@@ -404,10 +407,9 @@ def cmd_witness(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     state = _load_state(args.state)
-    lx, ly, _ = spin1_components()
+    ideal_x, ideal_y = _spin1_povms()
     channel = spin_flip_channel(args.alpha)
-    povm_x = noisy_povm(channel, projective_povm(lx))
-    povm_y = noisy_povm(channel, projective_povm(ly))
+    povm_x, povm_y = noisy_povm(channel, ideal_x), noisy_povm(channel, ideal_y)
     config = SampleConfig(shots=args.shots, seed=seed, trials=args.trials)
     d2x, d2y, per_trial = sample_variance_tuple(state, povm_x, povm_x, povm_y, povm_y, config)
     _print_json(
@@ -638,7 +640,6 @@ def build_parser() -> _CliParser:
     b.add_argument("--method", choices=["seesaw", "grid", "both"], default="both")
     b.add_argument("--starts", type=_int_at_least(1), default=16)
     add_seed(b)
-    b.set_defaults(func=cmd_bound)
 
     r = sub.add_parser("region", help="trace the variance region lower boundary")
     r.add_argument("--lambdas", required=True,
@@ -648,7 +649,6 @@ def build_parser() -> _CliParser:
     r.add_argument("--output-dir", dest="output_dir", default=".")
     r.add_argument("--svg", action="store_true")
     add_seed(r)
-    r.set_defaults(func=cmd_region)
 
     w = sub.add_parser("witness", help="witness verdict for a state or variance tuple")
     src = w.add_mutually_exclusive_group(required=True)
@@ -665,7 +665,6 @@ def build_parser() -> _CliParser:
     w.add_argument("--output-dir", dest="output_dir", default=None,
                    help="also write the lambda sweep CSV here")
     add_seed(w)
-    w.set_defaults(func=cmd_witness)
 
     s = sub.add_parser("simulate", help="finite-statistics variance tuple of a state")
     s.add_argument("--state", default="singlet")
@@ -673,7 +672,6 @@ def build_parser() -> _CliParser:
     s.add_argument("--shots", type=int, default=20000)
     s.add_argument("--trials", type=int, default=100)
     add_seed(s)
-    s.set_defaults(func=cmd_simulate)
 
     c = sub.add_parser("calibrate", help="sweep test states through the measurement box")
     c.add_argument("--sweep", required=True,
@@ -685,14 +683,12 @@ def build_parser() -> _CliParser:
     c.add_argument("--output-dir", dest="output_dir", default=".")
     c.add_argument("--svg", action="store_true")
     add_seed(c)
-    c.set_defaults(func=cmd_calibrate)
 
     f = sub.add_parser("fit-noise", help="fit the noise parameter from calibration data")
     f.add_argument("--input", required=True,
                    help="CSV with columns theta1_deg,theta2_deg,V_measured")
     f.add_argument("--lambda", dest="lam", type=float, default=0.5)
     f.add_argument("--mu", type=float, default=0.5)
-    f.set_defaults(func=cmd_fit_noise)
 
     rep = sub.add_parser("report", help="full sweep: bound curves, verdicts, windows")
     rsrc = rep.add_mutually_exclusive_group(required=True)
@@ -704,20 +700,23 @@ def build_parser() -> _CliParser:
     rep.add_argument("--output-dir", dest="output_dir", default=".")
     rep.add_argument("--svg", action="store_true")
     add_seed(rep)
-    rep.set_defaults(func=cmd_report)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"varwit: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # looked up now, so a cmd_* replaced after import is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except _UsageError as exc:
         print(f"varwit: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,7 @@ computing in the first place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -141,18 +142,28 @@ def spin_flip_channel(alpha: float) -> NoiseChannel:
     return NoiseChannel(((1.0 - alpha / 2.0, np.eye(3, dtype=complex)), (alpha / 2.0, flip)))
 
 
+@cache
+def _spin1_povms() -> Tuple[Povm, Povm]:
+    """The projective POVMs of the spin-1 L_X and L_Y, built once per process.
+
+    They do not depend on the noise, and a Povm is immutable, so every
+    caller may share them.
+    """
+    lx, ly, _ = spin1_components()
+    return projective_povm(lx), projective_povm(ly)
+
+
 def spin1_moment_pairs(alpha: float = 0.0) -> Tuple[MomentPair, MomentPair]:
     """Moment pairs of the spin-1 L_X, L_Y measurements under spin-flip noise.
 
     Built the honest way, channel acting on the projective POVMs, so the
     result is exactly what a caller assembling the pipeline by hand would
-    get.
+    get. The noise-free POVMs are built once per process (`_spin1_povms`);
+    each call builds the channel and applies it to them.
     """
-    lx, ly, _ = spin1_components()
+    povm_x, povm_y = _spin1_povms()
     channel = spin_flip_channel(alpha)
-    pair_x = moment_pair(noisy_povm(channel, projective_povm(lx)))
-    pair_y = moment_pair(noisy_povm(channel, projective_povm(ly)))
-    return pair_x, pair_y
+    return moment_pair(noisy_povm(channel, povm_x)), moment_pair(noisy_povm(channel, povm_y))
 
 
 def fit_alpha(

@@ -7,11 +7,13 @@ stdout through capsys, and inspects the files a command leaves behind.
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from varwit import bounds
+from varwit import bounds, cli
 from varwit import (
     TestStateParams,
     __version__,
@@ -512,3 +514,71 @@ def test_output_dir_collision_is_io_error(tmp_path, capsys):
     code = main(["region", "--lambdas", "1", "--output-dir", str(clash)])
     capsys.readouterr()
     assert code == EXIT_IO
+
+
+def fresh_run(argv):
+    """Exit code and stdout of one command in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "varwit", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process; each call must still parse from
+    # scratch, with every default back in place
+    requests = [
+        ["bound", "--lambda", "0.3", "--mu", "0.7", "--alpha", "0.2", "--method", "grid"],
+        ["simulate", "--alpha", "0.1", "--shots", "200", "--trials", "3", "--seed", "2"],
+        ["fit-noise"],
+        ["bound", "--lambda", "0.5", "--mu", "0.5", "--alpha-b", "0.4", "--method", "grid"],
+    ]
+    codes = []
+    for argv in requests:
+        codes.append(main(argv))
+        assert (codes[-1], capsys.readouterr().out) == fresh_run(argv)
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+
+
+def test_an_option_does_not_leak_into_the_next_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["witness", "--tuple", "0.3,0.3"]
+    sweep = tmp_path / "sweep"
+    assert main(argv + ["--lambda-grid", "5", "--output-dir", str(sweep)]) == EXIT_OK
+    first = capsys.readouterr().out
+    (sweep / "witness_sweep.csv").unlink()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert not list(tmp_path.rglob("witness_sweep.csv"))
+
+
+def test_main_runs_the_command_function_the_module_holds_now(monkeypatch, capsys):
+    # a tracer or a test replaces cli.cmd_* after import; main must run the
+    # replacement, not the function the parser saw when it was built
+    argv = ["bound", "--lambda", "1", "--mu", "0", "--method", "grid"]
+    assert main(argv) == EXIT_OK
+    seen = []
+
+    def spy(args):
+        seen.append(args)
+        return EXIT_NUMERICAL
+
+    monkeypatch.setattr(cli, "cmd_bound", spy)
+    assert main(argv) == EXIT_NUMERICAL
+    assert [(args.command, args.lam, args.mu) for args in seen] == [("bound", 1.0, 0.0)]
+
+
+def test_main_does_not_rebuild_the_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, payload = run_cli(["bound", "--lambda", "1", "--mu", "0", "--method", "grid"], capsys)
+    assert code == EXIT_OK
+    assert abs(payload["c_sep"]) < 1e-12

@@ -221,7 +221,9 @@ def test_window_symmetric_for_symmetric_tuple(curve_adapted_02):
             assert abs((w.lambda_lo + w.lambda_hi) / 2.0 - 0.5) < 1e-3
 
 
-# property tests; derandomized, so every run of the suite draws the same examples
+# property tests, derandomized: the examples drawn depend only on the test
+# and on the literals hypothesis finds in the code under test, so a new
+# constant there can change them; the @example cases are always run
 random_curve = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 variance_value = st.floats(0.0, 3.0)
@@ -271,15 +273,22 @@ def test_windows_are_the_positive_runs_of_the_margin(steps, values, d2x, d2y):
                 assert abs(np.interp(lam, lams, margin)) <= 4 * np.finfo(float).eps * scale
 
 
-@random_curve
-@given(d2x=variance_value, d2y=variance_value)
-def test_certified_curves_give_at_most_one_window(certified_curves, d2x, d2y):
+# 200 tuples from a seeded generator, so they do not change with the code
+# under test, plus the corners of the range and the separable tuples (0, 2)
+# and (2, 0), which lie on the facets where the exact bound is linear
+CURVE_TUPLES = [tuple(t) for t in np.random.default_rng(21).uniform(0.0, 3.0, (200, 2))] + [
+    (0.0, 0.0), (0.0, 3.0), (3.0, 0.0), (3.0, 3.0), (0.0, 2.0), (2.0, 0.0), (2.2e-60, 2.0)
+]
+
+
+def test_certified_curves_give_at_most_one_window(certified_curves):
     # a certified c(lambda) is concave, so the margin against a line is too
     # and its positive set is one interval; rounding could split it, which
     # this checks rather than assumes
     for lams, values, certified in certified_curves.values():
         assert certified.all()
-        assert len(detection_window(d2x, d2y, lams, values)) <= 1
+        for d2x, d2y in CURVE_TUPLES:
+            assert len(detection_window(d2x, d2y, lams, values)) <= 1, (d2x, d2y)
 
 
 def test_variance_additivity_on_product_states():

@@ -18,12 +18,19 @@ place that decides whether a bound may be trusted. `grid_bound` is the
 route to compare against, independent of the descent's starts: one coarse
 run of the same branch-and-bound from the box alone, then a polish of its
 lowest vertex.
+
+Both engines take rows of several boxes (one party's moment pairs each)
+in one batch, each box's rows a contiguous slice built from that box's
+operators. `local_bounds` solves the seesaw and the grid route of many
+pairs in one proof batch and one descent batch; the routes share the
+batches but never rows, and `seesaw_bound` and `grid_bound` are its
+one-pair case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -234,9 +241,42 @@ class _Descent(NamedTuple):
     converged: np.ndarray
 
 
+# A box is one party's moment pairs (x, y). The engines take rows of one or
+# more boxes in one batch: box b owns the consecutive rows cuts[b]:cuts[b + 1].
+
+
+def _box_slices(cuts: Sequence[int], rows: np.ndarray) -> List[Tuple[int, slice]]:
+    """Each box's (index, slice) of the ascending row indices `rows`.
+
+    Boxes that own none of the rows are left out; a lone box takes every row.
+    """
+    if len(cuts) == 2:
+        return [(0, slice(None))]
+    at = np.searchsorted(rows, cuts).tolist()
+    return [(b, slice(lo, hi)) for b, (lo, hi) in enumerate(zip(at[:-1], at[1:])) if hi > lo]
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """The per-box pieces of one array, in row order; a lone piece as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _box_operators(boxes) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(X1, X2, Y1, Y2) entries of every box."""
+    return [(x.first.entries, x.second.entries, y.first.entries, y.second.entries) for x, y in boxes]
+
+
+def _row_scales(boxes, cuts: Sequence[int], lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Each row's penalty scale, lam times its box's X scale plus mu times its Y scale."""
+    counts = np.diff(cuts)
+    sx = np.repeat([_penalty_scale(x) for x, _ in boxes], counts)
+    sy = np.repeat([_penalty_scale(y) for _, y in boxes], counts)
+    return lam * sx + mu * sy
+
+
 def _seesaw_rows(
-    x: MomentPair,
-    y: MomentPair,
+    boxes: Sequence[Tuple[MomentPair, MomentPair]],
+    cuts: Sequence[int],
     lam: Sequence[float],
     mu: Sequence[float],
     x0: Sequence[float],
@@ -246,8 +286,10 @@ def _seesaw_rows(
 ) -> _Descent:
     """Second-order seesaw descent of every row (lam, mu, x0, y0) at once.
 
-    Each step stacks the active rows' penalty operators at their current
-    means and takes all eigenpairs from one batched eigensolve. The ground
+    Box b's moment pairs serve rows cuts[b]:cuts[b + 1]. Each step stacks
+    the active rows' penalty operators at their current means, built box
+    by box on contiguous slices of the rows, and takes all eigenpairs from
+    one batched eigensolve. The ground
     state v has V(v) = w0 - lam (x_bar - <X1>)^2 - mu (y_bar - <Y1>)^2. A
     trial reached by a Newton step is accepted only if its V is no larger
     than that of the last accepted state; otherwise the row takes the
@@ -260,21 +302,21 @@ def _seesaw_rows(
     drops out of the batch; it reports its last accepted state. Rows run
     in chunks of _CHUNK, so memory does not grow with their number. Each
     row repeats the floating-point operations of a one-row run in the same
-    order, so its result does not depend on the batch.
+    order, so its result does not depend on the batch or the other boxes.
     """
     lam, mu, x0, y0 = (np.asarray(a, dtype=float) for a in (lam, mu, x0, y0))
-    n, dim = lam.shape[0], x.dim
-    x1, x2 = x.first.entries, x.second.entries
-    y1, y2 = y.first.entries, y.second.entries
+    n, dim = lam.shape[0], boxes[0][0].dim
+    ops = _box_operators(boxes)
     eye = np.eye(dim)
-    scale = lam * _penalty_scale(x) + mu * _penalty_scale(y)
+    scale = _row_scales(boxes, cuts, lam, mu)
     vecs = np.empty((n, dim), dtype=complex)
     xm, ym = np.empty(n), np.empty(n)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     for lo in range(0, n, _CHUNK):
         rows = np.arange(lo, min(lo + _CHUNK, n))
-        lr, mr, sr = lam[rows] / scale[rows], mu[rows] / scale[rows], scale[rows]
+        lw, mw = lam[rows], mu[rows]
+        lr, mr, sr = lw / scale[rows], mw / scale[rows], scale[rows]
         # the means of the next eigensolve, and whether they are a Newton trial
         x_bar, y_bar = x0[rows], y0[rows]
         newton = np.zeros(rows.shape, dtype=bool)
@@ -285,23 +327,33 @@ def _seesaw_rows(
         acc_v = np.empty((rows.size, dim), dtype=complex)
         acc_x, acc_y = np.empty(rows.size), np.empty(rows.size)
         for it in range(1, max_iter + 1):
+            parts = [(ops[b], s) for b, s in _box_slices(cuts, rows)]
             # float_power is libm pow, the rounding of a Python float's ** 2
-            pen = lam[rows, None, None] * (
-                x2
-                - (2.0 * x_bar)[:, None, None] * x1
-                + np.float_power(x_bar, 2)[:, None, None] * eye
-            ) + mu[rows, None, None] * (
-                y2
-                - (2.0 * y_bar)[:, None, None] * y1
-                + np.float_power(y_bar, 2)[:, None, None] * eye
+            pen = _joined(
+                [
+                    lw[s, None, None]
+                    * (
+                        x2
+                        - (2.0 * x_bar[s])[:, None, None] * x1
+                        + np.float_power(x_bar[s], 2)[:, None, None] * eye
+                    )
+                    + mw[s, None, None]
+                    * (
+                        y2
+                        - (2.0 * y_bar[s])[:, None, None] * y1
+                        + np.float_power(y_bar[s], 2)[:, None, None] * eye
+                    )
+                    for (x1, x2, y1, y2), s in parts
+                ]
             )
             w, basis = np.linalg.eigh(pen)
             w = w / sr[:, None]
             # ascending order makes the degenerate tie-break deterministic
             v = basis[:, :, 0]
             # <v|X1 and <v|Y1, the contraction order of `_expect`
-            rx = v.conj()[:, None, :] @ x1
-            ry = v.conj()[:, None, :] @ y1
+            vc = v.conj()[:, None, :]
+            rx = _joined([vc[s] @ x1 for (x1, _, _, _), s in parts])
+            ry = _joined([vc[s] @ y1 for (_, _, y1, _), s in parts])
             xe = (rx @ v[:, :, None])[:, 0, 0].real
             ye = (ry @ v[:, :, None])[:, 0, 0].real
             dx, dy = x_bar - xe, y_bar - ye
@@ -326,11 +378,16 @@ def _seesaw_rows(
             hold = ~ok
             x_bar = np.where(newton, x_bar + step_x, acc_x)
             y_bar = np.where(newton, y_bar + step_y, acc_y)
-            rows, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y = (
+            rows, lw, mw, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y = (
                 a[keep]
-                for a in (rows, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y)
+                for a in (
+                    rows, lw, mw, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y
+                )
             )
-    values = lam * (_expect(vecs, x2) - xm * xm) + mu * (_expect(vecs, y2) - ym * ym)
+    parts = [(ops[b], s) for b, s in _box_slices(cuts, np.arange(n))]
+    ex2 = _joined([_expect(vecs[s], x2) for (_, x2, _, _), s in parts])
+    ey2 = _joined([_expect(vecs[s], y2) for (_, _, _, y2), s in parts])
+    values = lam * (ex2 - xm * xm) + mu * (ey2 - ym * ym)
     return _Descent(vecs, values, xm, ym, iterations, converged)
 
 
@@ -382,72 +439,142 @@ def _newton_step(lr, mr, w, basis, rx, ry, dx, dy):
 
 
 def _start_means(x: MomentPair, y: MomentPair, starts: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Seeded starting means, uniform over the spectral box of (X1, Y1)."""
+    """Seeded starting means, uniform over the spectral box of (X1, Y1).
+
+    Start s draws its x mean, then its y mean, from one stream; a side of
+    zero width draws nothing and every start takes its one point.
+    """
     xlo, xhi, ylo, yhi = _spectral_box(x, y)
-    rng = np.random.default_rng(seed)
-    x0, y0 = np.empty(starts), np.empty(starts)
-    for s in range(starts):
-        x0[s] = rng.uniform(xlo, xhi) if xhi > xlo else xlo
-        y0[s] = rng.uniform(ylo, yhi) if yhi > ylo else ylo
-    return x0, y0
+    lo, hi = np.array([xlo, ylo]), np.array([xhi, yhi])
+    wide = hi > lo
+    means = np.tile(lo, (starts, 1))
+    if wide.any():
+        rng = np.random.default_rng(seed)
+        means[:, wide] = rng.uniform(lo[wide], hi[wide], size=(starts, int(wide.sum())))
+    return means[:, 0], means[:, 1]
 
 
-def _seesaw_many(
-    x: MomentPair,
-    y: MomentPair,
-    lams: Sequence[float],
-    mus: Sequence[float],
+def _boxes(pairs: Sequence[WeightedPair]) -> Tuple[List[Tuple[MomentPair, MomentPair]], List[int]]:
+    """The boxes of `pairs` and their cuts: box b serves pairs cuts[b]:cuts[b + 1].
+
+    A box is a run of consecutive pairs that share their moment pairs.
+    """
+    boxes, cuts = [], []
+    for k, pair in enumerate(pairs):
+        if not boxes or boxes[-1][0] is not pair.x or boxes[-1][1] is not pair.y:
+            boxes.append((pair.x, pair.y))
+            cuts.append(k)
+    return boxes, cuts + [len(pairs)]
+
+
+def _weights(pairs: Sequence[WeightedPair]) -> Tuple[np.ndarray, np.ndarray]:
+    return np.array([p.lam for p in pairs]), np.array([p.mu for p in pairs])
+
+
+def _descend(
+    pairs: Sequence[WeightedPair],
     starts: int,
+    seed: int,
+    polish: Optional[_Proof],
     tol: float,
     max_iter: int,
-    seed: int,
-) -> List[BoundResult]:
-    """Multi-start seesaw bound at every weight pair (lams[k], mus[k]).
+) -> Tuple[List[BoundResult], List[BoundResult]]:
+    """One seesaw batch: seeded starts for every pair, and a polish row per pair.
 
-    The same seeded starts serve every weight, since the spectral box does
-    not depend on it; all (weight, start) rows descend together. Each
-    weight keeps the earliest start whose value lies within the rounding
-    slack of the lowest, so runs that reach one minimum up to rounding
-    tie by start rather than by their rounding. It is converged only if
-    every start is.
+    Each box draws its `starts` seeded starts once (`_start_means`) and
+    runs them at every one of its pairs; when `polish` is given, each pair
+    also runs one row from the lowest vertex that proof found for it. The
+    rows are grouped by box, and no row reads another's values. Returns
+    the seesaw result of every pair (none when starts is 0) and the
+    polished one (none without `polish`).
+
+    A pair's seesaw result is the earliest start whose value lies within
+    the rounding slack of the lowest, so runs that reach one minimum up to
+    rounding tie by start rather than by their rounding. It is converged,
+    and certified, only if every start is.
     """
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    x0, y0 = _start_means(x, y, starts, seed)
-    k = len(lams)
-    sx, sy = _penalty_scale(x), _penalty_scale(y)
-    runs = _seesaw_rows(
-        x,
-        y,
-        np.repeat(np.asarray(lams, dtype=float), starts),
-        np.repeat(np.asarray(mus, dtype=float), starts),
-        np.tile(x0, k),
-        np.tile(y0, k),
-        tol,
-        max_iter,
+    boxes, cuts = _boxes(pairs)
+    lam, mu = _weights(pairs)
+    # (lam, mu, x0, y0) of each box's start rows, then of its polish rows
+    pieces = []
+    for b, (x, y) in enumerate(boxes):
+        k, count = slice(cuts[b], cuts[b + 1]), cuts[b + 1] - cuts[b]
+        if starts:
+            x0, y0 = _start_means(x, y, starts, seed)
+            pieces.append((np.repeat(lam[k], starts), np.repeat(mu[k], starts),
+                           np.tile(x0, count), np.tile(y0, count)))
+        if polish is not None:
+            pieces.append((lam[k], mu[k], polish.xm[k], polish.ym[k]))
+    row_cuts = [c * (starts + (polish is not None)) for c in cuts]
+    runs = _seesaw_rows(boxes, row_cuts, *(np.concatenate(col) for col in zip(*pieces)), tol, max_iter)
+    found, polished = [], []
+    for b, (x, y) in enumerate(boxes):
+        sx, sy = _penalty_scale(x), _penalty_scale(y)
+        members = pairs[cuts[b] : cuts[b + 1]]
+        for j, pair in enumerate(members):
+            scale = pair.lam * sx + pair.mu * sy
+            if starts:
+                lo = row_cuts[b] + j * starts
+                # values within rounding of the lowest tie, and go to the earliest start
+                values = runs.values[lo : lo + starts]
+                best = lo + int(np.argmax(values <= values.min() + _slack(pair.dim) * scale))
+                ok = bool(runs.converged[lo : lo + starts].all())
+                found.append(_row_result(runs, best, "seesaw", ok, scale))
+            if polish is not None:
+                i = row_cuts[b] + len(members) * starts + j
+                polished.append(_row_result(runs, i, "grid_refined", bool(runs.converged[i]), scale))
+    return found, polished
+
+
+def _row_result(run: _Descent, i: int, method: str, converged: bool, scale: float) -> BoundResult:
+    """Row i of a seesaw batch; certified when converged."""
+    return BoundResult(
+        value=float(run.values[i]),
+        minimizer=PureState(run.vecs[i]),
+        means=(float(run.xm[i]), float(run.ym[i])),
+        iterations=int(run.iterations[i]),
+        converged=converged,
+        method=method,
+        certified=converged,
+        scale=scale,
     )
-    results = []
-    for lo in range(0, k * starts, starts):
-        scale = lams[lo // starts] * sx + mus[lo // starts] * sy
-        # values within rounding of the lowest tie, and go to the earliest start
-        values = runs.values[lo : lo + starts]
-        best = lo + int(np.argmax(values <= values.min() + _slack(x.dim) * scale))
-        ok = bool(runs.converged[lo : lo + starts].all())
-        results.append(
-            BoundResult(
-                value=float(runs.values[best]),
-                minimizer=PureState(runs.vecs[best]),
-                means=(float(runs.xm[best]), float(runs.ym[best])),
-                iterations=int(runs.iterations[best]),
-                converged=ok,
-                method="seesaw",
-                certified=ok,
-                scale=scale,
-            )
-        )
-    return results
+
+
+def local_bounds(
+    pairs: Sequence[WeightedPair],
+    seesaw: bool = True,
+    grid: bool = True,
+    starts: int = 16,
+    tol: float = 1e-10,
+    max_iter: int = 500,
+    seed: int = 0,
+) -> Tuple[List[BoundResult], List[BoundResult]]:
+    """`seesaw_bound` and `grid_bound` of every pair, in one proof batch and one descent batch.
+
+    The grid route's branch-and-bound runs every pair's row in one batch
+    (upper bound +inf, gap GRID_GAP). Then one seesaw batch holds every
+    pair's seeded starts and every pair's polish row, started from the
+    vertex its proof found. The two routes share the batches but never
+    rows: no row reads another's values, and the grid route never sees
+    the seesaw's starts or values, so each result equals the one-pair
+    `seesaw_bound` or `grid_bound` bit for bit. Pairs that share their
+    moment pairs with their neighbour form one box and draw one set of
+    starts.
+
+    Returns:
+        The seesaw results and the grid results, one per pair for each
+        route asked for and an empty list for a route not asked for.
+    """
+    if not pairs:
+        raise ValueError("no weighted pairs given")
+    if not (seesaw or grid):
+        raise ValueError("ask for the seesaw route, the grid route or both")
+    if seesaw and starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if seesaw and tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    proof = _prove(pairs, np.full(len(pairs), np.inf), GRID_GAP) if grid else None
+    return _descend(pairs, starts if seesaw else 0, seed, proof, tol, max_iter)
 
 
 def seesaw_bound(
@@ -463,6 +590,8 @@ def seesaw_bound(
     the means by a saddle-free Newton step built from the same eigenpairs,
     or to that state's expectations when the Newton step is unusable or
     would raise the value; every start runs at once (see `_seesaw_rows`).
+    This is the one-pair seesaw route of `local_bounds`; batched there
+    with other pairs or with the grid route, the result is the same.
 
     Args:
         pair: weights and moment pairs.
@@ -478,7 +607,8 @@ def seesaw_bound(
     Returns:
         The earliest start whose value lies within rounding of the lowest.
     """
-    return _seesaw_many(pair.x, pair.y, [pair.lam], [pair.mu], starts, tol, max_iter, seed)[0]
+    found, _ = local_bounds([pair], grid=False, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
+    return found[0]
 
 
 class _Proof(NamedTuple):
@@ -545,8 +675,8 @@ def _run_heads(*keys: np.ndarray) -> np.ndarray:
 
 
 def _branch_and_bound(
-    x: MomentPair,
-    y: MomentPair,
+    boxes: Sequence[Tuple[MomentPair, MomentPair]],
+    cuts: Sequence[int],
     lam: np.ndarray,
     mu: np.ndarray,
     upper: np.ndarray,
@@ -554,7 +684,8 @@ def _branch_and_bound(
 ) -> _Proof:
     """Proven lower bounds on inf V for every row (lam, mu), solved together.
 
-    inf V is the minimum over the spectral box of the means of
+    Box b's moment pairs serve rows cuts[b]:cuts[b + 1]. inf V is the
+    minimum over the spectral box of the means of
     f = g + lam x^2 + mu y^2, g = lambda_min(lam X2 + mu Y2 - 2 lam x X1
     - 2 mu y Y1). The box is split into right triangles; `_cell_lower`
     bounds f on each. Every evaluated f is an upper bound, as is the
@@ -563,7 +694,8 @@ def _branch_and_bound(
     ends by pruning has its lowest vertex within gap / 2 plus the slack of
     the infimum. Every surviving cell is bisected through its hypotenuse,
     its longest edge in units of the box, and the new vertices of all rows
-    are evaluated in one `eigvalsh` call per round. One sort of the new
+    are evaluated in one `eigvalsh` call per round, their penalties built
+    box by box on contiguous slices. One sort of the new
     vertices by (row, u, v) per round finds those that neighbouring cells
     share, so each vertex is evaluated once. A row stops at
     _MAX_CELLS cells with the bound its cells give so far. Each row works
@@ -571,25 +703,35 @@ def _branch_and_bound(
     weights' magnitude, and subtracts a rounding slack of a few eps. Rows
     do not interact, so a row's result does not depend on the batch.
     """
-    scale = lam * _penalty_scale(x) + mu * _penalty_scale(y)
+    scale = _row_scales(boxes, cuts, lam, mu)
     lam, mu, upper = lam / scale, mu / scale, upper / scale
     n = lam.shape[0]
-    xlo, xhi, ylo, yhi = _spectral_box(x, y)
-    wx, wy = xhi - xlo, yhi - ylo
-    x1, x2 = x.first.entries, x.second.entries
-    y1, y2 = y.first.entries, y.second.entries
+    counts = np.diff(cuts)
+    ops = _box_operators(boxes)
+    # each box's (xlo, xhi, ylo, yhi); a box that owns no row needs none
+    span = np.array([_spectral_box(x, y) if k else (0.0,) * 4 for (x, y), k in zip(boxes, counts)])
+    xlo, wx = span[:, 0], span[:, 1] - span[:, 0]
+    ylo, wy = span[:, 2], span[:, 3] - span[:, 2]
+    # the same per row, for the cells and the result
+    row_xlo, row_wx, row_ylo, row_wy = (np.repeat(a, counts) for a in (xlo, wx, ylo, wy))
 
     def evaluate(rows, u, v):
-        # u, v are the means in units of the box, exact dyadic fractions
-        xb, yb = xlo + u * wx, ylo + v * wy
+        # u, v are the means in units of the box, exact dyadic fractions;
+        # rows ascend, so each box owns a slice of them
+        parts = _box_slices(cuts, rows)
+        xb = _joined([xlo[b] + u[s] * wx[b] for b, s in parts])
+        yb = _joined([ylo[b] + v[s] * wy[b] for b, s in parts])
         lr, mr = lam[rows], mu[rows]
-        pen = (
-            lr[:, None, None] * x2
-            + mr[:, None, None] * y2
-            - (2.0 * lr * xb)[:, None, None] * x1
-            - (2.0 * mr * yb)[:, None, None] * y1
-        )
-        return np.linalg.eigvalsh(pen)[:, 0] + lr * xb * xb + mr * yb * yb
+        pen = []
+        for b, s in parts:
+            x1, x2, y1, y2 = ops[b]
+            pen.append(
+                lr[s, None, None] * x2
+                + mr[s, None, None] * y2
+                - (2.0 * lr[s] * xb[s])[:, None, None] * x1
+                - (2.0 * mr[s] * yb[s])[:, None, None] * y1
+            )
+        return np.linalg.eigvalsh(_joined(pen))[:, 0] + lr * xb * xb + mr * yb * yb
 
     best = np.zeros((n, 3))  # (f, u, v) of each row's lowest vertex
     best[:, 0] = np.inf
@@ -615,7 +757,13 @@ def _branch_and_bound(
     while rows.size:
         upper = np.minimum(upper, best[:, 0])
         edges = uv[:, 1:] - uv[:, :1]
-        low = _cell_lower(fv, edges[..., 0] * wx, edges[..., 1] * wy, lam[rows], mu[rows])
+        low = _cell_lower(
+            fv,
+            edges[..., 0] * row_wx[rows, None],
+            edges[..., 1] * row_wy[rows, None],
+            lam[rows],
+            mu[rows],
+        )
         split = low < upper[rows] - 0.5 * gap
         cells += 2 * np.bincount(rows[split], minlength=n)
         split &= cells[rows] <= _MAX_CELLS
@@ -645,57 +793,37 @@ def _branch_and_bound(
         child_f[:m, 2], child_f[m:, 2] = fv[:, 1], fv[:, 2]
         uv, fv, rows = child_uv, child_f, np.concatenate([rows, rows])
     return _Proof(
-        lower=(lower - _slack(x.dim)) * scale,
+        lower=(lower - _slack(boxes[0][0].dim)) * scale,
         scale=scale,
-        xm=xlo + best[:, 1] * wx,
-        ym=ylo + best[:, 2] * wy,
+        xm=row_xlo + best[:, 1] * row_wx,
+        ym=row_ylo + best[:, 2] * row_wy,
     )
 
 
-def _prove_and_polish(
-    x: MomentPair,
-    y: MomentPair,
-    lam: np.ndarray,
-    mu: np.ndarray,
-    upper: np.ndarray,
-    gap: float,
-    tol: float,
-    max_iter: int,
-) -> Tuple[_Proof, _Descent]:
-    """Branch-and-bound every row (lam, mu), then polish each row's lowest vertex.
+def _prove(pairs: Sequence[WeightedPair], upper: np.ndarray, gap: float) -> _Proof:
+    """Branch-and-bound every pair's row, with the pair's upper bound and the gap.
 
-    The polish is one seesaw batch over all rows. The proof takes the rows
-    in chunks of _CHUNK, so its memory does not grow with their number;
-    rows do not interact, so chunks do not change them.
+    The rows run in chunks of _CHUNK, so memory does not grow with their
+    number; rows do not interact, so chunks do not change them.
     """
+    boxes, cuts = _boxes(pairs)
+    lam, mu = _weights(pairs)
     parts = [
         _branch_and_bound(
-            x, y, lam[lo : lo + _CHUNK], mu[lo : lo + _CHUNK], upper[lo : lo + _CHUNK], gap
+            boxes,
+            np.clip(cuts, lo, lo + _CHUNK) - lo,
+            lam[lo : lo + _CHUNK],
+            mu[lo : lo + _CHUNK],
+            upper[lo : lo + _CHUNK],
+            gap,
         )
-        for lo in range(0, lam.shape[0], _CHUNK)
+        for lo in range(0, len(pairs), _CHUNK)
     ]
-    proof = _Proof(*(np.concatenate(field) for field in zip(*parts)))
-    return proof, _seesaw_rows(x, y, lam, mu, proof.xm, proof.ym, tol, max_iter)
-
-
-def _polished(run: _Descent, i: int, scale: float) -> BoundResult:
-    """Row i of a polish batch, uncertified."""
-    return BoundResult(
-        value=float(run.values[i]),
-        minimizer=PureState(run.vecs[i]),
-        means=(float(run.xm[i]), float(run.ym[i])),
-        iterations=int(run.iterations[i]),
-        converged=bool(run.converged[i]),
-        method="grid_refined",
-        scale=float(scale),
-    )
+    return _Proof(*(np.concatenate(field) for field in zip(*parts)))
 
 
 def _certify(
-    x: MomentPair,
-    y: MomentPair,
-    lams: Sequence[float],
-    mus: Sequence[float],
+    pairs: Sequence[WeightedPair],
     found: List[BoundResult],
     tol: float,
     max_iter: int,
@@ -710,17 +838,17 @@ def _certify(
     out = list(found)
     todo = [k for k, res in enumerate(found) if not res.certified]
     if todo:
-        lam = np.array([lams[k] for k in todo], dtype=float)
-        mu = np.array([mus[k] for k in todo], dtype=float)
-        upper = np.array([found[k].value for k in todo])
-        proof, run = _prove_and_polish(x, y, lam, mu, upper, GAP_TOL, tol, max_iter)
-        for i, k in enumerate(todo):
-            res = found[k]
-            if run.values[i] <= res.value:
-                res = _polished(run, i, proof.scale[i])
-            gap = GAP_TOL * proof.scale[i]
-            out[k] = replace(res, certified=bool(proof.lower[i] >= res.value - gap))
-    return [replace(res, value=float(res.value - _slack(x.dim) * res.scale)) for res in out]
+        stalled = [pairs[k] for k in todo]
+        proof = _prove(stalled, np.array([found[k].value for k in todo]), GAP_TOL)
+        _, polished = _descend(stalled, 0, 0, proof, tol, max_iter)
+        for k, res, lower in zip(todo, polished, proof.lower):
+            if res.value > found[k].value:
+                res = found[k]
+            out[k] = replace(res, certified=bool(lower >= res.value - GAP_TOL * res.scale))
+    return [
+        replace(res, value=float(res.value - _slack(pair.dim) * res.scale))
+        for pair, res in zip(pairs, out)
+    ]
 
 
 def certified_bound(
@@ -744,7 +872,7 @@ def certified_bound(
     that facet would be detected by rounding alone.
     """
     res = seesaw_bound(pair, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
-    return _certify(pair.x, pair.y, [pair.lam], [pair.mu], [res], tol, max_iter)[0]
+    return _certify([pair], [res], tol, max_iter)[0]
 
 
 def grid_bound(
@@ -762,20 +890,12 @@ def grid_bound(
     units of the penalty scale, and the polish can only lower it, so the
     value carries that window whether or not the polish converges. The
     result is labeled grid_refined and is certified when the polish
-    converges.
+    converges. This is the one-pair grid route of `local_bounds`; batched
+    there with other pairs or with the seesaw route, the result is the
+    same.
     """
-    proof, run = _prove_and_polish(
-        pair.x,
-        pair.y,
-        np.array([pair.lam]),
-        np.array([pair.mu]),
-        np.array([np.inf]),
-        GRID_GAP,
-        tol,
-        max_iter,
-    )
-    res = _polished(run, 0, proof.scale[0])
-    return replace(res, certified=res.converged)
+    _, gridded = local_bounds([pair], seesaw=False, tol=tol, max_iter=max_iter)
+    return gridded[0]
 
 
 def _certified_curve(
@@ -793,9 +913,8 @@ def _certified_curve(
     weight that stalls.
     """
     pairs = [WeightedPair(lam, 1.0 - lam, x, y) for lam in lams]
-    lam, mu = [p.lam for p in pairs], [p.mu for p in pairs]
-    found = _seesaw_many(x, y, lam, mu, starts, tol, max_iter, seed)
-    return _certify(x, y, lam, mu, found, tol, max_iter)
+    found, _ = local_bounds(pairs, grid=False, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
+    return _certify(pairs, found, tol, max_iter)
 
 
 def compose_sep_bound(local_a: BoundResult, local_b: BoundResult) -> float:

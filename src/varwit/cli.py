@@ -10,7 +10,10 @@ a converged seesaw, or a stalled one whose branch-and-bound lower bound
 proves it within `bounds.GAP_TOL`. Only `bound`, which prints the seesaw
 and the independent `grid_bound` route (a coarse branch-and-bound from the
 box alone, then a polish) side by side, has its own rule: both must
-converge and agree within `AGREE_TOL`.
+converge and agree within `AGREE_TOL`. It solves both parties and both
+routes through `bounds.local_bounds`, in one proof batch and one descent
+batch; the routes share the batches but never rows, so each result is
+the party's one-pair `seesaw_bound` or `grid_bound`.
 
 The argument parser is built once, when the module is imported, and
 every `main` call reuses it; `main` looks up the command function
@@ -35,8 +38,7 @@ from . import __version__
 from .bounds import (
     WeightedPair,
     certified_bound,
-    grid_bound,
-    seesaw_bound,
+    local_bounds,
     sep_bound_curve,
     trace_region,
 )
@@ -304,16 +306,19 @@ def cmd_bound(args) -> int:
         if alpha_b == args.alpha
         else WeightedPair(args.lam, args.mu, *spin1_moment_pairs(alpha_b))
     )
-    methods = ["seesaw", "grid"] if args.method == "both" else [args.method]
+    found, gridded = local_bounds(
+        [pair_a] if pair_b is pair_a else [pair_a, pair_b],
+        seesaw=args.method != "grid",
+        grid=args.method != "seesaw",
+        starts=args.starts,
+        seed=seed,
+    )
     results: Dict[str, dict] = {}
     warn = False
-    for method in methods:
-        if method == "seesaw":
-            res_a = seesaw_bound(pair_a, starts=args.starts, seed=seed)
-            res_b = res_a if pair_b is pair_a else seesaw_bound(pair_b, starts=args.starts, seed=seed)
-        else:
-            res_a = grid_bound(pair_a)
-            res_b = res_a if pair_b is pair_a else grid_bound(pair_b)
+    for method, routed in (("seesaw", found), ("grid", gridded)):
+        if not routed:
+            continue
+        res_a, res_b = routed[0], routed[-1]
         warn = warn or not (res_a.converged and res_b.converged)
         results[method] = {
             "local_a": res_a.to_dict(),
@@ -323,7 +328,7 @@ def cmd_bound(args) -> int:
     if len(results) == 2:
         if abs(results["seesaw"]["c_sep"] - results["grid"]["c_sep"]) > AGREE_TOL:
             warn = True
-    primary = "seesaw" if "seesaw" in results else methods[0]
+    primary = "seesaw" if "seesaw" in results else "grid"
     _print_json(
         {
             "lambda": args.lam,

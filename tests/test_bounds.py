@@ -33,6 +33,7 @@ from helpers import (
     random_povm,
     random_pure,
     scalar_seesaw,
+    scalar_start_means,
     spin1_box,
 )
 
@@ -234,7 +235,7 @@ def test_certified_bound_is_certified():
 def proven_lower(pair, upper, gap=bounds.GAP_TOL):
     """The branch-and-bound's proven lower bound for one weighted pair."""
     proof = bounds._branch_and_bound(
-        pair.x, pair.y, np.array([pair.lam]), np.array([pair.mu]), np.array([upper]), gap
+        [(pair.x, pair.y)], [0, 1], np.array([pair.lam]), np.array([pair.mu]), np.array([upper]), gap
     )
     return float(proof.lower[0])
 
@@ -482,14 +483,30 @@ def test_engine_matches_scalar_seesaw_on_random_povms():
                 assert_same_as_scalar(seesaw_bound(pair, **kwargs), pair, **kwargs)
 
 
+@pytest.mark.parametrize("wide", ["xy", "x", "y", ""])
+def test_start_means_draw_the_scalar_stream(wide):
+    # the vectorized draw takes the scalar loop's numbers in its order, x
+    # before y per start, and draws nothing on a side of zero width
+    x, y = spin1_moment_pairs(0.2)
+    flat_x, flat_y = (MomentPair(np.zeros((3, 3)), m.second) for m in (x, y))
+    bx, by = (x if "x" in wide else flat_x), (y if "y" in wide else flat_y)
+    xlo, xhi, ylo, yhi = bounds._spectral_box(bx, by)
+    assert (xhi > xlo, yhi > ylo) == ("x" in wide, "y" in wide)
+    for seed in range(21):
+        for starts in (1, 16):
+            x0, y0 = bounds._start_means(bx, by, starts, seed)
+            assert (x0.tolist(), y0.tolist()) == scalar_start_means(bx, by, starts, seed)
+
+
 def test_engine_chunks_do_not_change_rows(monkeypatch):
     # 6 weights x 16 starts run in 14 chunks of 7 rows
     monkeypatch.setattr(bounds, "_CHUNK", 7)
     x, y = spin1_moment_pairs(0.5)
     lams = [0.0, 0.2, 0.45, 0.5, 0.8, 1.0]
-    found = bounds._seesaw_many(x, y, lams, [1.0 - l for l in lams], 16, 1e-10, 500, 3)
-    for lam, res in zip(lams, found):
-        assert_same_as_scalar(res, WeightedPair(lam, 1.0 - lam, x, y), seed=3)
+    pairs = [WeightedPair(lam, 1.0 - lam, x, y) for lam in lams]
+    found, _ = bounds.local_bounds(pairs, grid=False, seed=3)
+    for pair, res in zip(pairs, found):
+        assert_same_as_scalar(res, pair, seed=3)
 
 
 def test_proof_chunks_do_not_change_rows(monkeypatch):
@@ -542,7 +559,8 @@ def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
     assert counts["oracle"] == 0
     assert counts["eigh"] <= 2 * max_iter
     curve_calls = counts["eigvalsh"]
-    found = bounds._seesaw_many(x, y, lams, 1.0 - lams, 16, 1e-10, max_iter, 0)
+    pairs = [WeightedPair(float(lam), float(1.0 - lam), x, y) for lam in lams]
+    found, _ = bounds.local_bounds(pairs, grid=False, max_iter=max_iter)
     stalled = [float(lam) for lam, res in zip(lams, found) if not res.converged]
     assert len(stalled) >= 4
     single_calls = []

@@ -16,9 +16,12 @@ import pytest
 from varwit import bounds, cli
 from varwit import (
     TestStateParams,
+    WeightedPair,
     __version__,
+    grid_bound,
     make_singlet,
     make_test_state,
+    seesaw_bound,
     spin1_moment_pairs,
     variance,
 )
@@ -189,6 +192,56 @@ def test_bound_mixed_party_noise(capsys):
     assert local_b > local_a
     assert abs(payload["c_sep"] - (local_a + local_b)) < 1e-12
     assert abs(payload["c_sep"] - (0.4375 + 0.7614) / 2.0) < 2e-3
+
+
+def bound_argv(lam, mu, alpha, alpha_b, method, seed=3):
+    return ["bound", "--lambda", repr(lam), "--mu", repr(mu), "--alpha", repr(alpha),
+            "--alpha-b", repr(alpha_b), "--method", method, "--seed", str(seed)]
+
+
+@pytest.mark.parametrize("alpha_b", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("lam,mu", [(0.3, 0.7), (0.5, 0.5)])
+def test_bound_request_shares_batches_but_not_rows(lam, mu, alpha_b, capsys):
+    # both parties and both routes run in one proof and one descent batch;
+    # every result must still be the one-pair solve, bit for bit (alpha_b = 1
+    # is a box of zero width, lam = mu the ring of minimizers)
+    alpha = 0.2
+    _, both = run_cli(bound_argv(lam, mu, alpha, alpha_b, "both"), capsys)
+    for side, a in (("local_a", alpha), ("local_b", alpha_b)):
+        pair = WeightedPair(lam, mu, *spin1_moment_pairs(a))
+        for method, res in (("seesaw", seesaw_bound(pair, seed=3)), ("grid", grid_bound(pair))):
+            assert both["results"][method][side] == json.loads(json.dumps(res.to_dict()))
+    for method in ("seesaw", "grid"):
+        _, one = run_cli(bound_argv(lam, mu, alpha, alpha_b, method), capsys)
+        assert one["results"] == {method: both["results"][method]}
+
+
+def test_bound_request_makes_one_proof_and_one_descent_batch(monkeypatch, capsys):
+    counts = {"_branch_and_bound": 0, "_seesaw_rows": 0, "eigh": 0, "eigvalsh": 0}
+
+    def counted(name, fn, matrices=False):
+        def wrapped(*args, **kwargs):
+            counts[name] += np.shape(args[0])[0] if matrices else 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("_branch_and_bound", "_seesaw_rows"):
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), True))
+    run_cli(bound_argv(0.3, 0.7, 0.2, 0.4, "both", seed=0), capsys)
+    assert (counts["_branch_and_bound"], counts["_seesaw_rows"]) == (1, 1)
+    # the same matrices as the four one-pair solves, in fewer calls
+    request = dict(counts)
+    for name in counts:
+        counts[name] = 0
+    for a in (0.2, 0.4):
+        pair = WeightedPair(0.3, 0.7, *spin1_moment_pairs(a))
+        seesaw_bound(pair)
+        grid_bound(pair)
+    assert counts["_branch_and_bound"] == 2 and counts["_seesaw_rows"] == 4
+    assert (request["eigh"], request["eigvalsh"]) == (counts["eigh"], counts["eigvalsh"])
 
 
 def test_region_writes_csv_svg_and_manifests(tmp_path, capsys):

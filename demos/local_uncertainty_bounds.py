@@ -56,7 +56,7 @@ print(f"exact value  : {7 / 32:.12f}  (= 7/32)")
 dx = by_seesaw.means
 print(f"minimizer means (<L_X>, <L_Y>) = ({dx[0]:+.6f}, {dx[1]:+.6f})")
 
-# --- when the seesaw stalls -----------------------------------------
+# --- why a stalled seesaw can still be trusted ----------------------
 # A descent can stop early, for instance in a flat valley or from a poor
 # start; its value is then the variance of a real state but may sit above
 # the infimum. certified_bound proves a lower bound instead of trusting
@@ -65,14 +65,15 @@ print(f"minimizer means (<L_X>, <L_Y>) = ({dx[0]:+.6f}, {dx[1]:+.6f})")
 # g is concave, so on a triangle of means it lies above the plane through
 # its three corners, and that plane plus the quadratic has a closed-form
 # minimum. Triangles that could still hold a lower value are split until
-# the proven bound meets the best value found. Stopped after five steps,
-# a single start from this seed is stalled far above the infimum at
-# lam = 0.2:
-stall_pair = WeightedPair(0.2, 0.8, x_pair, y_pair)
-stalled = seesaw_bound(stall_pair, starts=1, seed=2, max_iter=5)
-proven = certified_bound(stall_pair, starts=1, seed=2, max_iter=5)
-print(f"\nstalled seesaw at lam = 0.2: {stalled.value:.12f}  (converged={stalled.converged})")
-print(f"certified bound            : {proven.value:.12f}  (certified={proven.certified})")
+# the proven bound meets the best value found. grid_bound runs the same
+# proof from the box of means alone, with no descent start at all, and
+# polishes the lowest corner it evaluated; at lam = 0.2 it lands on the
+# seesaw's value:
+pair_02 = WeightedPair(0.2, 0.8, x_pair, y_pair)
+from_box = grid_bound(pair_02)
+descended = certified_bound(pair_02)
+print(f"\nproof from the box at lam = 0.2: {from_box.value:.12f}  (method={from_box.method})")
+print(f"certified seesaw bound         : {descended.value:.12f}  (certified={descended.certified})")
 
 # --- from local bound to separability bound -------------------------
 # For a product state the global variances split into local parts, so

@@ -11,7 +11,8 @@ starts. Each step solves the penalty's eigenpairs at the current means.
 Their gradient and Hessian of f give a saddle-free Newton step on the
 means; a trial that would raise V is rejected for the first-order seesaw
 step, moving the means to the ground state's expectations, so V never
-rises. A run stops when f moves less than tol times the penalty scale.
+rises. A run stops when f moves less than _TOL times the penalty scale,
+or after _MAX_ITER eigensolves; both are constants of this module.
 When a descent stalls, a branch-and-bound over the mean box proves a
 lower bound for the infimum. The rule of `certified_bound` is the one
 place that decides whether a bound may be trusted. `grid_bound` is the
@@ -52,6 +53,11 @@ GAP_TOL = 1e-8
 # the pruning gap of `grid_bound`'s run, in the same units; its lowest
 # vertex lies within half of it of the infimum
 GRID_GAP = 1e-5
+# a seesaw run stops when its penalty eigenvalue moves less than _TOL times
+# the penalty scale (`WeightedPair.scale`), so the rule does not depend on
+# the weights' magnitude, or after _MAX_ITER eigensolves, uncertified
+_TOL = 1e-10
+_MAX_ITER = 500
 # branch-and-bound cells one weight may create before it gives up
 # uncertified; the ring of minimizers at lam = mu needs about 180k
 _MAX_CELLS = 1 << 19
@@ -281,8 +287,6 @@ def _seesaw_rows(
     mu: Sequence[float],
     x0: Sequence[float],
     y0: Sequence[float],
-    tol: float,
-    max_iter: int,
 ) -> _Descent:
     """Second-order seesaw descent of every row (lam, mu, x0, y0) at once.
 
@@ -298,7 +302,7 @@ def _seesaw_rows(
     accepted state the next means are a saddle-free Newton step
     (`_newton_step`), or the seesaw step when it is not usable. V is thus
     non-increasing. A row stops when an accepted eigenvalue moves less
-    than tol times its penalty scale, or after max_iter eigensolves, and
+    than _TOL times its penalty scale, or after _MAX_ITER eigensolves, and
     drops out of the batch; it reports its last accepted state. Rows run
     in chunks of _CHUNK, so memory does not grow with their number. Each
     row repeats the floating-point operations of a one-row run in the same
@@ -326,7 +330,7 @@ def _seesaw_rows(
         acc_val = np.full(rows.shape, np.inf)
         acc_v = np.empty((rows.size, dim), dtype=complex)
         acc_x, acc_y = np.empty(rows.size), np.empty(rows.size)
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             parts = [(ops[b], s) for b, s in _box_slices(cuts, rows)]
             # float_power is libm pow, the rounding of a Python float's ** 2
             pen = _joined(
@@ -359,10 +363,10 @@ def _seesaw_rows(
             dx, dy = x_bar - xe, y_bar - ye
             val = w[:, 0] - lr * dx * dx - mr * dy * dy
             ok = ~newton | (val <= acc_val)
-            stop = ok & (np.abs(acc_w - w[:, 0]) < tol)
+            stop = ok & (np.abs(acc_w - w[:, 0]) < _TOL)
             acc_w, acc_val = np.where(ok, w[:, 0], acc_w), np.where(ok, val, acc_val)
             acc_v[ok], acc_x[ok], acc_y[ok] = v[ok], xe[ok], ye[ok]
-            done = stop | (it == max_iter)
+            done = stop | (it == _MAX_ITER)
             out = rows[done]
             vecs[out] = acc_v[done]
             xm[out], ym[out] = acc_x[done], acc_y[done]
@@ -438,14 +442,13 @@ def _newton_step(lr, mr, w, basis, rx, ry, dx, dy):
     return sx, sy, fine
 
 
-def _start_means(x: MomentPair, y: MomentPair, starts: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Seeded starting means, uniform over the spectral box of (X1, Y1).
+def _start_means(span: np.ndarray, starts: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Seeded starting means, uniform over a box's span (xlo, xhi, ylo, yhi).
 
     Start s draws its x mean, then its y mean, from one stream; a side of
     zero width draws nothing and every start takes its one point.
     """
-    xlo, xhi, ylo, yhi = _spectral_box(x, y)
-    lo, hi = np.array([xlo, ylo]), np.array([xhi, yhi])
+    lo, hi = span[[0, 2]], span[[1, 3]]
     wide = hi > lo
     means = np.tile(lo, (starts, 1))
     if wide.any():
@@ -467,26 +470,34 @@ def _boxes(pairs: Sequence[WeightedPair]) -> Tuple[List[Tuple[MomentPair, Moment
     return boxes, cuts + [len(pairs)]
 
 
+def _spans(pairs: Sequence[WeightedPair]) -> np.ndarray:
+    """Row b is box b's span (xlo, xhi, ylo, yhi), the spectral box of its (X1, Y1).
+
+    The boxes are those of `_boxes`; each is solved once per call, however
+    many routes and chunks then read it.
+    """
+    return np.array([_spectral_box(x, y) for x, y in _boxes(pairs)[0]])
+
+
 def _weights(pairs: Sequence[WeightedPair]) -> Tuple[np.ndarray, np.ndarray]:
     return np.array([p.lam for p in pairs]), np.array([p.mu for p in pairs])
 
 
 def _descend(
     pairs: Sequence[WeightedPair],
+    spans: np.ndarray,
     starts: int,
     seed: int,
     polish: Optional[_Proof],
-    tol: float,
-    max_iter: int,
 ) -> Tuple[List[BoundResult], List[BoundResult]]:
     """One seesaw batch: seeded starts for every pair, and a polish row per pair.
 
-    Each box draws its `starts` seeded starts once (`_start_means`) and
-    runs them at every one of its pairs; when `polish` is given, each pair
-    also runs one row from the lowest vertex that proof found for it. The
-    rows are grouped by box, and no row reads another's values. Returns
-    the seesaw result of every pair (none when starts is 0) and the
-    polished one (none without `polish`).
+    Each box draws its `starts` seeded starts once from its span in
+    `spans` (`_start_means`) and runs them at every one of its pairs; when
+    `polish` is given, each pair also runs one row from the lowest vertex
+    that proof found for it. The rows are grouped by box, and no row reads
+    another's values. Returns the seesaw result of every pair (none when
+    starts is 0) and the polished one (none without `polish`).
 
     A pair's seesaw result is the earliest start whose value lies within
     the rounding slack of the lowest, so runs that reach one minimum up to
@@ -497,16 +508,16 @@ def _descend(
     lam, mu = _weights(pairs)
     # (lam, mu, x0, y0) of each box's start rows, then of its polish rows
     pieces = []
-    for b, (x, y) in enumerate(boxes):
+    for b in range(len(boxes)):
         k, count = slice(cuts[b], cuts[b + 1]), cuts[b + 1] - cuts[b]
         if starts:
-            x0, y0 = _start_means(x, y, starts, seed)
+            x0, y0 = _start_means(spans[b], starts, seed)
             pieces.append((np.repeat(lam[k], starts), np.repeat(mu[k], starts),
                            np.tile(x0, count), np.tile(y0, count)))
         if polish is not None:
             pieces.append((lam[k], mu[k], polish.xm[k], polish.ym[k]))
     row_cuts = [c * (starts + (polish is not None)) for c in cuts]
-    runs = _seesaw_rows(boxes, row_cuts, *(np.concatenate(col) for col in zip(*pieces)), tol, max_iter)
+    runs = _seesaw_rows(boxes, row_cuts, *(np.concatenate(col) for col in zip(*pieces)))
     found, polished = [], []
     for b, (x, y) in enumerate(boxes):
         sx, sy = _penalty_scale(x), _penalty_scale(y)
@@ -545,8 +556,6 @@ def local_bounds(
     seesaw: bool = True,
     grid: bool = True,
     starts: int = 16,
-    tol: float = 1e-10,
-    max_iter: int = 500,
     seed: int = 0,
 ) -> Tuple[List[BoundResult], List[BoundResult]]:
     """`seesaw_bound` and `grid_bound` of every pair, in one proof batch and one descent batch.
@@ -559,7 +568,7 @@ def local_bounds(
     the seesaw's starts or values, so each result equals the one-pair
     `seesaw_bound` or `grid_bound` bit for bit. Pairs that share their
     moment pairs with their neighbour form one box and draw one set of
-    starts.
+    starts; each box's spectral box is solved once for both routes.
 
     Returns:
         The seesaw results and the grid results, one per pair for each
@@ -571,19 +580,12 @@ def local_bounds(
         raise ValueError("ask for the seesaw route, the grid route or both")
     if seesaw and starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    if seesaw and tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    proof = _prove(pairs, np.full(len(pairs), np.inf), GRID_GAP) if grid else None
-    return _descend(pairs, starts if seesaw else 0, seed, proof, tol, max_iter)
+    spans = _spans(pairs)
+    proof = _prove(pairs, spans, np.full(len(pairs), np.inf), GRID_GAP) if grid else None
+    return _descend(pairs, spans, starts if seesaw else 0, seed, proof)
 
 
-def seesaw_bound(
-    pair: WeightedPair,
-    starts: int = 16,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    seed: int = 0,
-) -> BoundResult:
+def seesaw_bound(pair: WeightedPair, starts: int = 16, seed: int = 0) -> BoundResult:
     """Multi-start second-order seesaw minimization of the weighted variance sum.
 
     Takes the ground state of the penalty at the current means, then moves
@@ -597,17 +599,17 @@ def seesaw_bound(
         pair: weights and moment pairs.
         starts: independent starting means, drawn uniformly from the
             spectral box of (X1, Y1) with a deterministic seed.
-        tol: stop a run when the penalty eigenvalue changes less than
-            this times the penalty scale (`WeightedPair.scale`), so the
-            rule does not depend on the weights' magnitude.
-        max_iter: eigensolves per run; converged=False if any run hits
-            it (the best value found is still reported, uncertified).
         seed: RNG seed for the starting means.
+
+    A run stops when the penalty eigenvalue changes less than _TOL times
+    the penalty scale (`WeightedPair.scale`); converged=False if any run
+    reaches _MAX_ITER eigensolves first (the best value found is still
+    reported, uncertified).
 
     Returns:
         The earliest start whose value lies within rounding of the lowest.
     """
-    found, _ = local_bounds([pair], grid=False, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
+    found, _ = local_bounds([pair], grid=False, starts=starts, seed=seed)
     return found[0]
 
 
@@ -677,6 +679,7 @@ def _run_heads(*keys: np.ndarray) -> np.ndarray:
 def _branch_and_bound(
     boxes: Sequence[Tuple[MomentPair, MomentPair]],
     cuts: Sequence[int],
+    spans: np.ndarray,
     lam: np.ndarray,
     mu: np.ndarray,
     upper: np.ndarray,
@@ -685,7 +688,7 @@ def _branch_and_bound(
     """Proven lower bounds on inf V for every row (lam, mu), solved together.
 
     Box b's moment pairs serve rows cuts[b]:cuts[b + 1]. inf V is the
-    minimum over the spectral box of the means of
+    minimum over the box's span spans[b] (`_spans`) of the means of
     f = g + lam x^2 + mu y^2, g = lambda_min(lam X2 + mu Y2 - 2 lam x X1
     - 2 mu y Y1). The box is split into right triangles; `_cell_lower`
     bounds f on each. Every evaluated f is an upper bound, as is the
@@ -708,10 +711,8 @@ def _branch_and_bound(
     n = lam.shape[0]
     counts = np.diff(cuts)
     ops = _box_operators(boxes)
-    # each box's (xlo, xhi, ylo, yhi); a box that owns no row needs none
-    span = np.array([_spectral_box(x, y) if k else (0.0,) * 4 for (x, y), k in zip(boxes, counts)])
-    xlo, wx = span[:, 0], span[:, 1] - span[:, 0]
-    ylo, wy = span[:, 2], span[:, 3] - span[:, 2]
+    xlo, wx = spans[:, 0], spans[:, 1] - spans[:, 0]
+    ylo, wy = spans[:, 2], spans[:, 3] - spans[:, 2]
     # the same per row, for the cells and the result
     row_xlo, row_wx, row_ylo, row_wy = (np.repeat(a, counts) for a in (xlo, wx, ylo, wy))
 
@@ -800,7 +801,7 @@ def _branch_and_bound(
     )
 
 
-def _prove(pairs: Sequence[WeightedPair], upper: np.ndarray, gap: float) -> _Proof:
+def _prove(pairs: Sequence[WeightedPair], spans: np.ndarray, upper: np.ndarray, gap: float) -> _Proof:
     """Branch-and-bound every pair's row, with the pair's upper bound and the gap.
 
     The rows run in chunks of _CHUNK, so memory does not grow with their
@@ -812,6 +813,7 @@ def _prove(pairs: Sequence[WeightedPair], upper: np.ndarray, gap: float) -> _Pro
         _branch_and_bound(
             boxes,
             np.clip(cuts, lo, lo + _CHUNK) - lo,
+            spans,
             lam[lo : lo + _CHUNK],
             mu[lo : lo + _CHUNK],
             upper[lo : lo + _CHUNK],
@@ -822,12 +824,7 @@ def _prove(pairs: Sequence[WeightedPair], upper: np.ndarray, gap: float) -> _Pro
     return _Proof(*(np.concatenate(field) for field in zip(*parts)))
 
 
-def _certify(
-    pairs: Sequence[WeightedPair],
-    found: List[BoundResult],
-    tol: float,
-    max_iter: int,
-) -> List[BoundResult]:
+def _certify(pairs: Sequence[WeightedPair], found: List[BoundResult]) -> List[BoundResult]:
     """The one trust rule for seesaw results; see `certified_bound`.
 
     Every uncertified row goes through one batched branch-and-bound at
@@ -839,8 +836,9 @@ def _certify(
     todo = [k for k, res in enumerate(found) if not res.certified]
     if todo:
         stalled = [pairs[k] for k in todo]
-        proof = _prove(stalled, np.array([found[k].value for k in todo]), GAP_TOL)
-        _, polished = _descend(stalled, 0, 0, proof, tol, max_iter)
+        spans = _spans(stalled)
+        proof = _prove(stalled, spans, np.array([found[k].value for k in todo]), GAP_TOL)
+        _, polished = _descend(stalled, spans, 0, 0, proof)
         for k, res, lower in zip(todo, polished, proof.lower):
             if res.value > found[k].value:
                 res = found[k]
@@ -851,13 +849,7 @@ def _certify(
     ]
 
 
-def certified_bound(
-    pair: WeightedPair,
-    starts: int = 16,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    seed: int = 0,
-) -> BoundResult:
+def certified_bound(pair: WeightedPair, starts: int = 16, seed: int = 0) -> BoundResult:
     """Seesaw first; if any start stalls, prove a lower bound.
 
     A converged seesaw is certified. A stalled one goes through the
@@ -871,15 +863,11 @@ def certified_bound(
     would otherwise put V an ulp above it as often as below, and a tuple on
     that facet would be detected by rounding alone.
     """
-    res = seesaw_bound(pair, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
-    return _certify([pair], [res], tol, max_iter)[0]
+    res = seesaw_bound(pair, starts=starts, seed=seed)
+    return _certify([pair], [res])[0]
 
 
-def grid_bound(
-    pair: WeightedPair,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> BoundResult:
+def grid_bound(pair: WeightedPair) -> BoundResult:
     """The route `bound --method grid|both` compares the seesaw against.
 
     Independent of the seesaw's starts and values: one run of the
@@ -894,7 +882,7 @@ def grid_bound(
     there with other pairs or with the seesaw route, the result is the
     same.
     """
-    _, gridded = local_bounds([pair], seesaw=False, tol=tol, max_iter=max_iter)
+    _, gridded = local_bounds([pair], seesaw=False)
     return gridded[0]
 
 
@@ -903,8 +891,6 @@ def _certified_curve(
     y: MomentPair,
     lams: Sequence[float],
     starts: int,
-    tol: float,
-    max_iter: int,
     seed: int,
 ) -> List[BoundResult]:
     """`certified_bound` at weights (lam, 1 - lam) for every lam, solved together.
@@ -913,8 +899,8 @@ def _certified_curve(
     weight that stalls.
     """
     pairs = [WeightedPair(lam, 1.0 - lam, x, y) for lam in lams]
-    found, _ = local_bounds(pairs, grid=False, starts=starts, tol=tol, max_iter=max_iter, seed=seed)
-    return _certify(pairs, found, tol, max_iter)
+    found, _ = local_bounds(pairs, grid=False, starts=starts, seed=seed)
+    return _certify(pairs, found)
 
 
 def compose_sep_bound(local_a: BoundResult, local_b: BoundResult) -> float:
@@ -935,8 +921,6 @@ def trace_region(
     y: MomentPair,
     lambdas: Sequence[float],
     starts: int = 16,
-    tol: float = 1e-10,
-    max_iter: int = 500,
     seed: int = 0,
 ) -> RegionBoundary:
     """Trace the lower-left boundary of the achievable variance region.
@@ -951,7 +935,7 @@ def trace_region(
         raise ValueError("lambdas must lie strictly inside (0, 1)")
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be sorted ascending")
-    found = _certified_curve(x, y, lams, starts, tol, max_iter, seed)
+    found = _certified_curve(x, y, lams, starts, seed)
     return RegionBoundary(
         points=tuple((variance(r.minimizer, x), variance(r.minimizer, y)) for r in found),
         lambdas=tuple(lams),
@@ -965,8 +949,6 @@ def sep_bound_curve(
     y: MomentPair,
     num: int = 201,
     starts: int = 16,
-    tol: float = 1e-10,
-    max_iter: int = 500,
     seed: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Separability bound c(lambda) on a uniform lambda grid over [0, 1].
@@ -977,7 +959,7 @@ def sep_bound_curve(
     query.
     """
     lams = np.linspace(0.0, 1.0, num)
-    found = _certified_curve(x, y, [float(l) for l in lams], starts, tol, max_iter, seed)
+    found = _certified_curve(x, y, [float(l) for l in lams], starts, seed)
     vals = np.array([2.0 * r.value for r in found], dtype=float)
     certified = np.array([r.certified for r in found], dtype=bool)
     return lams, vals, certified

@@ -42,7 +42,7 @@ from .bounds import (
     sep_bound_curve,
     trace_region,
 )
-from .noise import _spin1_povms, fit_alpha, noisy_povm, spin1_moment_pairs, spin_flip_channel
+from .noise import fit_alpha, spin1_moment_pairs, spin1_povms
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -219,6 +219,17 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _read_csv(path: str) -> Tuple[set, List[dict]]:
+    """The header's columns and the data rows of a CSV file.
+
+    The header alone decides the format, so a file with no data rows is
+    read as valid and fails later, as empty data.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        return set(reader.fieldnames or ()), list(reader)
+
+
 def _load_state(source: str) -> DensityMatrix:
     """A state source: the name 'singlet' or a JSON file path.
 
@@ -384,10 +395,8 @@ def cmd_witness(args) -> int:
         lams, cs, certified = sep_bound_curve(
             *bound_pairs, num=args.lambda_grid, starts=args.starts, seed=seed
         )
-        rows = []
-        for lam, c in zip(lams, cs):
-            v = evaluate_witness_from_tuple(d2x, d2y, float(lam), float(1.0 - lam), float(c))
-            rows.append([float(lam), v.v_value, float(c), v.detected])
+        v = lams * d2x + (1.0 - lams) * d2y
+        rows = list(zip(lams.tolist(), v.tolist(), cs.tolist(), (v < cs).tolist()))
         csv_path = os.path.join(args.output_dir, "witness_sweep.csv")
         _write_csv(csv_path, ["lambda", "V", "c", "detected"], rows)
         _emit_manifests(args, seed, [csv_path])
@@ -412,9 +421,7 @@ def cmd_witness(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     state = _load_state(args.state)
-    ideal_x, ideal_y = _spin1_povms()
-    channel = spin_flip_channel(args.alpha)
-    povm_x, povm_y = noisy_povm(channel, ideal_x), noisy_povm(channel, ideal_y)
+    povm_x, povm_y = spin1_povms(args.alpha)
     config = SampleConfig(shots=args.shots, seed=seed, trials=args.trials)
     d2x, d2y, per_trial = sample_variance_tuple(state, povm_x, povm_x, povm_y, povm_y, config)
     _print_json(
@@ -435,12 +442,7 @@ def cmd_simulate(args) -> int:
 
 
 def _load_sweep_file(path: str) -> List[TestStateParams]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        # the header decides the format, so a file with no data rows reaches
-        # run_calibration and fails there as an empty sweep
-        columns = set(reader.fieldnames or ())
-        rows = list(reader)
+    columns, rows = _read_csv(path)
     if not {"theta1_deg", "theta2_deg"}.issubset(columns):
         raise OSError(f"sweep file {path!r} needs columns theta1_deg,theta2_deg")
     return [
@@ -491,12 +493,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_fit_noise(args) -> int:
-    with open(args.input, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        # the header decides the format, so a file with no data rows reaches
-        # fit_alpha and fails there as empty data
-        columns = set(reader.fieldnames or ())
-        rows = list(reader)
+    columns, rows = _read_csv(args.input)
     if {"theta1_deg", "theta2_deg", "V_measured"}.issubset(columns):
         t1_col, t2_col, v_col = "theta1_deg", "theta2_deg", "V_measured"
     elif {"theta1", "theta2", "V_mean"}.issubset(columns):
@@ -545,30 +542,20 @@ def cmd_report(args) -> int:
         "adapted": detection_window(*tuple_noisy, lams, c_adapted),
         "non_adapted": detection_window(*tuple_noisy, lams, c_noiseless),
     }
-    rows = []
-    for k, lam in enumerate(lams):
-        lam = float(lam)
-        v_id = evaluate_witness_from_tuple(
-            tuple_ideal[0], tuple_ideal[1], lam, 1.0 - lam, float(c_noiseless[k])
-        )
-        v_ad = evaluate_witness_from_tuple(
-            tuple_noisy[0], tuple_noisy[1], lam, 1.0 - lam, float(c_adapted[k])
-        )
-        v_na = evaluate_witness_from_tuple(
-            tuple_noisy[0], tuple_noisy[1], lam, 1.0 - lam, float(c_noiseless[k])
-        )
-        rows.append(
-            [
-                lam,
-                v_id.v_value,
-                v_ad.v_value,
-                float(c_noiseless[k]),
-                float(c_adapted[k]),
-                v_id.detected,
-                v_ad.detected,
-                v_na.detected,
-            ]
-        )
+    # V at every knot, formed as `detection_window` forms it
+    v_ideal = lams * tuple_ideal[0] + (1.0 - lams) * tuple_ideal[1]
+    v_noisy = lams * tuple_noisy[0] + (1.0 - lams) * tuple_noisy[1]
+    columns = (
+        lams,
+        v_ideal,
+        v_noisy,
+        c_noiseless,
+        c_adapted,
+        v_ideal < c_noiseless,
+        v_noisy < c_adapted,
+        v_noisy < c_noiseless,
+    )
+    rows = list(zip(*(col.tolist() for col in columns)))
     os.makedirs(args.output_dir, exist_ok=True)
     csv_path = os.path.join(args.output_dir, "report.csv")
     _write_csv(
@@ -602,11 +589,7 @@ def cmd_report(args) -> int:
         series = [
             ("c noiseless", lams, c_noiseless),
             ("c adapted", lams, c_adapted),
-            (
-                "V measured",
-                lams,
-                [lam * tuple_noisy[0] + (1 - lam) * tuple_noisy[1] for lam in lams],
-            ),
+            ("V measured", lams, v_noisy),
         ]
         svg_line_plot(
             svg_path,

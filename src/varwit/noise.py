@@ -153,17 +153,26 @@ def _spin1_povms() -> Tuple[Povm, Povm]:
     return projective_povm(lx), projective_povm(ly)
 
 
-def spin1_moment_pairs(alpha: float = 0.0) -> Tuple[MomentPair, MomentPair]:
-    """Moment pairs of the spin-1 L_X, L_Y measurements under spin-flip noise.
+def spin1_povms(alpha: float) -> Tuple[Povm, Povm]:
+    """The spin-1 L_X and L_Y measurements under spin-flip noise alpha.
 
-    Built the honest way, channel acting on the projective POVMs, so the
-    result is exactly what a caller assembling the pipeline by hand would
-    get. The noise-free POVMs are built once per process (`_spin1_povms`);
-    each call builds the channel and applies it to them.
+    The noise-free projective POVMs are built once per process
+    (`_spin1_povms`); each call builds the channel and applies it to them.
     """
     povm_x, povm_y = _spin1_povms()
     channel = spin_flip_channel(alpha)
-    return moment_pair(noisy_povm(channel, povm_x)), moment_pair(noisy_povm(channel, povm_y))
+    return noisy_povm(channel, povm_x), noisy_povm(channel, povm_y)
+
+
+def spin1_moment_pairs(alpha: float = 0.0) -> Tuple[MomentPair, MomentPair]:
+    """Moment pairs of the spin-1 L_X, L_Y measurements under spin-flip noise.
+
+    Built the honest way, channel acting on the projective POVMs
+    (`spin1_povms`), so the result is exactly what a caller assembling the
+    pipeline by hand would get.
+    """
+    povm_x, povm_y = spin1_povms(alpha)
+    return moment_pair(povm_x), moment_pair(povm_y)
 
 
 def fit_alpha(

@@ -269,10 +269,10 @@ def spin1_components() -> Tuple[HermitianOperator, HermitianOperator, HermitianO
     )
 
 
-def projective_povm(op: OperatorLike, degeneracy_tol: float = DEGENERACY_TOL) -> Povm:
+def projective_povm(op: OperatorLike) -> Povm:
     """Spectral measurement of an observable.
 
-    Eigenvalues closer than degeneracy_tol are merged into one outcome
+    Eigenvalues closer than DEGENERACY_TOL are merged into one outcome
     whose element is the summed projector. Absolute tolerance is fine
     here, all spectra in scope are O(1).
     """
@@ -283,7 +283,7 @@ def projective_povm(op: OperatorLike, degeneracy_tol: float = DEGENERACY_TOL) ->
     k = 0
     while k < mat.dim:
         j = k
-        while j + 1 < mat.dim and vals[j + 1] - vals[k] <= degeneracy_tol:
+        while j + 1 < mat.dim and vals[j + 1] - vals[k] <= DEGENERACY_TOL:
             j += 1
         block = vecs[:, k : j + 1]
         outcomes.append(float(np.mean(vals[k : j + 1])))

@@ -18,17 +18,21 @@ from .operators import (
     Povm,
     PureState,
     expectation,
-    projective_povm,
-    spin1_components,
+    moment_pair,
     tensor,
     variance,
 )
-from .noise import noisy_povm, spin1_moment_pairs, spin_flip_channel
+from .noise import spin1_moment_pairs, spin1_povms
 
 PROB_FLOOR = -1e-12
 PROB_SUM_TOL = 1e-10
 
 _SQRT3_INV = 1.0 / np.sqrt(3.0)
+
+# the fixed angles, in degrees, of the paper's two calibration sweeps: theta2
+# while theta1 sweeps, theta1 while theta2 sweeps
+_SWEEP_THETA2 = 23.3
+_SWEEP_THETA1 = 28.0
 
 
 @dataclass(frozen=True)
@@ -100,16 +104,16 @@ def make_test_state(params: TestStateParams) -> PureState:
     return PureState(vec)
 
 
-def theta1_sweep(num: int = 45, theta2: float = 23.3) -> List[TestStateParams]:
-    """Uniform theta1 values strictly inside (0, 180) degrees at fixed theta2."""
+def theta1_sweep(num: int = 45) -> List[TestStateParams]:
+    """Uniform theta1 values strictly inside (0, 180) degrees at the paper's fixed theta2."""
     step = 180.0 / (num + 1)
-    return [TestStateParams(theta1=k * step, theta2=theta2) for k in range(1, num + 1)]
+    return [TestStateParams(theta1=k * step, theta2=_SWEEP_THETA2) for k in range(1, num + 1)]
 
 
-def theta2_sweep(num: int = 45, theta1: float = 28.0) -> List[TestStateParams]:
-    """Uniform theta2 values strictly inside (0, 180) degrees at fixed theta1."""
+def theta2_sweep(num: int = 45) -> List[TestStateParams]:
+    """Uniform theta2 values strictly inside (0, 180) degrees at the paper's fixed theta1."""
     step = 180.0 / (num + 1)
-    return [TestStateParams(theta1=theta1, theta2=k * step) for k in range(1, num + 1)]
+    return [TestStateParams(theta1=_SWEEP_THETA1, theta2=k * step) for k in range(1, num + 1)]
 
 
 def outcome_distribution(
@@ -225,11 +229,8 @@ def run_calibration(
     if not theta_sweep:
         raise ValueError("theta sweep is empty")
     ideal_x, ideal_y = spin1_moment_pairs(0.0)
-    noisy_x, noisy_y = spin1_moment_pairs(alpha)
-    lx, ly, _ = spin1_components()
-    channel = spin_flip_channel(alpha)
-    povm_x = noisy_povm(channel, projective_povm(lx))
-    povm_y = noisy_povm(channel, projective_povm(ly))
+    povm_x, povm_y = spin1_povms(alpha)
+    noisy_x, noisy_y = moment_pair(povm_x), moment_pair(povm_y)
     records: List[CalibrationRecord] = []
     sweep_seeds = np.random.SeedSequence(config.seed).spawn(len(theta_sweep))
     for params, record_seq in zip(theta_sweep, sweep_seeds):

@@ -1,10 +1,22 @@
 """Random object builders shared by the test modules."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-from varwit import DensityMatrix, HermitianOperator, NoiseChannel, Povm, PureState
+from varwit import DensityMatrix, HermitianOperator, NoiseChannel, Povm, PureState, bounds
+
+
+@contextmanager
+def capped_seesaw(steps):
+    """Stop every seesaw run after at most `steps` eigensolves inside the block."""
+    saved = bounds._MAX_ITER
+    bounds._MAX_ITER = steps
+    try:
+        yield
+    finally:
+        bounds._MAX_ITER = saved
 
 
 def random_hermitian(rng, dim):

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 import warnings
 
@@ -20,14 +21,18 @@ from varwit import (
     grid_bound,
     moment_pair,
     penalty_operator,
+    projective_povm,
     seesaw_bound,
     sep_bound_curve,
     spin1_components,
     spin1_moment_pairs,
+    theta1_sweep,
+    theta2_sweep,
     trace_region,
     variance_functional,
 )
 from helpers import (
+    capped_seesaw,
     descent_minima,
     local_infimum,
     random_povm,
@@ -59,9 +64,29 @@ def test_weighted_pair_rejects_overflowing_weights():
     with pytest.raises(ValueError, match=r"weights \(1e\+308, 1e\+308\)"):
         WeightedPair(1e308, 1e308, x, y)
     # large but safe weights still solve, without overflow warnings
-    with np.errstate(all="raise"):
-        res = certified_bound(WeightedPair(1e300, 1e300, x, y), max_iter=3)
+    with np.errstate(all="raise"), capped_seesaw(3):
+        res = certified_bound(WeightedPair(1e300, 1e300, x, y))
     assert np.isfinite(res.value)
+
+
+def test_stop_rules_tolerances_and_fixed_angles_are_not_arguments():
+    # the seesaw's stop rule, the degeneracy tolerance and the sweeps' fixed
+    # angles each have one value, a module constant
+    solvers = (
+        seesaw_bound,
+        certified_bound,
+        grid_bound,
+        bounds.local_bounds,
+        sep_bound_curve,
+        trace_region,
+        bounds._certified_curve,
+        bounds._descend,
+        bounds._certify,
+        bounds._seesaw_rows,
+    )
+    for fn in solvers + (projective_povm, theta1_sweep, theta2_sweep):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"tol", "max_iter", "degeneracy_tol", "theta1", "theta2"}, fn.__name__
 
 
 def test_penalty_single_observable_eigenstate():
@@ -129,9 +154,10 @@ def test_seesaw_value_is_monotone_in_iterations():
     for alpha in (0.0, 0.2, 0.5):
         for lam in (0.3, 0.5):
             pair = spin1_pair(lam, 1.0 - lam, alpha)
-            values = [
-                seesaw_bound(pair, starts=1, max_iter=k, seed=1).value for k in range(1, 81)
-            ]
+            values = []
+            for k in range(1, 81):
+                with capped_seesaw(k):
+                    values.append(seesaw_bound(pair, starts=1, seed=1).value)
             assert np.all(np.diff(values) <= 1e-12)
 
 
@@ -235,7 +261,13 @@ def test_certified_bound_is_certified():
 def proven_lower(pair, upper, gap=bounds.GAP_TOL):
     """The branch-and-bound's proven lower bound for one weighted pair."""
     proof = bounds._branch_and_bound(
-        [(pair.x, pair.y)], [0, 1], np.array([pair.lam]), np.array([pair.mu]), np.array([upper]), gap
+        [(pair.x, pair.y)],
+        [0, 1],
+        bounds._spans([pair]),
+        np.array([pair.lam]),
+        np.array([pair.mu]),
+        np.array([upper]),
+        gap,
     )
     return float(proof.lower[0])
 
@@ -248,9 +280,10 @@ def test_certified_bound_trusts_a_stall_the_oracle_confirms():
     # four steps leave this seed's starts stalled a few 1e-12 above the
     # infimum; the branch-and-bound proves the stalled value within the gap
     pair = spin1_pair(0.355, 0.645, 0.2)
-    stalled = seesaw_bound(pair, seed=1, max_iter=4)
-    assert not stalled.converged and not stalled.certified
-    res = certified_bound(pair, seed=1, max_iter=4)
+    with capped_seesaw(4):
+        stalled = seesaw_bound(pair, seed=1)
+        assert not stalled.converged and not stalled.certified
+        res = certified_bound(pair, seed=1)
     assert res.certified
     assert res.value <= stalled.value
     lower = proven_lower(pair, stalled.value)
@@ -263,19 +296,20 @@ def test_certified_bound_rejects_a_stall_the_oracle_undercuts(monkeypatch):
     # the infimum; the branch-and-bound finds the lower basin, and its
     # polish is returned, proven and certified
     pair = spin1_pair(0.2, 0.8)
-    stalled = seesaw_bound(pair, starts=1, seed=2, max_iter=5)
-    assert not stalled.converged
-    res = certified_bound(pair, starts=1, seed=2, max_iter=5)
-    assert res.certified and res.method == "grid_refined"
-    assert res.value < stalled.value - 1e-2
-    exact = local_infimum(0.2, 0.8, 0.0)
-    assert exact - 1e-12 <= res.value <= exact + bounds.GAP_TOL * penalty_scale(pair)
-    assert abs(variance_functional(pair, res.minimizer) - res.value) < 1e-12
-    # a cell cap the proof cannot close within leaves the stall uncertified
-    monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
-    capped = certified_bound(pair, starts=1, seed=2, max_iter=5)
-    assert not capped.certified
-    assert capped.value <= stalled.value
+    with capped_seesaw(5):
+        stalled = seesaw_bound(pair, starts=1, seed=2)
+        assert not stalled.converged
+        res = certified_bound(pair, starts=1, seed=2)
+        assert res.certified and res.method == "grid_refined"
+        assert res.value < stalled.value - 1e-2
+        exact = local_infimum(0.2, 0.8, 0.0)
+        assert exact - 1e-12 <= res.value <= exact + bounds.GAP_TOL * penalty_scale(pair)
+        assert abs(variance_functional(pair, res.minimizer) - res.value) < 1e-12
+        # a cell cap the proof cannot close within leaves the stall uncertified
+        monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
+        capped = certified_bound(pair, starts=1, seed=2)
+        assert not capped.certified
+        assert capped.value <= stalled.value
 
 
 def test_compose_sep_bound_sums_locals():
@@ -378,14 +412,15 @@ def test_trace_region_symmetric_weight_has_mirrored_twin():
 
 def test_trace_region_flags_stalled_points(monkeypatch):
     x, y = spin1_moment_pairs(0.0)
-    # one step stalls every start, and the proof then certifies each point
-    reg = trace_region(x, y, [0.4, 0.6], max_iter=1)
-    assert all(reg.certified)
-    # with a cell cap the proof cannot close within, the points stay flagged
-    monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
-    reg = trace_region(x, y, [0.4, 0.6], max_iter=1)
-    assert len(reg.points) == 2
-    assert not any(reg.certified)
+    with capped_seesaw(1):
+        # one step stalls every start, and the proof then certifies each point
+        reg = trace_region(x, y, [0.4, 0.6])
+        assert all(reg.certified)
+        # with a cell cap the proof cannot close within, the points stay flagged
+        monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
+        reg = trace_region(x, y, [0.4, 0.6])
+        assert len(reg.points) == 2
+        assert not any(reg.certified)
 
 
 def test_region_boundary_rejects_undercut_point():
@@ -463,8 +498,9 @@ def random_povm_pairs():
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
 def test_engine_matches_scalar_seesaw_bit_for_bit(alpha, lam):
     pair = spin1_pair(lam, 1.0 - lam, alpha)
-    for kwargs in ({"seed": 1}, {"seed": 2, "max_iter": 3}):
-        assert_same_as_scalar(seesaw_bound(pair, **kwargs), pair, **kwargs)
+    assert_same_as_scalar(seesaw_bound(pair, seed=1), pair, seed=1)
+    with capped_seesaw(3):
+        assert_same_as_scalar(seesaw_bound(pair, seed=2), pair, seed=2, max_iter=3)
 
 
 def test_engine_squares_means_like_python_floats():
@@ -479,8 +515,9 @@ def test_engine_matches_scalar_seesaw_on_random_povms():
     for x, y in random_povm_pairs():
         for lam in (0.0, 0.3, 0.5, 1.0):
             pair = WeightedPair(lam, 1.0 - lam, x, y)
-            for kwargs in ({}, {"max_iter": 3}):
-                assert_same_as_scalar(seesaw_bound(pair, **kwargs), pair, **kwargs)
+            assert_same_as_scalar(seesaw_bound(pair), pair)
+            with capped_seesaw(3):
+                assert_same_as_scalar(seesaw_bound(pair), pair, max_iter=3)
 
 
 @pytest.mark.parametrize("wide", ["xy", "x", "y", ""])
@@ -490,11 +527,12 @@ def test_start_means_draw_the_scalar_stream(wide):
     x, y = spin1_moment_pairs(0.2)
     flat_x, flat_y = (MomentPair(np.zeros((3, 3)), m.second) for m in (x, y))
     bx, by = (x if "x" in wide else flat_x), (y if "y" in wide else flat_y)
-    xlo, xhi, ylo, yhi = bounds._spectral_box(bx, by)
+    span = np.array(bounds._spectral_box(bx, by))
+    xlo, xhi, ylo, yhi = span
     assert (xhi > xlo, yhi > ylo) == ("x" in wide, "y" in wide)
     for seed in range(21):
         for starts in (1, 16):
-            x0, y0 = bounds._start_means(bx, by, starts, seed)
+            x0, y0 = bounds._start_means(span, starts, seed)
             assert (x0.tolist(), y0.tolist()) == scalar_start_means(bx, by, starts, seed)
 
 
@@ -514,9 +552,10 @@ def test_proof_chunks_do_not_change_rows(monkeypatch):
     # which then runs in 3 chunks
     x, y = spin1_moment_pairs(0.2)
     lams = [0.1, 0.2, 0.3, 0.35, 0.45, 0.6, 0.72, 0.9]
-    whole = trace_region(x, y, lams, max_iter=3)
-    monkeypatch.setattr(bounds, "_CHUNK", 3)
-    chunked = trace_region(x, y, lams, max_iter=3)
+    with capped_seesaw(3):
+        whole = trace_region(x, y, lams)
+        monkeypatch.setattr(bounds, "_CHUNK", 3)
+        chunked = trace_region(x, y, lams)
     assert all(whole.certified)
     assert chunked.bounds == whole.bounds
     assert chunked.points == whole.points
@@ -554,21 +593,22 @@ def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
     monkeypatch.setattr(bounds, "grid_bound", counted("oracle", oracle))
     # a cap the slowest weights need more steps than, so that some stall
     max_iter = 30
-    lams, _, certified = sep_bound_curve(x, y, num=201, max_iter=max_iter)
-    assert certified.all()
-    assert counts["oracle"] == 0
-    assert counts["eigh"] <= 2 * max_iter
-    curve_calls = counts["eigvalsh"]
-    pairs = [WeightedPair(float(lam), float(1.0 - lam), x, y) for lam in lams]
-    found, _ = bounds.local_bounds(pairs, grid=False, max_iter=max_iter)
-    stalled = [float(lam) for lam, res in zip(lams, found) if not res.converged]
-    assert len(stalled) >= 4
-    single_calls = []
-    for lam in stalled:
-        counts["eigvalsh"] = 0
-        certified_bound(WeightedPair(lam, 1.0 - lam, x, y), max_iter=max_iter)
-        single_calls.append(counts["eigvalsh"])
-    assert curve_calls <= max(single_calls)
+    with capped_seesaw(max_iter):
+        lams, _, certified = sep_bound_curve(x, y, num=201)
+        assert certified.all()
+        assert counts["oracle"] == 0
+        assert counts["eigh"] <= 2 * max_iter
+        curve_calls = counts["eigvalsh"]
+        pairs = [WeightedPair(float(lam), float(1.0 - lam), x, y) for lam in lams]
+        found, _ = bounds.local_bounds(pairs, grid=False)
+        stalled = [float(lam) for lam, res in zip(lams, found) if not res.converged]
+        assert len(stalled) >= 4
+        single_calls = []
+        for lam in stalled:
+            counts["eigvalsh"] = 0
+            certified_bound(WeightedPair(lam, 1.0 - lam, x, y))
+            single_calls.append(counts["eigvalsh"])
+        assert curve_calls <= max(single_calls)
 
 
 def assert_within_gap(value, exact, pair):
@@ -658,9 +698,10 @@ def test_proof_on_a_degenerate_box():
     exact_x = MomentPair(np.zeros((3, 3)), x.second)
     for pair in (spin1_pair(0.3, 0.7, 1.0), WeightedPair(0.3, 0.7, exact_x, y)):
         assert np.max(np.abs(bounds._spectral_box(pair.x, pair.y))) < 1e-15
-        stalled = seesaw_bound(pair, max_iter=1)
-        assert not stalled.certified
-        res = certified_bound(pair, max_iter=1)
+        with capped_seesaw(1):
+            stalled = seesaw_bound(pair)
+            assert not stalled.certified
+            res = certified_bound(pair)
         assert res.certified
         exact = local_infimum(0.3, 0.7, 1.0)
         assert_within_gap(res.value, exact, pair)
@@ -673,8 +714,9 @@ def test_proof_composes_unequal_parties(alpha, alpha_b):
     # two steps stall every start, so each party's bound is the proven one
     for lam in (0.3, 0.72):
         pair_a, pair_b = spin1_pair(lam, 1.0 - lam, alpha), spin1_pair(lam, 1.0 - lam, alpha_b)
-        local_a = certified_bound(pair_a, max_iter=2)
-        local_b = certified_bound(pair_b, max_iter=2)
+        with capped_seesaw(2):
+            local_a = certified_bound(pair_a)
+            local_b = certified_bound(pair_b)
         exact = local_infimum(lam, 1.0 - lam, alpha) + local_infimum(lam, 1.0 - lam, alpha_b)
         gap = bounds.GAP_TOL * (penalty_scale(pair_a) + penalty_scale(pair_b))
         assert exact - 2e-12 <= compose_sep_bound(local_a, local_b) <= exact + gap

@@ -25,6 +25,7 @@ from varwit import (
     spin1_moment_pairs,
     variance,
 )
+from helpers import capped_seesaw
 from varwit.cli import (
     AGREE_TOL,
     EXIT_IO,
@@ -34,14 +35,6 @@ from varwit.cli import (
     main,
     replay_manifest,
 )
-
-
-def cap_seesaw_steps(monkeypatch, steps):
-    """Stop every run of the seesaw engine after at most `steps` steps."""
-    engine = bounds._seesaw_rows
-    monkeypatch.setattr(
-        bounds, "_seesaw_rows", lambda *args: engine(*args[:-1], min(args[-1], steps))
-    )
 
 
 def run_cli(argv, capsys):
@@ -217,22 +210,26 @@ def test_bound_request_shares_batches_but_not_rows(lam, mu, alpha_b, capsys):
 
 
 def test_bound_request_makes_one_proof_and_one_descent_batch(monkeypatch, capsys):
-    counts = {"_branch_and_bound": 0, "_seesaw_rows": 0, "eigh": 0, "eigvalsh": 0}
+    counts = {"_branch_and_bound": 0, "_seesaw_rows": 0, "_spectral_box": 0, "eigh": 0, "eigvalsh": 0}
 
     def counted(name, fn, matrices=False):
         def wrapped(*args, **kwargs):
-            counts[name] += np.shape(args[0])[0] if matrices else 1
+            # a stack of matrices counts each, a lone matrix once
+            counts[name] += int(np.prod(np.shape(args[0])[:-2])) if matrices else 1
             return fn(*args, **kwargs)
 
         return wrapped
 
-    for name in ("_branch_and_bound", "_seesaw_rows"):
+    for name in ("_branch_and_bound", "_seesaw_rows", "_spectral_box"):
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), True))
     run_cli(bound_argv(0.3, 0.7, 0.2, 0.4, "both", seed=0), capsys)
     assert (counts["_branch_and_bound"], counts["_seesaw_rows"]) == (1, 1)
-    # the same matrices as the four one-pair solves, in fewer calls
+    # each box solves its spectral box once, for both routes
+    assert counts["_spectral_box"] == 2
+    # the same matrices as the four one-pair solves, in fewer calls, less
+    # the second spectral box (two eigvalsh matrices) of each box
     request = dict(counts)
     for name in counts:
         counts[name] = 0
@@ -241,7 +238,8 @@ def test_bound_request_makes_one_proof_and_one_descent_batch(monkeypatch, capsys
         seesaw_bound(pair)
         grid_bound(pair)
     assert counts["_branch_and_bound"] == 2 and counts["_seesaw_rows"] == 4
-    assert (request["eigh"], request["eigvalsh"]) == (counts["eigh"], counts["eigvalsh"])
+    assert counts["_spectral_box"] == 4
+    assert (request["eigh"], request["eigvalsh"]) == (counts["eigh"], counts["eigvalsh"] - 2 * 2)
 
 
 def test_region_writes_csv_svg_and_manifests(tmp_path, capsys):
@@ -279,12 +277,12 @@ def test_region_uncertified_point_warns(tmp_path, capsys, monkeypatch):
     # after five steps a single start from this seed is stalled well above
     # the infimum; the branch-and-bound proves the polished point, unless a
     # cell cap stops it first
-    cap_seesaw_steps(monkeypatch, 5)
     out = str(tmp_path)
     argv = ["region", "--lambdas", "0.2", "--starts", "1", "--seed", "2", "--output-dir", out]
-    assert main(argv) == EXIT_OK
-    monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
-    code = main(argv)
+    with capped_seesaw(5):
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
+        code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_NUMERICAL
     assert "did not certify" in captured.err
@@ -356,12 +354,12 @@ def test_witness_rejects_unrecognized_state_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_witness_trusts_a_stall_the_oracle_confirms(capsys, monkeypatch):
+def test_witness_trusts_a_stall_the_oracle_confirms(capsys):
     # four steps leave the seesaw stalled here, but the branch-and-bound
     # proves the stalled value
-    cap_seesaw_steps(monkeypatch, 4)
     argv = ["witness", "--tuple", "0.3,0.3", "--alpha", "0.2", "--lambda", "0.355", "--seed", "1"]
-    code, _ = run_cli(argv, capsys)
+    with capped_seesaw(4):
+        code, _ = run_cli(argv, capsys)
     assert code == EXIT_OK
 
 
@@ -370,12 +368,12 @@ def test_uncertified_sweep_point_is_named(command, tmp_path, capsys, monkeypatch
     # after five steps a single start from this seed is stalled 0.1 above
     # the infimum at lambda = 0.2; with a cell cap the proof cannot close
     # within, that point stays uncertified
-    cap_seesaw_steps(monkeypatch, 5)
     argv = [command, "--tuple", "0.1,0.1", "--lambda-grid", "6", "--starts", "1",
             "--seed", "2", "--output-dir", str(tmp_path)]
-    assert main(argv) == EXIT_OK
-    monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
-    code = main(argv)
+    with capped_seesaw(5):
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
+        code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
     assert "did not certify at lambda = 0.2" in err

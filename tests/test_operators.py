@@ -200,7 +200,7 @@ def test_projective_povm_spin1_plus_projector():
 
 def test_projective_povm_merges_degenerate_cluster():
     op = HermitianOperator(np.diag([1.0, 1.0 + 1e-12, 0.0]))
-    p = projective_povm(op, degeneracy_tol=1e-8)
+    p = projective_povm(op)
     assert len(p.outcomes) == 2
     recon = sum(x * e.entries for x, e in zip(p.outcomes, p.elements))
     assert np.max(np.abs(recon - op.entries)) < 1e-10

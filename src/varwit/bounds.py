@@ -14,23 +14,27 @@ step, moving the means to the ground state's expectations, so V never
 rises. A run stops when f moves less than _TOL times the penalty scale,
 or after _MAX_ITER eigensolves; both are constants of this module.
 When a descent stalls, a branch-and-bound over the mean box proves a
-lower bound for the infimum. The rule of `certified_bound` is the one
-place that decides whether a bound may be trusted. `grid_bound` is the
-route to compare against, independent of the descent's starts: one coarse
-run of the same branch-and-bound from the box alone, then a polish of its
-lowest vertex.
+lower bound for the infimum. The rule of `certified_bound` decides
+whether a bound may be trusted; the only other rule is that of `bound
+--method both` in the CLI, whose two routes must converge and agree
+within `cli.AGREE_TOL`. `grid_bound` is the route to compare against,
+independent of the descent's starts: one coarse run of the same
+branch-and-bound from the box alone, then a polish of its lowest vertex.
 
-Both engines take rows of several boxes (one party's moment pairs each)
-in one batch, each box's rows a contiguous slice built from that box's
-operators. `local_bounds` solves the seesaw and the grid route of many
-pairs in one proof batch and one descent batch; the routes share the
-batches but never rows, and `seesaw_bound` and `grid_bound` are its
-one-pair case.
+Inside the solver a batch (`_Batch`) is arrays: rows (lam, mu) of one
+or more boxes (one party's moment pairs each), each box's rows a
+contiguous slice built from its operators, and each box's span of means,
+solved once per call. The engines, the proof, the descent and the trust
+rule pass only such arrays; `local_bounds`, `seesaw_bound`, `grid_bound`
+and `certified_bound` build the records at the edge.
+`local_bounds` solves the seesaw and the grid route of many pairs in one
+proof batch and one descent batch; the routes share the batches but
+never rows, and `seesaw_bound` and `grid_bound` are its one-pair case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -245,10 +249,59 @@ class _Descent(NamedTuple):
     ym: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+    scale: np.ndarray  # the row's penalty scale
+
+    def record(self, i: int, method: str, certified: bool) -> BoundResult:
+        """Row i as a validated `BoundResult`."""
+        return BoundResult(
+            value=float(self.values[i]),
+            minimizer=PureState(self.vecs[i]),
+            means=(float(self.xm[i]), float(self.ym[i])),
+            iterations=int(self.iterations[i]),
+            converged=bool(self.converged[i]),
+            method=method,
+            certified=bool(certified),
+            scale=float(self.scale[i]),
+        )
 
 
-# A box is one party's moment pairs (x, y). The engines take rows of one or
-# more boxes in one batch: box b owns the consecutive rows cuts[b]:cuts[b + 1].
+class _Batch(NamedTuple):
+    """Rows (lam, mu) as both engines take them, one per weighted pair.
+
+    A box is one party's moment pairs (x, y). Box b owns the consecutive
+    rows cuts[b]:cuts[b + 1], and spans[b] is its span of means (xlo, xhi,
+    ylo, yhi), the spectral box of its (X1, Y1).
+    """
+
+    boxes: List[Tuple[MomentPair, MomentPair]]
+    cuts: Sequence[int]
+    spans: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "_Batch":
+        """The batch of the ascending row indices `rows`; boxes left empty stay."""
+        return self._replace(cuts=np.searchsorted(rows, self.cuts), lam=self.lam[rows], mu=self.mu[rows])
+
+
+def _batch(pairs: Sequence[WeightedPair]) -> _Batch:
+    """The batch of `pairs`; a run of consecutive pairs sharing their moment pairs is one box.
+
+    Each box's spectral box is solved here, once, however many routes and
+    chunks then read it.
+    """
+    boxes, cuts = [], []
+    for k, pair in enumerate(pairs):
+        if not boxes or boxes[-1][0] is not pair.x or boxes[-1][1] is not pair.y:
+            boxes.append((pair.x, pair.y))
+            cuts.append(k)
+    return _Batch(
+        boxes,
+        cuts + [len(pairs)],
+        np.array([_spectral_box(x, y) for x, y in boxes]),
+        np.array([p.lam for p in pairs]),
+        np.array([p.mu for p in pairs]),
+    )
 
 
 def _box_slices(cuts: Sequence[int], rows: np.ndarray) -> List[Tuple[int, slice]]:
@@ -272,32 +325,24 @@ def _box_operators(boxes) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return [(x.first.entries, x.second.entries, y.first.entries, y.second.entries) for x, y in boxes]
 
 
-def _row_scales(boxes, cuts: Sequence[int], lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _row_scales(batch: _Batch) -> np.ndarray:
     """Each row's penalty scale, lam times its box's X scale plus mu times its Y scale."""
-    counts = np.diff(cuts)
-    sx = np.repeat([_penalty_scale(x) for x, _ in boxes], counts)
-    sy = np.repeat([_penalty_scale(y) for _, y in boxes], counts)
-    return lam * sx + mu * sy
+    counts = np.diff(batch.cuts)
+    sx = np.repeat([_penalty_scale(x) for x, _ in batch.boxes], counts)
+    sy = np.repeat([_penalty_scale(y) for _, y in batch.boxes], counts)
+    return batch.lam * sx + batch.mu * sy
 
 
-def _seesaw_rows(
-    boxes: Sequence[Tuple[MomentPair, MomentPair]],
-    cuts: Sequence[int],
-    lam: Sequence[float],
-    mu: Sequence[float],
-    x0: Sequence[float],
-    y0: Sequence[float],
-) -> _Descent:
-    """Second-order seesaw descent of every row (lam, mu, x0, y0) at once.
+def _seesaw_rows(batch: _Batch, x0: np.ndarray, y0: np.ndarray) -> _Descent:
+    """Second-order seesaw descent of every row (lam, mu) of `batch` from (x0, y0) at once.
 
-    Box b's moment pairs serve rows cuts[b]:cuts[b + 1]. Each step stacks
-    the active rows' penalty operators at their current means, built box
-    by box on contiguous slices of the rows, and takes all eigenpairs from
-    one batched eigensolve. The ground
-    state v has V(v) = w0 - lam (x_bar - <X1>)^2 - mu (y_bar - <Y1>)^2. A
-    trial reached by a Newton step is accepted only if its V is no larger
-    than that of the last accepted state; otherwise the row takes the
-    seesaw step from the accepted state (means := its expectations, so
+    Each step stacks the active rows' penalty operators at their current
+    means, built box by box on contiguous slices of the rows, and takes
+    all eigenpairs from one batched eigensolve. The ground state v has
+    V(v) = w0 - lam (x_bar - <X1>)^2 - mu (y_bar - <Y1>)^2. A trial
+    reached by a Newton step is accepted only if its V is no larger than
+    that of the last accepted state; otherwise the row takes the seesaw
+    step from the accepted state (means := its expectations, so
     V(v_next) <= f(means) <= V(v)), and the step after that too. From an
     accepted state the next means are a saddle-free Newton step
     (`_newton_step`), or the seesaw step when it is not usable. V is thus
@@ -308,11 +353,11 @@ def _seesaw_rows(
     row repeats the floating-point operations of a one-row run in the same
     order, so its result does not depend on the batch or the other boxes.
     """
-    lam, mu, x0, y0 = (np.asarray(a, dtype=float) for a in (lam, mu, x0, y0))
+    boxes, cuts, _, lam, mu = batch
     n, dim = lam.shape[0], boxes[0][0].dim
     ops = _box_operators(boxes)
     eye = np.eye(dim)
-    scale = _row_scales(boxes, cuts, lam, mu)
+    scale = _row_scales(batch)
     vecs = np.empty((n, dim), dtype=complex)
     xm, ym = np.empty(n), np.empty(n)
     iterations = np.zeros(n, dtype=int)
@@ -392,7 +437,7 @@ def _seesaw_rows(
     ex2 = _joined([_expect(vecs[s], x2) for (_, x2, _, _), s in parts])
     ey2 = _joined([_expect(vecs[s], y2) for (_, _, _, y2), s in parts])
     values = lam * (ex2 - xm * xm) + mu * (ey2 - ym * ym)
-    return _Descent(vecs, values, xm, ym, iterations, converged)
+    return _Descent(vecs, values, xm, ym, iterations, converged, scale)
 
 
 def _newton_step(lr, mr, w, basis, rx, ry, dx, dy):
@@ -457,98 +502,61 @@ def _start_means(span: np.ndarray, starts: int, seed: int) -> Tuple[np.ndarray, 
     return means[:, 0], means[:, 1]
 
 
-def _boxes(pairs: Sequence[WeightedPair]) -> Tuple[List[Tuple[MomentPair, MomentPair]], List[int]]:
-    """The boxes of `pairs` and their cuts: box b serves pairs cuts[b]:cuts[b + 1].
-
-    A box is a run of consecutive pairs that share their moment pairs.
-    """
-    boxes, cuts = [], []
-    for k, pair in enumerate(pairs):
-        if not boxes or boxes[-1][0] is not pair.x or boxes[-1][1] is not pair.y:
-            boxes.append((pair.x, pair.y))
-            cuts.append(k)
-    return boxes, cuts + [len(pairs)]
-
-
-def _spans(pairs: Sequence[WeightedPair]) -> np.ndarray:
-    """Row b is box b's span (xlo, xhi, ylo, yhi), the spectral box of its (X1, Y1).
-
-    The boxes are those of `_boxes`; each is solved once per call, however
-    many routes and chunks then read it.
-    """
-    return np.array([_spectral_box(x, y) for x, y in _boxes(pairs)[0]])
-
-
-def _weights(pairs: Sequence[WeightedPair]) -> Tuple[np.ndarray, np.ndarray]:
-    return np.array([p.lam for p in pairs]), np.array([p.mu for p in pairs])
-
-
 def _descend(
-    pairs: Sequence[WeightedPair],
-    spans: np.ndarray,
-    starts: int,
-    seed: int,
-    polish: Optional[_Proof],
-) -> Tuple[List[BoundResult], List[BoundResult]]:
-    """One seesaw batch: seeded starts for every pair, and a polish row per pair.
+    batch: _Batch, starts: int, seed: int, polish: Optional[_Proof]
+) -> Tuple[Optional[_Descent], Optional[_Descent]]:
+    """One seesaw batch: seeded starts for every row of `batch`, and a polish row each.
 
-    Each box draws its `starts` seeded starts once from its span in
-    `spans` (`_start_means`) and runs them at every one of its pairs; when
-    `polish` is given, each pair also runs one row from the lowest vertex
-    that proof found for it. The rows are grouped by box, and no row reads
-    another's values. Returns the seesaw result of every pair (none when
-    starts is 0) and the polished one (none without `polish`).
+    Each box draws its `starts` seeded starts once from its span
+    (`_start_means`) and runs them at every one of its rows; when
+    `polish` is given, each row also runs from the lowest vertex that
+    proof found for it. A row's runs are consecutive, and no run reads
+    another's values. Returns, as `_Descent` arrays with one entry per
+    row of `batch`, each row's seesaw run (none when starts is 0) and its
+    polish run (none without `polish`); they carry the penalty scale.
 
-    A pair's seesaw result is the earliest start whose value lies within
-    the rounding slack of the lowest, so runs that reach one minimum up to
-    rounding tie by start rather than by their rounding. It is converged,
-    and certified, only if every start is.
+    A row's seesaw run is the earliest start whose value lies within the
+    rounding slack of the lowest, so runs that reach one minimum up to
+    rounding tie by start rather than by their rounding. It is converged
+    only if every start is.
     """
-    boxes, cuts = _boxes(pairs)
-    lam, mu = _weights(pairs)
-    # (lam, mu, x0, y0) of each box's start rows, then of its polish rows
-    pieces = []
-    for b in range(len(boxes)):
-        k, count = slice(cuts[b], cuts[b + 1]), cuts[b + 1] - cuts[b]
-        if starts:
-            x0, y0 = _start_means(spans[b], starts, seed)
-            pieces.append((np.repeat(lam[k], starts), np.repeat(mu[k], starts),
-                           np.tile(x0, count), np.tile(y0, count)))
-        if polish is not None:
-            pieces.append((lam[k], mu[k], polish.xm[k], polish.ym[k]))
-    row_cuts = [c * (starts + (polish is not None)) for c in cuts]
-    runs = _seesaw_rows(boxes, row_cuts, *(np.concatenate(col) for col in zip(*pieces)))
-    found, polished = [], []
-    for b, (x, y) in enumerate(boxes):
-        sx, sy = _penalty_scale(x), _penalty_scale(y)
-        members = pairs[cuts[b] : cuts[b + 1]]
-        for j, pair in enumerate(members):
-            scale = pair.lam * sx + pair.mu * sy
-            if starts:
-                lo = row_cuts[b] + j * starts
-                # values within rounding of the lowest tie, and go to the earliest start
-                values = runs.values[lo : lo + starts]
-                best = lo + int(np.argmax(values <= values.min() + _slack(pair.dim) * scale))
-                ok = bool(runs.converged[lo : lo + starts].all())
-                found.append(_row_result(runs, best, "seesaw", ok, scale))
-            if polish is not None:
-                i = row_cuts[b] + len(members) * starts + j
-                polished.append(_row_result(runs, i, "grid_refined", bool(runs.converged[i]), scale))
+    n, per = batch.lam.size, starts + (polish is not None)
+    x0, y0 = np.empty((n, per)), np.empty((n, per))
+    if starts:
+        for b, span in enumerate(batch.spans):
+            k = slice(batch.cuts[b], batch.cuts[b + 1])
+            x0[k, :starts], y0[k, :starts] = _start_means(span, starts, seed)
+    if polish is not None:
+        x0[:, starts], y0[:, starts] = polish.xm, polish.ym
+    each_run = batch._replace(
+        cuts=[c * per for c in batch.cuts], lam=np.repeat(batch.lam, per), mu=np.repeat(batch.mu, per)
+    )
+    runs = _seesaw_rows(each_run, x0.ravel(), y0.ravel())
+    first = np.arange(n) * per
+    found = polished = None
+    if starts:
+        values = runs.values.reshape(n, per)[:, :starts]
+        # values within rounding of the lowest tie, and go to the earliest start
+        tie = values.min(axis=1) + _slack(batch.boxes[0][0].dim) * runs.scale[first]
+        found = _Descent(*(field[first + np.argmax(values <= tie[:, None], axis=1)] for field in runs))
+        found = found._replace(converged=runs.converged.reshape(n, per)[:, :starts].all(axis=1))
+    if polish is not None:
+        polished = _Descent(*(field[first + starts] for field in runs))
     return found, polished
 
 
-def _row_result(run: _Descent, i: int, method: str, converged: bool, scale: float) -> BoundResult:
-    """Row i of a seesaw batch; certified when converged."""
-    return BoundResult(
-        value=float(run.values[i]),
-        minimizer=PureState(run.vecs[i]),
-        means=(float(run.xm[i]), float(run.ym[i])),
-        iterations=int(run.iterations[i]),
-        converged=converged,
-        method=method,
-        certified=converged,
-        scale=scale,
-    )
+def _solve(
+    batch: _Batch, seesaw: bool, grid: bool, starts: int, seed: int
+) -> Tuple[Optional[_Descent], Optional[_Descent]]:
+    """`local_bounds` on a batch: each pair's seesaw row and grid row, as arrays."""
+    if not batch.lam.size:
+        raise ValueError("no weighted pairs given")
+    if not (seesaw or grid):
+        raise ValueError("ask for the seesaw route, the grid route or both")
+    if seesaw and starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    proof = _prove(batch, np.full(batch.lam.size, np.inf), GRID_GAP) if grid else None
+    return _descend(batch, starts if seesaw else 0, seed, proof)
 
 
 def local_bounds(
@@ -568,21 +576,19 @@ def local_bounds(
     the seesaw's starts or values, so each result equals the one-pair
     `seesaw_bound` or `grid_bound` bit for bit. Pairs that share their
     moment pairs with their neighbour form one box and draw one set of
-    starts; each box's spectral box is solved once for both routes.
+    starts; each box's spectral box is solved once for both routes. The
+    solve runs on arrays (`_batch`); the records are built here, at its
+    edge, one per pair and route.
 
     Returns:
         The seesaw results and the grid results, one per pair for each
         route asked for and an empty list for a route not asked for.
     """
-    if not pairs:
-        raise ValueError("no weighted pairs given")
-    if not (seesaw or grid):
-        raise ValueError("ask for the seesaw route, the grid route or both")
-    if seesaw and starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
-    spans = _spans(pairs)
-    proof = _prove(pairs, spans, np.full(len(pairs), np.inf), GRID_GAP) if grid else None
-    return _descend(pairs, spans, starts if seesaw else 0, seed, proof)
+    found, gridded = _solve(_batch(pairs), seesaw, grid, starts, seed)
+    return (
+        [found.record(i, "seesaw", found.converged[i]) for i in range(len(pairs))] if seesaw else [],
+        [gridded.record(i, "grid_refined", gridded.converged[i]) for i in range(len(pairs))] if grid else [],
+    )
 
 
 def seesaw_bound(pair: WeightedPair, starts: int = 16, seed: int = 0) -> BoundResult:
@@ -617,7 +623,6 @@ class _Proof(NamedTuple):
     """Per-row outcome of the branch-and-bound."""
 
     lower: np.ndarray  # proven lower bound on the infimum
-    scale: np.ndarray  # the penalty scale, the unit of the gap
     xm: np.ndarray  # means of the lowest vertex evaluated
     ym: np.ndarray
 
@@ -676,22 +681,13 @@ def _run_heads(*keys: np.ndarray) -> np.ndarray:
     return head
 
 
-def _branch_and_bound(
-    boxes: Sequence[Tuple[MomentPair, MomentPair]],
-    cuts: Sequence[int],
-    spans: np.ndarray,
-    lam: np.ndarray,
-    mu: np.ndarray,
-    upper: np.ndarray,
-    gap: float,
-) -> _Proof:
-    """Proven lower bounds on inf V for every row (lam, mu), solved together.
+def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
+    """Proven lower bounds on inf V for every row (lam, mu) of `batch`, solved together.
 
-    Box b's moment pairs serve rows cuts[b]:cuts[b + 1]. inf V is the
-    minimum over the box's span spans[b] (`_spans`) of the means of
-    f = g + lam x^2 + mu y^2, g = lambda_min(lam X2 + mu Y2 - 2 lam x X1
-    - 2 mu y Y1). The box is split into right triangles; `_cell_lower`
-    bounds f on each. Every evaluated f is an upper bound, as is the
+    For a row of box b, inf V is the minimum over the span spans[b] of
+    the means of f = g + lam x^2 + mu y^2, g = lambda_min(lam X2 + mu Y2
+    - 2 lam x X1 - 2 mu y Y1). The box is split into right triangles;
+    `_cell_lower` bounds f on each. Every evaluated f is an upper bound, as is the
     row's `upper` (a seesaw value, or +inf). A cell is pruned once its
     bound lies within gap / 2 of the row's best upper bound, so a row that
     ends by pruning has its lowest vertex within gap / 2 plus the slack of
@@ -706,7 +702,8 @@ def _branch_and_bound(
     weights' magnitude, and subtracts a rounding slack of a few eps. Rows
     do not interact, so a row's result does not depend on the batch.
     """
-    scale = _row_scales(boxes, cuts, lam, mu)
+    boxes, cuts, spans, lam, mu = batch
+    scale = _row_scales(batch)
     lam, mu, upper = lam / scale, mu / scale, upper / scale
     n = lam.shape[0]
     counts = np.diff(cuts)
@@ -795,58 +792,51 @@ def _branch_and_bound(
         uv, fv, rows = child_uv, child_f, np.concatenate([rows, rows])
     return _Proof(
         lower=(lower - _slack(boxes[0][0].dim)) * scale,
-        scale=scale,
         xm=row_xlo + best[:, 1] * row_wx,
         ym=row_ylo + best[:, 2] * row_wy,
     )
 
 
-def _prove(pairs: Sequence[WeightedPair], spans: np.ndarray, upper: np.ndarray, gap: float) -> _Proof:
+def _prove(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
     """Branch-and-bound every pair's row, with the pair's upper bound and the gap.
 
     The rows run in chunks of _CHUNK, so memory does not grow with their
     number; rows do not interact, so chunks do not change them.
     """
-    boxes, cuts = _boxes(pairs)
-    lam, mu = _weights(pairs)
+    n = batch.lam.size
     parts = [
-        _branch_and_bound(
-            boxes,
-            np.clip(cuts, lo, lo + _CHUNK) - lo,
-            spans,
-            lam[lo : lo + _CHUNK],
-            mu[lo : lo + _CHUNK],
-            upper[lo : lo + _CHUNK],
-            gap,
-        )
-        for lo in range(0, len(pairs), _CHUNK)
+        _branch_and_bound(batch.take(np.arange(lo, min(lo + _CHUNK, n))), upper[lo : lo + _CHUNK], gap)
+        for lo in range(0, n, _CHUNK)
     ]
     return _Proof(*(np.concatenate(field) for field in zip(*parts)))
 
 
-def _certify(pairs: Sequence[WeightedPair], found: List[BoundResult]) -> List[BoundResult]:
-    """The one trust rule for seesaw results; see `certified_bound`.
+def _certify(batch: _Batch, starts: int, seed: int) -> Tuple[_Descent, np.ndarray, np.ndarray]:
+    """`certified_bound` of every row of `batch`: the seesaw, then the one trust rule.
 
-    Every uncertified row goes through one batched branch-and-bound at
+    Every unconverged row goes through one batched branch-and-bound at
     GAP_TOL, with its seesaw value as the upper bound, and one seesaw
-    batch polishes each row's best vertex. Every value returned is then
-    lowered by the rounding slack of a penalty eigenvalue.
+    batch polishes each row's best vertex; both read the batch's spans.
+    Every value returned is then lowered by the rounding slack of a
+    penalty eigenvalue. Returns the rows kept, which of them the polish
+    gave, and which are certified.
     """
-    out = list(found)
-    todo = [k for k, res in enumerate(found) if not res.certified]
-    if todo:
-        stalled = [pairs[k] for k in todo]
-        spans = _spans(stalled)
-        proof = _prove(stalled, spans, np.array([found[k].value for k in todo]), GAP_TOL)
-        _, polished = _descend(stalled, spans, 0, 0, proof)
-        for k, res, lower in zip(todo, polished, proof.lower):
-            if res.value > found[k].value:
-                res = found[k]
-            out[k] = replace(res, certified=bool(lower >= res.value - GAP_TOL * res.scale))
-    return [
-        replace(res, value=float(res.value - _slack(pair.dim) * res.scale))
-        for pair, res in zip(pairs, out)
-    ]
+    rows, _ = _solve(batch, True, False, starts, seed)
+    polished = np.zeros(rows.values.shape, dtype=bool)
+    certified = rows.converged.copy()
+    todo = np.flatnonzero(~certified)
+    if todo.size:
+        stalled = batch.take(todo)
+        proof = _prove(stalled, rows.values[todo], GAP_TOL)
+        _, polish = _descend(stalled, 0, 0, proof)
+        # the lower value is kept, ties going to the polish
+        take = ~(polish.values > rows.values[todo])
+        for field, new in zip(rows, polish):
+            field[todo[take]] = new[take]
+        polished[todo] = take
+        certified[todo] = proof.lower >= rows.values[todo] - GAP_TOL * rows.scale[todo]
+    values = rows.values - _slack(batch.boxes[0][0].dim) * rows.scale
+    return rows._replace(values=values), polished, certified
 
 
 def certified_bound(pair: WeightedPair, starts: int = 16, seed: int = 0) -> BoundResult:
@@ -861,10 +851,11 @@ def certified_bound(pair: WeightedPair, starts: int = 16, seed: int = 0) -> Boun
     that V less the rounding slack of a penalty eigenvalue, 4 dim^2 eps of
     the penalty's scale: where the exact bound is linear in lambda, rounding
     would otherwise put V an ulp above it as often as below, and a tuple on
-    that facet would be detected by rounding alone.
+    that facet would be detected by rounding alone. The pair's spectral
+    box is solved once, for the seesaw and the proof.
     """
-    res = seesaw_bound(pair, starts=starts, seed=seed)
-    return _certify([pair], [res])[0]
+    rows, polished, certified = _certify(_batch([pair]), starts, seed)
+    return rows.record(0, "grid_refined" if polished[0] else "seesaw", certified[0])
 
 
 def grid_bound(pair: WeightedPair) -> BoundResult:
@@ -887,20 +878,26 @@ def grid_bound(pair: WeightedPair) -> BoundResult:
 
 
 def _certified_curve(
-    x: MomentPair,
-    y: MomentPair,
-    lams: Sequence[float],
-    starts: int,
-    seed: int,
-) -> List[BoundResult]:
-    """`certified_bound` at weights (lam, 1 - lam) for every lam, solved together.
+    x: MomentPair, y: MomentPair, lams: Sequence[float], starts: int, seed: int
+) -> Tuple[_Descent, np.ndarray]:
+    """`certified_bound` at weights (lam, 1 - lam) for every lam in [0, 1], solved together.
 
-    One seesaw batch covers every weight, and one branch-and-bound every
-    weight that stalls.
+    The box is validated once, by its pairs at lam = 0 and lam = 1: every
+    weight between them passes the same checks, its penalty scale lying
+    between theirs. One seesaw batch covers every weight, and one
+    branch-and-bound every weight that stalls. Returns the rows
+    `_certify` keeps and their certified flags; no record is built.
     """
-    pairs = [WeightedPair(lam, 1.0 - lam, x, y) for lam in lams]
-    found, _ = local_bounds(pairs, grid=False, starts=starts, seed=seed)
-    return _certify(pairs, found)
+    ends = _batch([WeightedPair(0.0, 1.0, x, y), WeightedPair(1.0, 0.0, x, y)])
+    lam = np.array(lams, dtype=float)
+    rows, _, certified = _certify(ends._replace(cuts=[0, lam.size], lam=lam, mu=1.0 - lam), starts, seed)
+    return rows, certified
+
+
+def _variances(vecs: np.ndarray, m: MomentPair) -> np.ndarray:
+    """Outcome variance of a measurement in each of a stack of pure states."""
+    first = _expect(vecs, m.first.entries)
+    return _expect(vecs, m.second.entries) - first * first
 
 
 def compose_sep_bound(local_a: BoundResult, local_b: BoundResult) -> float:
@@ -928,19 +925,21 @@ def trace_region(
     For each lambda (mu = 1 - lambda) the certified bound is solved and
     the minimizer's variance pair recorded; each bound value acts as a
     supporting line for the whole set of certified points. A solve that
-    does not certify is kept as a flagged point rather than raised.
+    does not certify is kept as a flagged point rather than raised. The
+    lambdas are solved in one batch and each point is read off its arrays,
+    bit for bit the variances of `certified_bound`'s minimizer.
     """
     lams = [float(l) for l in lambdas]
     if any(not 0.0 < l < 1.0 for l in lams):
         raise ValueError("lambdas must lie strictly inside (0, 1)")
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be sorted ascending")
-    found = _certified_curve(x, y, lams, starts, seed)
+    rows, certified = _certified_curve(x, y, lams, starts, seed)
     return RegionBoundary(
-        points=tuple((variance(r.minimizer, x), variance(r.minimizer, y)) for r in found),
+        points=tuple(zip(_variances(rows.vecs, x).tolist(), _variances(rows.vecs, y).tolist())),
         lambdas=tuple(lams),
-        bounds=tuple(r.value for r in found),
-        certified=tuple(r.certified for r in found),
+        bounds=tuple(rows.values.tolist()),
+        certified=tuple(certified.tolist()),
     )
 
 
@@ -956,10 +955,8 @@ def sep_bound_curve(
     Returns the grid, the two-party bound for identical parties (twice the
     certified local bound) and each point's certified flag. Window
     extraction interpolates this cache linearly rather than re-solving per
-    query.
+    query. The weights are solved in one batch, with no record per weight.
     """
     lams = np.linspace(0.0, 1.0, num)
-    found = _certified_curve(x, y, [float(l) for l in lams], starts, seed)
-    vals = np.array([2.0 * r.value for r in found], dtype=float)
-    certified = np.array([r.certified for r in found], dtype=bool)
-    return lams, vals, certified
+    rows, certified = _certified_curve(x, y, lams, starts, seed)
+    return lams, 2.0 * rows.values, certified

@@ -58,12 +58,12 @@ class NoiseChannel:
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"branch unitary has shape {mat.shape}")
             defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
-            if defect > UNITARITY_TOL:
+            if not defect <= UNITARITY_TOL:
                 raise ValueError(f"branch matrix is not unitary: max defect {defect:.3e}")
             dims.add(mat.shape[0])
             mat.flags.writeable = False
             cleaned.append((p, mat))
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"branch probabilities sum to {total!r}, expected 1")
         if not cleaned:
             raise ValueError("channel needs at least one branch with positive probability")

@@ -61,7 +61,7 @@ class HermitianOperator:
         if arr.shape[0] < 2:
             raise ValueError("operators must act on dimension >= 2")
         asym = float(np.max(np.abs(arr - arr.conj().T)))
-        if asym > HERMITICITY_TOL:
+        if not asym <= HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
@@ -101,7 +101,7 @@ class PureState:
         if vec.ndim != 1:
             raise ValueError(f"expected a vector, got shape {vec.shape}")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm is {norm!r}, expected 1")
         vec.flags.writeable = False
         object.__setattr__(self, "amplitudes", vec)
@@ -133,10 +133,10 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _coerce_operator(self.matrix)
         tr = float(np.trace(mat.entries).real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace is {tr!r}, expected 1")
         smallest = float(np.linalg.eigvalsh(mat.entries)[0])
-        if smallest < -PSD_TOL:
+        if not smallest >= -PSD_TOL:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {smallest:.3e}")
         object.__setattr__(self, "matrix", mat)
 
@@ -177,14 +177,14 @@ class Povm:
             raise ValueError(f"POVM elements have mixed dimensions {sorted(dims)}")
         for x, e in zip(labels, elements):
             smallest = float(np.linalg.eigvalsh(e.entries)[0])
-            if smallest < -PSD_TOL:
+            if not smallest >= -PSD_TOL:
                 raise ValueError(
                     f"element for outcome {x} is not positive semidefinite: "
                     f"min eigenvalue {smallest:.3e}"
                 )
         total = np.sum([e.entries for e in elements], axis=0)
         defect = float(np.max(np.abs(total - np.eye(elements[0].dim))))
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:
             raise ValueError(f"elements do not sum to identity: max defect {defect:.3e}")
         object.__setattr__(self, "outcomes", tuple(labels))
         object.__setattr__(self, "elements", elements)
@@ -224,7 +224,7 @@ class MomentPair:
             raise ValueError(f"moment dims differ: {first.dim} vs {second.dim}")
         var = second.entries - first.entries @ first.entries
         smallest = float(np.linalg.eigvalsh(var)[0])
-        if smallest < -PSD_TOL:
+        if not smallest >= -PSD_TOL:
             raise ValueError(
                 f"variance operator is not positive semidefinite: min eigenvalue {smallest:.3e}"
             )

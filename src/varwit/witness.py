@@ -121,8 +121,8 @@ def evaluate_witness_from_tuple(
     d2x: float, d2y: float, lam: float, mu: float, c_sep: float
 ) -> WitnessVerdict:
     """Same verdict logic on an experimentally supplied variance tuple."""
-    if d2x < 0 or d2y < 0:
-        raise ValueError(f"variances must be nonnegative, got ({d2x}, {d2y})")
+    if not (0.0 <= d2x < np.inf and 0.0 <= d2y < np.inf):
+        raise ValueError(f"variances must be finite and nonnegative, got ({d2x}, {d2y})")
     return _verdict(lam, mu, float(lam) * float(d2x) + float(mu) * float(d2y), c_sep)
 
 

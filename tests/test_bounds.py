@@ -29,6 +29,7 @@ from varwit import (
     theta1_sweep,
     theta2_sweep,
     trace_region,
+    variance,
     variance_functional,
 )
 from helpers import (
@@ -260,15 +261,7 @@ def test_certified_bound_is_certified():
 
 def proven_lower(pair, upper, gap=bounds.GAP_TOL):
     """The branch-and-bound's proven lower bound for one weighted pair."""
-    proof = bounds._branch_and_bound(
-        [(pair.x, pair.y)],
-        [0, 1],
-        bounds._spans([pair]),
-        np.array([pair.lam]),
-        np.array([pair.mu]),
-        np.array([upper]),
-        gap,
-    )
+    proof = bounds._branch_and_bound(bounds._batch([pair]), np.array([upper]), gap)
     return float(proof.lower[0])
 
 
@@ -570,6 +563,48 @@ def test_sep_bound_curve_rows_equal_certified_bound(alpha):
         res = certified_bound(WeightedPair(float(lam), float(1.0 - lam), x, y), seed=4)
         assert value == 2.0 * res.value
         assert ok == res.certified
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5])
+def test_trace_region_points_equal_certified_bound_variances(alpha):
+    # the region reads each point off the solver's arrays; it must be the
+    # variance pair of `certified_bound`'s minimizer, bit for bit
+    x, y = spin1_moment_pairs(alpha)
+    lams = [0.1, 0.3, 0.5, 0.72, 0.9]
+    reg = trace_region(x, y, lams, seed=2)
+    for lam, point, value, ok in zip(lams, reg.points, reg.bounds, reg.certified):
+        res = certified_bound(WeightedPair(lam, 1.0 - lam, x, y), seed=2)
+        assert point == (variance(res.minimizer, x), variance(res.minimizer, y))
+        assert (value, ok) == (res.value, res.certified)
+
+
+def test_sep_bound_curve_builds_no_record_per_weight(monkeypatch):
+    # the curve validates its box once and reads every weight off arrays
+    counts = {BoundResult: 0, PureState: 0, WeightedPair: 0}
+    for cls in counts:
+
+        def counted(self, cls=cls, check=cls.__post_init__):
+            counts[cls] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    _, _, certified = sep_bound_curve(*spin1_moment_pairs(0.2), num=201)
+    assert certified.all()
+    assert counts[BoundResult] == 0 and counts[PureState] == 0
+    assert counts[WeightedPair] <= 2
+
+
+def test_stalled_certified_bound_solves_its_spectral_box_once(monkeypatch):
+    # the seesaw, the proof and the polish of one stalled pair share one span
+    pair = spin1_pair(0.5, 0.5, 0.2)
+    calls = []
+    spectral_box = bounds._spectral_box
+    monkeypatch.setattr(bounds, "_spectral_box", lambda *a: calls.append(a) or spectral_box(*a))
+    with capped_seesaw(4):
+        assert not seesaw_bound(pair, seed=3).converged
+        calls.clear()
+        certified_bound(pair, seed=3)
+    assert len(calls) == 1
 
 
 def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):

@@ -340,11 +340,16 @@ def test_witness_accepts_state_file(tmp_path, capsys):
 
 
 def test_witness_rejects_unrecognized_state_file(tmp_path, capsys):
+    # the maximally mixed two-qutrit state with a NaN as its first entry,
+    # where the eigensolver does not fail on it either
+    nan_entries = [[[1.0 / 9.0 if i == j else 0.0, 0.0] for j in range(9)] for i in range(9)]
+    nan_entries[0][0][0] = float("nan")
     bad_files = (
         {"vector": [1, 0, 0]},
         5,
         {"amplitudes": [1, 2]},
         {"entries": [[1, 0], [0, 1]]},
+        {"entries": nan_entries},
     )
     for k, data in enumerate(bad_files):
         path = str(tmp_path / f"state_{k}.json")

@@ -44,8 +44,9 @@ def test_channel_validates_probabilities():
 
 
 def test_channel_validates_unitarity():
-    with pytest.raises(ValueError):
-        NoiseChannel(branches=((1.0, np.diag([2.0, 1.0, 1.0])),))
+    for bad in (np.diag([2.0, 1.0, 1.0]), np.diag([np.nan, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="not unitary"):
+            NoiseChannel(branches=((1.0, bad),))
 
 
 def test_channel_drops_zero_probability_branches():

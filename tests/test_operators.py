@@ -35,6 +35,22 @@ def test_hermitian_operator_rejects_asymmetry():
         HermitianOperator(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_constructors_reject_a_nan_entry():
+    # a tolerance check written as `x > tol` would let NaN through
+    nan_diag = np.diag([np.nan, 0.5, 0.5])
+    lx, _, _ = spin1_components()
+    bad = (
+        lambda: HermitianOperator(nan_diag),
+        lambda: PureState(np.array([np.nan, 0.0, 0.0])),
+        lambda: DensityMatrix(nan_diag),
+        lambda: Povm(outcomes=(1.0, -1.0), elements=(nan_diag, np.eye(3) - nan_diag)),
+        lambda: MomentPair(first=lx, second=nan_diag),
+    )
+    for build in bad:
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_hermitian_operator_rejects_dim_one():
     with pytest.raises(ValueError):
         HermitianOperator(np.array([[1.0]]))

@@ -128,8 +128,9 @@ def test_tuple_verdicts_from_reported_measurements():
 
 
 def test_tuple_verdict_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        evaluate_witness_from_tuple(-0.1, 0.2, 0.5, 0.5, 0.4)
+    for d2x in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            evaluate_witness_from_tuple(d2x, 0.2, 0.5, 0.5, 0.4)
 
 
 def test_detection_window_type_validation():

@@ -21,12 +21,13 @@ within `cli.AGREE_TOL`. `grid_bound` is the route to compare against,
 independent of the descent's starts: one coarse run of the same
 branch-and-bound from the box alone, then a polish of its lowest vertex.
 
-Inside the solver a batch (`_Batch`) is arrays: rows (lam, mu) of one
-or more boxes (one party's moment pairs each), each box's rows a
-contiguous slice built from its operators, and each box's span of means,
-solved once per call. The engines, the proof, the descent and the trust
-rule pass only such arrays; `local_bounds`, `seesaw_bound`, `grid_bound`
-and `certified_bound` build the records at the edge.
+Inside the solver a batch (`_Batch`) is arrays: rows (lam, mu), each
+carrying the index of its box (one party's moment pairs), and each box's
+operators, span of means and penalty scales, gathered once per call.
+Both engines run on chunks of _CHUNK rows (`_in_chunks`). The engines,
+the descent and the trust rule pass only such arrays; `local_bounds`,
+`seesaw_bound`, `grid_bound` and `certified_bound` build the records at
+the edge.
 `local_bounds` solves the seesaw and the grid route of many pairs in one
 proof batch and one descent batch; the routes share the batches but
 never rows, and `seesaw_bound` and `grid_bound` are its one-pair case.
@@ -266,78 +267,75 @@ class _Descent(NamedTuple):
 
 
 class _Batch(NamedTuple):
-    """Rows (lam, mu) as both engines take them, one per weighted pair.
+    """Rows (lam, mu) as both engines take them, each carrying its box.
 
-    A box is one party's moment pairs (x, y). Box b owns the consecutive
-    rows cuts[b]:cuts[b + 1], and spans[b] is its span of means (xlo, xhi,
-    ylo, yhi), the spectral box of its (X1, Y1).
+    A box is one party's moment pairs (x, y). ops[:, b] holds box b's
+    (X1, X2, Y1, Y2), spans[b] its span of means (xlo, xhi, ylo, yhi),
+    the spectral box of its (X1, Y1), and scales[b] the penalty scales
+    (`_penalty_scale`) of x and y. Row i belongs to box box[i].
     """
 
-    boxes: List[Tuple[MomentPair, MomentPair]]
-    cuts: Sequence[int]
-    spans: np.ndarray
+    ops: np.ndarray  # (4, boxes, d, d)
+    spans: np.ndarray  # (boxes, 4)
+    scales: np.ndarray  # (boxes, 2)
+    box: np.ndarray  # (rows,)
     lam: np.ndarray
     mu: np.ndarray
 
-    def take(self, rows: np.ndarray) -> "_Batch":
-        """The batch of the ascending row indices `rows`; boxes left empty stay."""
-        return self._replace(cuts=np.searchsorted(rows, self.cuts), lam=self.lam[rows], mu=self.mu[rows])
+    def take(self, rows) -> "_Batch":
+        """The batch of `rows`, an index array or a slice, with every box kept."""
+        return self._replace(box=self.box[rows], lam=self.lam[rows], mu=self.mu[rows])
+
+    def row_ops(self, rows) -> np.ndarray:
+        """(X1, X2, Y1, Y2) of each of `rows`; a one-box batch broadcasts its (1, d, d) stacks."""
+        return self.ops if self.spans.shape[0] == 1 else self.ops[:, self.box[rows]]
+
+    def row_scales(self) -> np.ndarray:
+        """Each row's penalty scale, lam times its box's X scale plus mu times its Y scale."""
+        sx, sy = self.scales[self.box].T
+        return self.lam * sx + self.mu * sy
 
 
 def _batch(pairs: Sequence[WeightedPair]) -> _Batch:
     """The batch of `pairs`; a run of consecutive pairs sharing their moment pairs is one box.
 
-    Each box's spectral box is solved here, once, however many routes and
-    chunks then read it.
+    Each box's operators, spectral box and penalty scales are gathered
+    here, once, however many routes and chunks then read them.
     """
-    boxes, cuts = [], []
-    for k, pair in enumerate(pairs):
+    boxes, box = [], []
+    for pair in pairs:
         if not boxes or boxes[-1][0] is not pair.x or boxes[-1][1] is not pair.y:
             boxes.append((pair.x, pair.y))
-            cuts.append(k)
+        box.append(len(boxes) - 1)
+    kinds = zip(*((x.first, x.second, y.first, y.second) for x, y in boxes))
     return _Batch(
-        boxes,
-        cuts + [len(pairs)],
+        np.array([[op.entries for op in kind] for kind in kinds]),
         np.array([_spectral_box(x, y) for x, y in boxes]),
+        np.array([(_penalty_scale(x), _penalty_scale(y)) for x, y in boxes]),
+        np.array(box, dtype=int),
         np.array([p.lam for p in pairs]),
         np.array([p.mu for p in pairs]),
     )
 
 
-def _box_slices(cuts: Sequence[int], rows: np.ndarray) -> List[Tuple[int, slice]]:
-    """Each box's (index, slice) of the ascending row indices `rows`.
+def _in_chunks(engine, batch: _Batch, *per_row: np.ndarray, **fixed):
+    """`engine(batch, *per_row, **fixed)` on chunks of _CHUNK rows, its fields joined in row order.
 
-    Boxes that own none of the rows are left out; a lone box takes every row.
+    Memory then does not grow with the number of rows; no row reads
+    another's values in either engine, so chunks do not change them.
     """
-    if len(cuts) == 2:
-        return [(0, slice(None))]
-    at = np.searchsorted(rows, cuts).tolist()
-    return [(b, slice(lo, hi)) for b, (lo, hi) in enumerate(zip(at[:-1], at[1:])) if hi > lo]
-
-
-def _joined(parts: List[np.ndarray]) -> np.ndarray:
-    """The per-box pieces of one array, in row order; a lone piece as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _box_operators(boxes) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """(X1, X2, Y1, Y2) entries of every box."""
-    return [(x.first.entries, x.second.entries, y.first.entries, y.second.entries) for x, y in boxes]
-
-
-def _row_scales(batch: _Batch) -> np.ndarray:
-    """Each row's penalty scale, lam times its box's X scale plus mu times its Y scale."""
-    counts = np.diff(batch.cuts)
-    sx = np.repeat([_penalty_scale(x) for x, _ in batch.boxes], counts)
-    sy = np.repeat([_penalty_scale(y) for _, y in batch.boxes], counts)
-    return batch.lam * sx + batch.mu * sy
+    parts = [
+        engine(batch.take(k), *(a[k] for a in per_row), **fixed)
+        for k in (slice(lo, lo + _CHUNK) for lo in range(0, batch.lam.size, _CHUNK))
+    ]
+    return type(parts[0])(*(np.concatenate(field) for field in zip(*parts)))
 
 
 def _seesaw_rows(batch: _Batch, x0: np.ndarray, y0: np.ndarray) -> _Descent:
     """Second-order seesaw descent of every row (lam, mu) of `batch` from (x0, y0) at once.
 
     Each step stacks the active rows' penalty operators at their current
-    means, built box by box on contiguous slices of the rows, and takes
+    means, each built from its row's operators (`_Batch.row_ops`), and takes
     all eigenpairs from one batched eigensolve. The ground state v has
     V(v) = w0 - lam (x_bar - <X1>)^2 - mu (y_bar - <Y1>)^2. A trial
     reached by a Newton step is accepted only if its V is no larger than
@@ -348,95 +346,76 @@ def _seesaw_rows(batch: _Batch, x0: np.ndarray, y0: np.ndarray) -> _Descent:
     (`_newton_step`), or the seesaw step when it is not usable. V is thus
     non-increasing. A row stops when an accepted eigenvalue moves less
     than _TOL times its penalty scale, or after _MAX_ITER eigensolves, and
-    drops out of the batch; it reports its last accepted state. Rows run
-    in chunks of _CHUNK, so memory does not grow with their number. Each
-    row repeats the floating-point operations of a one-row run in the same
+    drops out of the batch; it reports its last accepted state. Each row
+    repeats the floating-point operations of a one-row run in the same
     order, so its result does not depend on the batch or the other boxes.
+    The rows are one chunk; `_in_chunks` runs more.
     """
-    boxes, cuts, _, lam, mu = batch
-    n, dim = lam.shape[0], boxes[0][0].dim
-    ops = _box_operators(boxes)
+    n, dim = batch.lam.size, batch.ops.shape[-1]
     eye = np.eye(dim)
-    scale = _row_scales(batch)
+    scale = batch.row_scales()
     vecs = np.empty((n, dim), dtype=complex)
     xm, ym = np.empty(n), np.empty(n)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
-    for lo in range(0, n, _CHUNK):
-        rows = np.arange(lo, min(lo + _CHUNK, n))
-        lw, mw = lam[rows], mu[rows]
-        lr, mr, sr = lw / scale[rows], mw / scale[rows], scale[rows]
-        # the means of the next eigensolve, and whether they are a Newton trial
-        x_bar, y_bar = x0[rows], y0[rows]
-        newton = np.zeros(rows.shape, dtype=bool)
-        hold = np.zeros(rows.shape, dtype=bool)
-        # the last accepted ground state: eigenvalue, V, vector, expectations
-        acc_w = np.full(rows.shape, np.inf)
-        acc_val = np.full(rows.shape, np.inf)
-        acc_v = np.empty((rows.size, dim), dtype=complex)
-        acc_x, acc_y = np.empty(rows.size), np.empty(rows.size)
-        for it in range(1, _MAX_ITER + 1):
-            parts = [(ops[b], s) for b, s in _box_slices(cuts, rows)]
-            # float_power is libm pow, the rounding of a Python float's ** 2
-            pen = _joined(
-                [
-                    lw[s, None, None]
-                    * (
-                        x2
-                        - (2.0 * x_bar[s])[:, None, None] * x1
-                        + np.float_power(x_bar[s], 2)[:, None, None] * eye
-                    )
-                    + mw[s, None, None]
-                    * (
-                        y2
-                        - (2.0 * y_bar[s])[:, None, None] * y1
-                        + np.float_power(y_bar[s], 2)[:, None, None] * eye
-                    )
-                    for (x1, x2, y1, y2), s in parts
-                ]
+    rows, lw, mw = np.arange(n), batch.lam, batch.mu
+    lr, mr, sr = lw / scale, mw / scale, scale
+    # the means of the next eigensolve, and whether they are a Newton trial
+    x_bar, y_bar = x0, y0
+    newton = np.zeros(n, dtype=bool)
+    hold = np.zeros(n, dtype=bool)
+    # the last accepted ground state: eigenvalue, V, vector, expectations
+    acc_w = np.full(n, np.inf)
+    acc_val = np.full(n, np.inf)
+    acc_v = np.empty((n, dim), dtype=complex)
+    acc_x, acc_y = np.empty(n), np.empty(n)
+    for it in range(1, _MAX_ITER + 1):
+        x1, x2, y1, y2 = batch.row_ops(rows)
+        # float_power is libm pow, the rounding of a Python float's ** 2
+        pen = lw[:, None, None] * (
+            x2 - (2.0 * x_bar)[:, None, None] * x1 + np.float_power(x_bar, 2)[:, None, None] * eye
+        ) + mw[:, None, None] * (
+            y2 - (2.0 * y_bar)[:, None, None] * y1 + np.float_power(y_bar, 2)[:, None, None] * eye
+        )
+        w, basis = np.linalg.eigh(pen)
+        w = w / sr[:, None]
+        # ascending order makes the degenerate tie-break deterministic
+        v = basis[:, :, 0]
+        # <v|X1 and <v|Y1, the contraction order of `_expect`
+        vc = v.conj()[:, None, :]
+        rx, ry = vc @ x1, vc @ y1
+        xe = (rx @ v[:, :, None])[:, 0, 0].real
+        ye = (ry @ v[:, :, None])[:, 0, 0].real
+        dx, dy = x_bar - xe, y_bar - ye
+        val = w[:, 0] - lr * dx * dx - mr * dy * dy
+        ok = ~newton | (val <= acc_val)
+        stop = ok & (np.abs(acc_w - w[:, 0]) < _TOL)
+        acc_w, acc_val = np.where(ok, w[:, 0], acc_w), np.where(ok, val, acc_val)
+        acc_v[ok], acc_x[ok], acc_y[ok] = v[ok], xe[ok], ye[ok]
+        done = stop | (it == _MAX_ITER)
+        out = rows[done]
+        vecs[out] = acc_v[done]
+        xm[out], ym[out] = acc_x[done], acc_y[done]
+        iterations[out] = it
+        converged[out] = stop[done]
+        keep = ~done
+        if not keep.any():
+            break
+        # a rejected trial returns to the seesaw step from the accepted
+        # state, and the step after that is a seesaw step too
+        step_x, step_y, usable = _newton_step(lr, mr, w, basis, rx, ry, dx, dy)
+        newton = ok & ~hold & usable
+        hold = ~ok
+        x_bar = np.where(newton, x_bar + step_x, acc_x)
+        y_bar = np.where(newton, y_bar + step_y, acc_y)
+        rows, lw, mw, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y = (
+            a[keep]
+            for a in (
+                rows, lw, mw, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y
             )
-            w, basis = np.linalg.eigh(pen)
-            w = w / sr[:, None]
-            # ascending order makes the degenerate tie-break deterministic
-            v = basis[:, :, 0]
-            # <v|X1 and <v|Y1, the contraction order of `_expect`
-            vc = v.conj()[:, None, :]
-            rx = _joined([vc[s] @ x1 for (x1, _, _, _), s in parts])
-            ry = _joined([vc[s] @ y1 for (_, _, y1, _), s in parts])
-            xe = (rx @ v[:, :, None])[:, 0, 0].real
-            ye = (ry @ v[:, :, None])[:, 0, 0].real
-            dx, dy = x_bar - xe, y_bar - ye
-            val = w[:, 0] - lr * dx * dx - mr * dy * dy
-            ok = ~newton | (val <= acc_val)
-            stop = ok & (np.abs(acc_w - w[:, 0]) < _TOL)
-            acc_w, acc_val = np.where(ok, w[:, 0], acc_w), np.where(ok, val, acc_val)
-            acc_v[ok], acc_x[ok], acc_y[ok] = v[ok], xe[ok], ye[ok]
-            done = stop | (it == _MAX_ITER)
-            out = rows[done]
-            vecs[out] = acc_v[done]
-            xm[out], ym[out] = acc_x[done], acc_y[done]
-            iterations[out] = it
-            converged[out] = stop[done]
-            keep = ~done
-            if not keep.any():
-                break
-            # a rejected trial returns to the seesaw step from the accepted
-            # state, and the step after that is a seesaw step too
-            step_x, step_y, usable = _newton_step(lr, mr, w, basis, rx, ry, dx, dy)
-            newton = ok & ~hold & usable
-            hold = ~ok
-            x_bar = np.where(newton, x_bar + step_x, acc_x)
-            y_bar = np.where(newton, y_bar + step_y, acc_y)
-            rows, lw, mw, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y = (
-                a[keep]
-                for a in (
-                    rows, lw, mw, lr, mr, sr, x_bar, y_bar, newton, hold, acc_w, acc_val, acc_v, acc_x, acc_y
-                )
-            )
-    parts = [(ops[b], s) for b, s in _box_slices(cuts, np.arange(n))]
-    ex2 = _joined([_expect(vecs[s], x2) for (_, x2, _, _), s in parts])
-    ey2 = _joined([_expect(vecs[s], y2) for (_, _, _, y2), s in parts])
-    values = lam * (ex2 - xm * xm) + mu * (ey2 - ym * ym)
+        )
+    _, x2, _, y2 = batch.row_ops(slice(None))
+    values = batch.lam * (_expect(vecs, x2) - xm * xm) + batch.mu * (_expect(vecs, y2) - ym * ym)
     return _Descent(vecs, values, xm, ym, iterations, converged, scale)
 
 
@@ -508,7 +487,7 @@ def _descend(
     """One seesaw batch: seeded starts for every row of `batch`, and a polish row each.
 
     Each box draws its `starts` seeded starts once from its span
-    (`_start_means`) and runs them at every one of its rows; when
+    (`_start_means`), and every row of the box runs them; when
     `polish` is given, each row also runs from the lowest vertex that
     proof found for it. A row's runs are consecutive, and no run reads
     another's values. Returns, as `_Descent` arrays with one entry per
@@ -523,21 +502,17 @@ def _descend(
     n, per = batch.lam.size, starts + (polish is not None)
     x0, y0 = np.empty((n, per)), np.empty((n, per))
     if starts:
-        for b, span in enumerate(batch.spans):
-            k = slice(batch.cuts[b], batch.cuts[b + 1])
-            x0[k, :starts], y0[k, :starts] = _start_means(span, starts, seed)
+        means = np.array([_start_means(span, starts, seed) for span in batch.spans])
+        x0[:, :starts], y0[:, :starts] = means[batch.box].transpose(1, 0, 2)
     if polish is not None:
         x0[:, starts], y0[:, starts] = polish.xm, polish.ym
-    each_run = batch._replace(
-        cuts=[c * per for c in batch.cuts], lam=np.repeat(batch.lam, per), mu=np.repeat(batch.mu, per)
-    )
-    runs = _seesaw_rows(each_run, x0.ravel(), y0.ravel())
+    runs = _in_chunks(_seesaw_rows, batch.take(np.repeat(np.arange(n), per)), x0.ravel(), y0.ravel())
     first = np.arange(n) * per
     found = polished = None
     if starts:
         values = runs.values.reshape(n, per)[:, :starts]
         # values within rounding of the lowest tie, and go to the earliest start
-        tie = values.min(axis=1) + _slack(batch.boxes[0][0].dim) * runs.scale[first]
+        tie = values.min(axis=1) + _slack(batch.ops.shape[-1]) * runs.scale[first]
         found = _Descent(*(field[first + np.argmax(values <= tie[:, None], axis=1)] for field in runs))
         found = found._replace(converged=runs.converged.reshape(n, per)[:, :starts].all(axis=1))
     if polish is not None:
@@ -555,7 +530,8 @@ def _solve(
         raise ValueError("ask for the seesaw route, the grid route or both")
     if seesaw and starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    proof = _prove(batch, np.full(batch.lam.size, np.inf), GRID_GAP) if grid else None
+    upper = np.full(batch.lam.size, np.inf)
+    proof = _in_chunks(_branch_and_bound, batch, upper, gap=GRID_GAP) if grid else None
     return _descend(batch, starts if seesaw else 0, seed, proof)
 
 
@@ -576,9 +552,10 @@ def local_bounds(
     the seesaw's starts or values, so each result equals the one-pair
     `seesaw_bound` or `grid_bound` bit for bit. Pairs that share their
     moment pairs with their neighbour form one box and draw one set of
-    starts; each box's spectral box is solved once for both routes. The
-    solve runs on arrays (`_batch`); the records are built here, at its
-    edge, one per pair and route.
+    starts; each row carries its box, whose operators, spectral box and
+    penalty scales are gathered once for both routes. The solve runs on
+    arrays (`_batch`); the records are built here, at its edge, one per
+    pair and route.
 
     Returns:
         The seesaw results and the grid results, one per pair for each
@@ -693,43 +670,35 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
     ends by pruning has its lowest vertex within gap / 2 plus the slack of
     the infimum. Every surviving cell is bisected through its hypotenuse,
     its longest edge in units of the box, and the new vertices of all rows
-    are evaluated in one `eigvalsh` call per round, their penalties built
-    box by box on contiguous slices. One sort of the new
+    are evaluated in one `eigvalsh` call per round, each penalty built from
+    its row's operators (`_Batch.row_ops`). One sort of the new
     vertices by (row, u, v) per round finds those that neighbouring cells
     share, so each vertex is evaluated once. A row stops at
     _MAX_CELLS cells with the bound its cells give so far. Each row works
     in units of its penalty scale, so the result does not depend on the
     weights' magnitude, and subtracts a rounding slack of a few eps. Rows
-    do not interact, so a row's result does not depend on the batch.
+    do not interact, so a row's result does not depend on the batch. The
+    rows are one chunk; `_in_chunks` runs more.
     """
-    boxes, cuts, spans, lam, mu = batch
-    scale = _row_scales(batch)
-    lam, mu, upper = lam / scale, mu / scale, upper / scale
+    scale = batch.row_scales()
+    lam, mu, upper = batch.lam / scale, batch.mu / scale, upper / scale
     n = lam.shape[0]
-    counts = np.diff(cuts)
-    ops = _box_operators(boxes)
-    xlo, wx = spans[:, 0], spans[:, 1] - spans[:, 0]
-    ylo, wy = spans[:, 2], spans[:, 3] - spans[:, 2]
-    # the same per row, for the cells and the result
-    row_xlo, row_wx, row_ylo, row_wy = (np.repeat(a, counts) for a in (xlo, wx, ylo, wy))
+    row_xlo, row_xhi, row_ylo, row_yhi = batch.spans[batch.box].T
+    row_wx, row_wy = row_xhi - row_xlo, row_yhi - row_ylo
 
     def evaluate(rows, u, v):
-        # u, v are the means in units of the box, exact dyadic fractions;
-        # rows ascend, so each box owns a slice of them
-        parts = _box_slices(cuts, rows)
-        xb = _joined([xlo[b] + u[s] * wx[b] for b, s in parts])
-        yb = _joined([ylo[b] + v[s] * wy[b] for b, s in parts])
+        # u, v are the means in units of the box, exact dyadic fractions
+        x1, x2, y1, y2 = batch.row_ops(rows)
+        xb = row_xlo[rows] + u * row_wx[rows]
+        yb = row_ylo[rows] + v * row_wy[rows]
         lr, mr = lam[rows], mu[rows]
-        pen = []
-        for b, s in parts:
-            x1, x2, y1, y2 = ops[b]
-            pen.append(
-                lr[s, None, None] * x2
-                + mr[s, None, None] * y2
-                - (2.0 * lr[s] * xb[s])[:, None, None] * x1
-                - (2.0 * mr[s] * yb[s])[:, None, None] * y1
-            )
-        return np.linalg.eigvalsh(_joined(pen))[:, 0] + lr * xb * xb + mr * yb * yb
+        pen = (
+            lr[:, None, None] * x2
+            + mr[:, None, None] * y2
+            - (2.0 * lr * xb)[:, None, None] * x1
+            - (2.0 * mr * yb)[:, None, None] * y1
+        )
+        return np.linalg.eigvalsh(pen)[:, 0] + lr * xb * xb + mr * yb * yb
 
     best = np.zeros((n, 3))  # (f, u, v) of each row's lowest vertex
     best[:, 0] = np.inf
@@ -791,24 +760,10 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
         child_f[:m, 2], child_f[m:, 2] = fv[:, 1], fv[:, 2]
         uv, fv, rows = child_uv, child_f, np.concatenate([rows, rows])
     return _Proof(
-        lower=(lower - _slack(boxes[0][0].dim)) * scale,
+        lower=(lower - _slack(batch.ops.shape[-1])) * scale,
         xm=row_xlo + best[:, 1] * row_wx,
         ym=row_ylo + best[:, 2] * row_wy,
     )
-
-
-def _prove(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
-    """Branch-and-bound every pair's row, with the pair's upper bound and the gap.
-
-    The rows run in chunks of _CHUNK, so memory does not grow with their
-    number; rows do not interact, so chunks do not change them.
-    """
-    n = batch.lam.size
-    parts = [
-        _branch_and_bound(batch.take(np.arange(lo, min(lo + _CHUNK, n))), upper[lo : lo + _CHUNK], gap)
-        for lo in range(0, n, _CHUNK)
-    ]
-    return _Proof(*(np.concatenate(field) for field in zip(*parts)))
 
 
 def _certify(batch: _Batch, starts: int, seed: int) -> Tuple[_Descent, np.ndarray, np.ndarray]:
@@ -816,7 +771,7 @@ def _certify(batch: _Batch, starts: int, seed: int) -> Tuple[_Descent, np.ndarra
 
     Every unconverged row goes through one batched branch-and-bound at
     GAP_TOL, with its seesaw value as the upper bound, and one seesaw
-    batch polishes each row's best vertex; both read the batch's spans.
+    batch polishes each row's best vertex; both read the batch's box data.
     Every value returned is then lowered by the rounding slack of a
     penalty eigenvalue. Returns the rows kept, which of them the polish
     gave, and which are certified.
@@ -827,7 +782,7 @@ def _certify(batch: _Batch, starts: int, seed: int) -> Tuple[_Descent, np.ndarra
     todo = np.flatnonzero(~certified)
     if todo.size:
         stalled = batch.take(todo)
-        proof = _prove(stalled, rows.values[todo], GAP_TOL)
+        proof = _in_chunks(_branch_and_bound, stalled, rows.values[todo], gap=GAP_TOL)
         _, polish = _descend(stalled, 0, 0, proof)
         # the lower value is kept, ties going to the polish
         take = ~(polish.values > rows.values[todo])
@@ -835,7 +790,7 @@ def _certify(batch: _Batch, starts: int, seed: int) -> Tuple[_Descent, np.ndarra
             field[todo[take]] = new[take]
         polished[todo] = take
         certified[todo] = proof.lower >= rows.values[todo] - GAP_TOL * rows.scale[todo]
-    values = rows.values - _slack(batch.boxes[0][0].dim) * rows.scale
+    values = rows.values - _slack(batch.ops.shape[-1]) * rows.scale
     return rows._replace(values=values), polished, certified
 
 
@@ -890,7 +845,8 @@ def _certified_curve(
     """
     ends = _batch([WeightedPair(0.0, 1.0, x, y), WeightedPair(1.0, 0.0, x, y)])
     lam = np.array(lams, dtype=float)
-    rows, _, certified = _certify(ends._replace(cuts=[0, lam.size], lam=lam, mu=1.0 - lam), starts, seed)
+    every_lam = ends._replace(box=np.zeros(lam.size, dtype=int), lam=lam, mu=1.0 - lam)
+    rows, _, certified = _certify(every_lam, starts, seed)
     return rows, certified
 
 

@@ -223,11 +223,20 @@ def _read_csv(path: str) -> Tuple[set, List[dict]]:
     """The header's columns and the data rows of a CSV file.
 
     The header alone decides the format, so a file with no data rows is
-    read as valid and fails later, as empty data.
+    read as valid and fails later, as empty data. A data row with fewer
+    fields than the header is malformed.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        return set(reader.fieldnames or ()), list(reader)
+        rows = []
+        for row in reader:
+            # DictReader fills the fields a short row lacks with None
+            if None in row.values():
+                raise _UsageError(
+                    f"CSV file {path!r} line {reader.line_num} has fewer fields than its header"
+                )
+            rows.append(row)
+    return set(reader.fieldnames or ()), rows
 
 
 def _load_state(source: str) -> DensityMatrix:

@@ -529,7 +529,24 @@ def test_start_means_draw_the_scalar_stream(wide):
             assert (x0.tolist(), y0.tolist()) == scalar_start_means(bx, by, starts, seed)
 
 
+def same_result(a, b):
+    return (a.to_dict(), a.certified, a.scale) == (b.to_dict(), b.certified, b.scale)
+
+
+def two_box_pairs(lams_a, lams_b):
+    """Weighted pairs of the alpha = 0.5 box at lams_a, then of the alpha = 0.2 box at lams_b."""
+    return [
+        WeightedPair(lam, 1.0 - lam, *box)
+        for box, lams in ((spin1_moment_pairs(0.5), lams_a), (spin1_moment_pairs(0.2), lams_b))
+        for lam in lams
+    ]
+
+
 def test_engine_chunks_do_not_change_rows(monkeypatch):
+    # two boxes of two weights each, 17 seesaw rows a weight (16 starts and
+    # the polish): chunks of 7 rows split both boxes, and rows 28 to 34 hold both
+    mixed = two_box_pairs([0.2, 0.7], [0.3, 0.5])
+    alone = [(seesaw_bound(pair, seed=3), grid_bound(pair)) for pair in mixed]
     # 6 weights x 16 starts run in 14 chunks of 7 rows
     monkeypatch.setattr(bounds, "_CHUNK", 7)
     x, y = spin1_moment_pairs(0.5)
@@ -538,6 +555,9 @@ def test_engine_chunks_do_not_change_rows(monkeypatch):
     found, _ = bounds.local_bounds(pairs, grid=False, seed=3)
     for pair, res in zip(pairs, found):
         assert_same_as_scalar(res, pair, seed=3)
+    found, gridded = bounds.local_bounds(mixed, seed=3)
+    for (seesaw, grid), res, res_grid in zip(alone, found, gridded):
+        assert same_result(res, seesaw) and same_result(res_grid, grid)
 
 
 def test_proof_chunks_do_not_change_rows(monkeypatch):
@@ -553,6 +573,15 @@ def test_proof_chunks_do_not_change_rows(monkeypatch):
     assert chunked.bounds == whole.bounds
     assert chunked.points == whole.points
     assert chunked.certified == whole.certified
+    # five grid rows of two boxes in chunks of 3: the first chunk holds
+    # both boxes, and the chunk boundary splits the second
+    monkeypatch.undo()
+    mixed = two_box_pairs([0.3, 0.5], [0.2, 0.6, 0.9])
+    alone = [(seesaw_bound(pair), grid_bound(pair)) for pair in mixed]
+    monkeypatch.setattr(bounds, "_CHUNK", 3)
+    found, gridded = bounds.local_bounds(mixed)
+    for (seesaw, grid), res, res_grid in zip(alone, found, gridded):
+        assert same_result(res, seesaw) and same_result(res_grid, grid)
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5])
@@ -595,16 +624,22 @@ def test_sep_bound_curve_builds_no_record_per_weight(monkeypatch):
 
 
 def test_stalled_certified_bound_solves_its_spectral_box_once(monkeypatch):
-    # the seesaw, the proof and the polish of one stalled pair share one span
+    # the seesaw, the proof and the polish of one stalled pair share one
+    # span and one pair of penalty scales
     pair = spin1_pair(0.5, 0.5, 0.2)
-    calls = []
-    spectral_box = bounds._spectral_box
-    monkeypatch.setattr(bounds, "_spectral_box", lambda *a: calls.append(a) or spectral_box(*a))
+    calls = {"_spectral_box": 0, "_penalty_scale": 0}
+    for name in calls:
+
+        def counted(*args, name=name, fn=getattr(bounds, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
     with capped_seesaw(4):
         assert not seesaw_bound(pair, seed=3).converged
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         certified_bound(pair, seed=3)
-    assert len(calls) == 1
+    assert calls == {"_spectral_box": 1, "_penalty_scale": 2}
 
 
 def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):

@@ -11,9 +11,12 @@ wrote replays to the same bytes. The requests are every
 `perfbench/workloads.py::query_stream` request at seeds 1, 2 and 60013,
 `report --state singlet --alpha 0.2 --seed 1` with and without `--svg`,
 `region --lambdas 33 --svg` and `witness --tuple 0,2 --lambda 0.72
---output-dir` at alpha 0 and 0.5, and one single-start `witness` at a
-non-global minimum. Prints the digest of all records of each side and
-exits 1 naming the first request whose records differ, else 0.
+--output-dir` at alpha 0 and 0.5, one single-start `witness` at a
+non-global minimum, and two requests whose seesaw batch spans more than
+one chunk of `varwit.bounds._CHUNK` rows: `report --lambda-grid 401`
+(6,416 rows) and `region --lambdas 300 --alpha 0.5` (4,800 rows).
+Prints the digest of all records of each side and exits 1 naming the
+first request whose records differ, else 0.
 """
 
 import argparse
@@ -51,6 +54,9 @@ def requests(work):
         with_dir(f"witness_{alpha}", ["witness", "--tuple", "0,2", "--lambda", "0.72", "--alpha", alpha])
     out.append((["witness", "--tuple", "0.612,0.612", "--alpha", "0.11421472854447745",
                  "--lambda", "0.3715911991772264", "--starts", "1", "--seed", "48"], None))
+    with_dir("report_chunks", ["report", "--state", "singlet", "--alpha", "0.2", "--seed", "1",
+                               "--lambda-grid", "401"])
+    with_dir("region_chunks", ["region", "--lambdas", "300", "--alpha", "0.5"])
     return out
 
 

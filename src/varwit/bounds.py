@@ -23,7 +23,15 @@ branch-and-bound from the box alone, then a polish of its lowest vertex.
 
 Inside the solver a batch (`_Batch`) is arrays: rows (lam, mu), each
 carrying the index of its box (one party's moment pairs), and each box's
-operators, span of means and penalty scales, gathered once per call.
+operators, span of means, penalty scales and proof span, gathered once
+per call. Where f is mirror symmetric, f(x, y) = f(-x, y) or f(x, -y),
+the branch-and-bound tiles only the half span of means >= 0 on that
+side: the noisy spin-1 box has both mirrors, so its proofs tile a
+quarter of the box. `_batch` tests each mirror once per box and
+measures its defect, by Weyl's inequality a bound on how far rounding
+lets f differ from its mirror image; a side is halved only when that
+defect is within the rounding slack, and the proof subtracts it. The
+seeded starts still draw from the whole span.
 Both engines run on chunks of _CHUNK rows (`_in_chunks`). The engines,
 the descent and the trust rule pass only such arrays; `local_bounds`,
 `seesaw_bound`, `grid_bound` and `certified_bound` build the records at
@@ -36,6 +44,8 @@ never rows, and `seesaw_bound` and `grid_bound` are its one-pair case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import sqrt
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -272,12 +282,19 @@ class _Batch(NamedTuple):
     A box is one party's moment pairs (x, y). ops[:, b] holds box b's
     (X1, X2, Y1, Y2), spans[b] its span of means (xlo, xhi, ylo, yhi),
     the spectral box of its (X1, Y1), and scales[b] the penalty scales
-    (`_penalty_scale`) of x and y. Row i belongs to box box[i].
+    (`_penalty_scale`) of x and y. proof_spans[b] is the part of the span
+    the branch-and-bound tiles: a side on which f is mirror symmetric to
+    rounding shrinks to [0, max(hi, -lo)]. defects[b] holds the (x, y)
+    terms of those mirrors' Weyl defects (`_mirrors`); a side kept whole
+    adds none. Seeded starts still draw from the whole span. Row i
+    belongs to box box[i].
     """
 
     ops: np.ndarray  # (4, boxes, d, d)
     spans: np.ndarray  # (boxes, 4)
     scales: np.ndarray  # (boxes, 2)
+    proof_spans: np.ndarray  # (boxes, 4)
+    defects: np.ndarray  # (boxes, 2)
     box: np.ndarray  # (rows,)
     lam: np.ndarray
     mu: np.ndarray
@@ -296,11 +313,76 @@ class _Batch(NamedTuple):
         return self.lam * sx + self.mu * sy
 
 
+# the signs of (X1, X2, Y1, Y2) under the mirror that halves each side:
+# conjugation then the parity D = diag((-1)^k) maps the penalty P(x, y) to
+# P(-x, y) when it negates X1 and keeps X2, Y1 and Y2; conjugation in the
+# given basis maps P(x, y) to P(x, -y) when X1, X2, Y2 are real and Y1 is
+# imaginary
+_MIRROR_SIGNS = np.array([[-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
+
+
+@cache
+def _mirror_weights(dim: int) -> np.ndarray:
+    """(op, 2 d^2, side): 4 where the mirror of a side reads that part of an entry of op, else 0.
+
+    The mirror of a side sends entry a of an operator of sign t to
+    p conj(a), with p = (-1)^(i + j) on the x side and 1 on the y side;
+    p conj(a) - t a is 2i Im(a) up to sign where p t = 1, else 2 Re(a).
+    The parts are those of a complex matrix viewed as floats, (Re, Im)
+    per entry.
+    """
+    k = np.arange(dim)
+    parity = np.stack([(-1.0) ** (k[:, None] + k), np.ones((dim, dim))])
+    imag = parity[:, None] * _MIRROR_SIGNS[:, :, None, None] > 0.0  # (side, op, d, d)
+    parts = np.stack([~imag, imag], axis=-1).reshape(2, 4, -1)
+    weights = 4.0 * parts.transpose(1, 2, 0)
+    weights.flags.writeable = False  # every call shares it
+    return weights
+
+
+def _mirrors(ops: np.ndarray, spans: np.ndarray, scales: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each box's proof span and defect, from the two mirror symmetries of its f.
+
+    The mirror of a side is an antiunitary U that sends each operator A
+    to t A + dA, with t its sign in _MIRROR_SIGNS. U P(x, y) U^-1 then
+    differs from the penalty at the mirrored means by lam (dX2 - 2 x dX1)
+    + mu (dY2 - 2 y dY1), so by Weyl's inequality the mirror moves f by
+    at most lam ex + mu ey, with ex = ||dX2||_F + 2 R_x ||dX1||_F, R_x
+    the largest |mean| on the x side, and ey the same for y. A mirror
+    whose ex and ey are at most the rounding slack (`_slack`) of the box's
+    two penalty scales halves its side when the side's span holds 0: the
+    proof tiles [0, max(hi, -lo)] there, which holds |x| for every x of
+    the span, and its lower bound less the defects of the mirrors used
+    bounds f on the whole span.
+
+    Returns the proof spans (boxes, 4) and the summed (ex, ey) of the
+    mirrors used (boxes, 2), zero for a box that uses none.
+    """
+    parts = ops.view(float).reshape(4, ops.shape[1], -1)
+    # ||dA||_F^2 of each (op, box, side); a batch holds a box or two, so
+    # the rest is scalar arithmetic
+    squares = (parts * parts @ _mirror_weights(ops.shape[-1])).tolist()
+    slack = _slack(ops.shape[-1])
+    proof_spans, defects = spans.tolist(), []
+    for b, (span, (sx, sy)) in enumerate(zip(proof_spans, scales.tolist())):
+        reach = [max(span[1], -span[0]), max(span[3], -span[2])]
+        total = [0.0, 0.0]
+        for side in (0, 1):
+            ex = sqrt(squares[1][b][side]) + 2.0 * reach[0] * sqrt(squares[0][b][side])
+            ey = sqrt(squares[3][b][side]) + 2.0 * reach[1] * sqrt(squares[2][b][side])
+            if ex <= slack * sx and ey <= slack * sy and span[2 * side] <= 0.0 <= span[2 * side + 1]:
+                span[2 * side : 2 * side + 2] = 0.0, reach[side]
+                total = [total[0] + ex, total[1] + ey]
+        defects.append(total)
+    return np.array(proof_spans), np.array(defects)
+
+
 def _batch(pairs: Sequence[WeightedPair]) -> _Batch:
     """The batch of `pairs`; a run of consecutive pairs sharing their moment pairs is one box.
 
-    Each box's operators, spectral box and penalty scales are gathered
-    here, once, however many routes and chunks then read them.
+    Each box's operators, spectral box, penalty scales and mirror
+    symmetries (`_mirrors`) are gathered here, once, however many routes
+    and chunks then read them.
     """
     boxes, box = [], []
     for pair in pairs:
@@ -308,10 +390,14 @@ def _batch(pairs: Sequence[WeightedPair]) -> _Batch:
             boxes.append((pair.x, pair.y))
         box.append(len(boxes) - 1)
     kinds = zip(*((x.first, x.second, y.first, y.second) for x, y in boxes))
+    ops = np.array([[op.entries for op in kind] for kind in kinds])
+    spans = np.array([_spectral_box(x, y) for x, y in boxes])
+    scales = np.array([(_penalty_scale(x), _penalty_scale(y)) for x, y in boxes])
     return _Batch(
-        np.array([[op.entries for op in kind] for kind in kinds]),
-        np.array([_spectral_box(x, y) for x, y in boxes]),
-        np.array([(_penalty_scale(x), _penalty_scale(y)) for x, y in boxes]),
+        ops,
+        spans,
+        scales,
+        *_mirrors(ops, spans, scales),
         np.array(box, dtype=int),
         np.array([p.lam for p in pairs]),
         np.array([p.mu for p in pairs]),
@@ -552,10 +638,11 @@ def local_bounds(
     the seesaw's starts or values, so each result equals the one-pair
     `seesaw_bound` or `grid_bound` bit for bit. Pairs that share their
     moment pairs with their neighbour form one box and draw one set of
-    starts; each row carries its box, whose operators, spectral box and
-    penalty scales are gathered once for both routes. The solve runs on
-    arrays (`_batch`); the records are built here, at its edge, one per
-    pair and route.
+    starts; each row carries its box, whose operators, spectral box,
+    penalty scales and proof span are gathered once for both routes. The
+    grid route tiles the proof span; the starts draw from the spectral
+    box. The solve runs on arrays (`_batch`); the records are built here,
+    at its edge, one per pair and route.
 
     Returns:
         The seesaw results and the grid results, one per pair for each
@@ -663,8 +750,12 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
 
     For a row of box b, inf V is the minimum over the span spans[b] of
     the means of f = g + lam x^2 + mu y^2, g = lambda_min(lam X2 + mu Y2
-    - 2 lam x X1 - 2 mu y Y1). The box is split into right triangles;
-    `_cell_lower` bounds f on each. Every evaluated f is an upper bound, as is the
+    - 2 lam x X1 - 2 mu y Y1). The proof tiles the box's proof span
+    proof_spans[b], which is a half or a quarter of the span where f is
+    mirror symmetric (`_mirrors`), and subtracts the row's mirror defect
+    lam ex + mu ey along with the rounding slack; a box without mirrors
+    tiles its whole span, less nothing. The proof span is split into right
+    triangles; `_cell_lower` bounds f on each. Every evaluated f is an upper bound, as is the
     row's `upper` (a seesaw value, or +inf). A cell is pruned once its
     bound lies within gap / 2 of the row's best upper bound, so a row that
     ends by pruning has its lowest vertex within gap / 2 plus the slack of
@@ -683,8 +774,9 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
     scale = batch.row_scales()
     lam, mu, upper = batch.lam / scale, batch.mu / scale, upper / scale
     n = lam.shape[0]
-    row_xlo, row_xhi, row_ylo, row_yhi = batch.spans[batch.box].T
+    row_xlo, row_xhi, row_ylo, row_yhi = batch.proof_spans[batch.box].T
     row_wx, row_wy = row_xhi - row_xlo, row_yhi - row_ylo
+    ex, ey = batch.defects[batch.box].T
 
     def evaluate(rows, u, v):
         # u, v are the means in units of the box, exact dyadic fractions
@@ -760,7 +852,7 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
         child_f[:m, 2], child_f[m:, 2] = fv[:, 1], fv[:, 2]
         uv, fv, rows = child_uv, child_f, np.concatenate([rows, rows])
     return _Proof(
-        lower=(lower - _slack(batch.ops.shape[-1])) * scale,
+        lower=(lower - _slack(batch.ops.shape[-1]) - (lam * ex + mu * ey)) * scale,
         xm=row_xlo + best[:, 1] * row_wx,
         ym=row_ylo + best[:, 2] * row_wy,
     )
@@ -818,7 +910,11 @@ def grid_bound(pair: WeightedPair) -> BoundResult:
 
     Independent of the seesaw's starts and values: one run of the
     branch-and-bound from the box alone (upper bound +inf) with the coarse
-    gap GRID_GAP, then a single seesaw run polishes its lowest vertex.
+    gap GRID_GAP, then a single seesaw run polishes its lowest vertex. On
+    a mirror symmetric box (`_mirrors`) the run tiles only means >= 0 on
+    each symmetric side, a quarter of the noisy spin-1 box, so the lowest
+    vertex, and the minimizer the polish reaches, may be the mirror image
+    of the one the whole box would give.
     When the run ends by pruning rather than at the cell cap, that vertex
     lies within GRID_GAP / 2 plus a rounding slack of the infimum, in
     units of the penalty scale, and the polish can only lower it, so the

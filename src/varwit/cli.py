@@ -223,17 +223,19 @@ def _read_csv(path: str) -> Tuple[set, List[dict]]:
     """The header's columns and the data rows of a CSV file.
 
     The header alone decides the format, so a file with no data rows is
-    read as valid and fails later, as empty data. A data row with fewer
-    fields than the header is malformed.
+    read as valid and fails later, as empty data. A data row with fewer or
+    more fields than the header is malformed.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         rows = []
         for row in reader:
-            # DictReader fills the fields a short row lacks with None
-            if None in row.values():
+            # DictReader fills the fields a short row lacks with None, and
+            # files a long row's extra fields under the key None
+            if None in row.values() or None in row:
+                which = "more" if None in row else "fewer"
                 raise _UsageError(
-                    f"CSV file {path!r} line {reader.line_num} has fewer fields than its header"
+                    f"CSV file {path!r} line {reader.line_num} has {which} fields than its header"
                 )
             rows.append(row)
     return set(reader.fieldnames or ()), rows

@@ -223,10 +223,13 @@ def test_grid_bound_on_the_degenerate_box_solves_its_corners(monkeypatch):
     assert solved <= 64
 
 
-@pytest.mark.parametrize("alpha, lam", [(0.2, 0.3), (0.0, 0.5), (0.5, 0.5)])
+@pytest.mark.parametrize("alpha, lam", [(0.2, 0.5), (0.0, 0.5), (0.5, 0.5), (None, 0.9)])
 def test_grid_bound_solves_each_vertex_once(monkeypatch, alpha, lam):
-    # cells that share a vertex share its eigensolve, in every round
-    pair = spin1_pair(lam, 1.0 - lam, alpha)
+    # cells that share a vertex share its eigensolve, in every round; the
+    # spin-1 proofs tile a quarter box, and alpha None is a random POVM box
+    # (about 200 matrices), whose proof tiles the whole box
+    x, y = random_pairs(17)[:2] if alpha is None else spin1_moment_pairs(alpha)
+    pair = WeightedPair(lam, 1.0 - lam, x, y)
     solved = []
     solve = np.linalg.eigvalsh
 
@@ -800,6 +803,72 @@ def test_proof_does_not_depend_on_the_weights_scale():
         pair = WeightedPair(0.3 * w, 0.7 * w, x, y)
         lower = proven_lower(pair, np.inf)
         assert exact - bounds.GAP_TOL * penalty_scale(pair) / w <= lower / w <= exact
+
+
+def whole_box(batch):
+    """`batch` with every box's proof tiling its whole span, less no defect."""
+    return batch._replace(proof_spans=batch.spans, defects=np.zeros_like(batch.defects))
+
+
+def proof_lowers(batch):
+    return bounds._branch_and_bound(batch, np.full(batch.lam.size, np.inf), bounds.GAP_TOL).lower
+
+
+def test_quarter_box_proof_brackets_the_exact_infimum():
+    # the noisy spin-1 f is mirror symmetric on both sides, so each proof
+    # tiles x, y >= 0; it must stay a proof, and close to the whole box's
+    cases = [(alpha, lam) for alpha in (0.0, 0.2, 0.5, 0.7, 1.0) for lam in (0.1, 0.3, 0.5, 0.72, 0.9)]
+    pairs = [spin1_pair(lam, 1.0 - lam, alpha) for alpha, lam in cases]
+    batch = bounds._batch(pairs)
+    lo, hi = batch.spans[:, 0::2], batch.spans[:, 1::2]
+    assert np.array_equal(batch.proof_spans[:, 0::2], np.zeros_like(lo))
+    assert np.array_equal(batch.proof_spans[:, 1::2], np.maximum(hi, -lo))
+    assert np.all(batch.defects <= bounds._slack(3) * batch.scales)
+    quarter, whole = proof_lowers(batch), proof_lowers(whole_box(batch))
+    for (alpha, lam), pair, low, full in zip(cases, pairs, quarter, whole):
+        assert low <= local_infimum(lam, 1.0 - lam, alpha)
+        assert abs(low - full) <= bounds.GAP_TOL * penalty_scale(pair)
+
+
+def test_random_boxes_keep_their_whole_box(monkeypatch):
+    # a random POVM box has no mirror symmetry: its proof tiles the whole
+    # span, less no defect, and every route gives the bits it gave before
+    # boxes had mirrors
+    lams = (0.2, 0.5, 0.9)
+    pairs = [WeightedPair(lam, 1.0 - lam, *random_pairs(seed)[:2]) for seed in (3, 17) for lam in lams]
+    batch = bounds._batch(pairs)
+    assert np.array_equal(batch.proof_spans, batch.spans)
+    assert not batch.defects.any()
+    with capped_seesaw(3):
+        routes = [(grid_bound(pair), certified_bound(pair)) for pair in pairs]
+        monkeypatch.setattr(bounds, "_mirrors", lambda ops, spans, scales: (spans, np.zeros_like(scales)))
+        for pair, (grid, certified) in zip(pairs, routes):
+            assert same_result(grid_bound(pair), grid)
+            assert same_result(certified_bound(pair), certified)
+
+
+def test_a_mirror_broken_beyond_rounding_keeps_its_side():
+    # Y1 + eps I breaks the conjugation mirror (y side) by eps and keeps the
+    # parity mirror (x side); 1e-6 is far beyond rounding, 1e-15 within it
+    x, y = spin1_moment_pairs(0.2)
+    exact = bounds._batch([spin1_pair(0.5, 0.5, 0.2)])
+    for eps, halved in ((1e-6, False), (1e-15, True)):
+        y_off = MomentPair(y.first.entries + eps * np.eye(3), y.second)
+        pair = WeightedPair(0.5, 0.5, x, y_off)
+        batch = bounds._batch([pair])
+        xlo, xhi, ylo, yhi = batch.spans[0]
+        assert tuple(batch.proof_spans[0, :2]) == (0.0, max(xhi, -xlo))
+        assert tuple(batch.proof_spans[0, 2:]) == ((0.0, max(yhi, -ylo)) if halved else (ylo, yhi))
+        lower, undefected = proof_lowers(batch)[0], proof_lowers(batch._replace(
+            defects=np.zeros_like(batch.defects)))[0]
+        # the shift moves every V by at most mu (2 eps |<Y1>| + eps^2) < 2 eps
+        assert lower <= local_infimum(0.5, 0.5, 0.2) + 2.0 * eps
+        if halved:
+            # the y term of the measured defect grew with eps, and the
+            # proof subtracts it
+            assert batch.defects[0, 1] > exact.defects[0, 1]
+            drop = pair.lam * batch.defects[0, 0] + pair.mu * batch.defects[0, 1]
+            assert abs((undefected - lower) - drop) <= 4.0 * np.spacing(lower)
 
 
 # property tests over random POVM boxes, derandomized: the examples drawn

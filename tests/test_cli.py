@@ -108,18 +108,24 @@ def test_malformed_tuple_is_usage_error(tmp_path, capsys):
     assert main(["calibrate", "--sweep", str(sweep),
                  "--output-dir", str(tmp_path / "out")]) == EXIT_USAGE
     assert "theta sweep is empty" in capsys.readouterr().err
-    # a data row shorter than its header is malformed, in either file
+    # a data row shorter or longer than its header is malformed, in either file
     short = tmp_path / "short.csv"
-    for argv, text, line in (
+    for argv, text, line, which in (
         (["fit-noise", "--input", str(short)],
-         "theta1_deg,theta2_deg,V_measured\n30,10,0.5\n10,20\n", 3),
-        (["fit-noise", "--input", str(short)], "theta1,theta2,V_mean\n10,20\n", 2),
+         "theta1_deg,theta2_deg,V_measured\n30,10,0.5\n10,20\n", 3, "fewer"),
+        (["fit-noise", "--input", str(short)], "theta1,theta2,V_mean\n10,20\n", 2, "fewer"),
         (["calibrate", "--sweep", str(short), "--output-dir", str(tmp_path / "out")],
-         "theta1_deg,theta2_deg\n10\n", 2),
+         "theta1_deg,theta2_deg\n10\n", 2, "fewer"),
+        (["fit-noise", "--input", str(short)],
+         "theta1_deg,theta2_deg,V_measured\n30,10,0.5,7\n60,30,0.6\n", 2, "more"),
+        (["fit-noise", "--input", str(short)],
+         "theta1,theta2,V_mean\n10,20,0.5\n30,40,0.6,\n", 3, "more"),
+        (["calibrate", "--sweep", str(short), "--output-dir", str(tmp_path / "out")],
+         "theta1_deg,theta2_deg\n10,20,30\n", 2, "more"),
     ):
         short.write_text(text)
         assert main(argv) == EXIT_USAGE
-        assert f"CSV file {str(short)!r} line {line} has fewer fields" in capsys.readouterr().err
+        assert f"CSV file {str(short)!r} line {line} has {which} fields" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -15,8 +15,9 @@ wrote replays to the same bytes. The requests are every
 non-global minimum, and two requests whose seesaw batch spans more than
 one chunk of `varwit.bounds._CHUNK` rows: `report --lambda-grid 401`
 (6,416 rows) and `region --lambdas 300 --alpha 0.5` (4,800 rows).
-Prints the digest of all records of each side and exits 1 naming the
-first request whose records differ, else 0.
+Prints the digest of all records of each side, then each request whose
+records differ with the parts that differ (exit code, stdout, stderr,
+files, replays), and exits 1 if any request differs, else 0.
 """
 
 import argparse
@@ -99,10 +100,10 @@ def run_side(src, work):
             if name.endswith(".manifest.json"):
                 replayed = call(cli.replay_manifest, os.path.join(out_dir or cwd, name))
                 replays[name] = [replayed == (code, stdout, stderr), files(out_dir or cwd) == written]
-        record = {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr,
-                  "files": written, "replays": replays}
-        print(json.dumps({"argv": argv, "digest": hashlib.sha256(
-            json.dumps(record, sort_keys=True).encode()).hexdigest()}), flush=True)
+        parts = {"code": code, "stdout": stdout, "stderr": stderr, "files": written, "replays": replays}
+        print(json.dumps({"argv": argv, "parts": {name: hashlib.sha256(
+            json.dumps(part, sort_keys=True).encode()).hexdigest() for name, part in parts.items()}}),
+            flush=True)
         if out_dir is None:
             for name in os.listdir(cwd):
                 os.remove(os.path.join(cwd, name))
@@ -126,16 +127,18 @@ def main(argv=None):
     sides = [side_records(src, args.work) for src in (args.parent_src, args.change_src)]
     shutil.rmtree(args.work)
     for src, records in zip((args.parent_src, args.change_src), sides):
-        total = hashlib.sha256("".join(r["digest"] for r in records).encode()).hexdigest()
+        total = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
         print(f"{src}: {len(records)} requests, sha256 {total}")
+    differ = False
     for k, (a, b) in enumerate(zip(*sides)):
-        if a != b:
-            print(f"first difference at request {k}: {' '.join(a['argv'])}")
-            return 1
+        parts = [name for name, digest in a["parts"].items() if b["parts"][name] != digest]
+        if parts:
+            differ = True
+            print(f"request {k} differs in {', '.join(parts)}: {' '.join(a['argv'])}")
     if len(sides[0]) != len(sides[1]):
         print("the sides ran different numbers of requests")
         return 1
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

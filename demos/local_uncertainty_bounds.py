@@ -66,14 +66,15 @@ print(f"minimizer means (<L_X>, <L_Y>) = ({dx[0]:+.6f}, {dx[1]:+.6f})")
 # its three corners, and that plane plus the quadratic has a closed-form
 # minimum. Triangles that could still hold a lower value are split until
 # the proven bound meets the best value found. grid_bound runs the same
-# proof from the box of means alone, with no descent start at all, and
-# polishes the lowest corner it evaluated; at lam = 0.2 it lands on the
-# seesaw's value:
+# proof from the box of means alone, coarsely and with no descent start at
+# all, and polishes the lowest corner it evaluated. certified_bound is that
+# route, with a fine proof wherever the polish stalls, less a rounding
+# slack; at lam = 0.2 both land on the seesaw's value:
 pair_02 = WeightedPair(0.2, 0.8, x_pair, y_pair)
 from_box = grid_bound(pair_02)
-descended = certified_bound(pair_02)
+certified = certified_bound(pair_02)
 print(f"\nproof from the box at lam = 0.2: {from_box.value:.12f}  (method={from_box.method})")
-print(f"certified seesaw bound         : {descended.value:.12f}  (certified={descended.certified})")
+print(f"certified bound                : {certified.value:.12f}  (certified={certified.certified})")
 
 # --- from local bound to separability bound -------------------------
 # For a product state the global variances split into local parts, so

@@ -2,8 +2,9 @@
 
 The package splits into small layers: operators (dense matrices, POVMs,
 moments), noise (Heisenberg-picture channels and the noise fit), bounds
-(local uncertainty minimization by seesaw, proven by branch-and-bound
-where the seesaw stalls, plus an independent coarse-proof route), witness
+(local uncertainty minimization: certified bounds from a coarse
+branch-and-bound and a polish of its lowest vertex, proven at a fine gap
+where the polish stalls, plus a seeded multi-start seesaw), witness
 (global moment pairs, verdicts, detection windows), simulate (benchmark
 states and finite statistics), and cli (reproducible workflows).
 """

@@ -13,13 +13,16 @@ means; a trial that would raise V is rejected for the first-order seesaw
 step, moving the means to the ground state's expectations, so V never
 rises. A run stops when f moves less than _TOL times the penalty scale,
 or after _MAX_ITER eigensolves; both are constants of this module.
-When a descent stalls, a branch-and-bound over the mean box proves a
-lower bound for the infimum. The rule of `certified_bound` decides
-whether a bound may be trusted; the only other rule is that of `bound
---method both` in the CLI, whose two routes must converge and agree
-within `cli.AGREE_TOL`. `grid_bound` is the route to compare against,
-independent of the descent's starts: one coarse run of the same
-branch-and-bound from the box alone, then a polish of its lowest vertex.
+A branch-and-bound over the mean box proves lower bounds for the
+infimum. The grid route, `grid_bound`, runs it from the box alone at the
+coarse gap GRID_GAP and polishes its lowest vertex with one descent, so
+it draws no starts. Every certified bound (`certified_bound`,
+`sep_bound_curve`, `trace_region`) is that route, followed where the
+polish stalls by a proof at GAP_TOL and a second polish; the rule of
+`certified_bound` decides whether a bound may be trusted. The seeded
+multi-start descent, `seesaw_bound`, serves only `bound --method
+seesaw|both` in the CLI, whose own rule is that both routes converge and
+agree within `cli.AGREE_TOL`.
 
 Inside the solver a batch (`_Batch`) is arrays: rows (lam, mu), each
 carrying the index of its box (one party's moment pairs), and each box's
@@ -62,7 +65,7 @@ from .operators import (
 # penalty's scale (`WeightedPair.scale`)
 VALUE_FLOOR = -1e-9
 SUPPORT_TOL = 1e-8
-# a stalled seesaw is trusted only when its proven lower bound lies this
+# a stalled polish is trusted only when its proven lower bound lies this
 # close to its value, in units of the penalty's scale (`_penalty_scale`)
 GAP_TOL = 1e-8
 # the pruning gap of `grid_bound`'s run, in the same units; its lowest
@@ -77,8 +80,8 @@ _MAX_ITER = 500
 # uncertified; the ring of minimizers at lam = mu needs about 180k
 _MAX_CELLS = 1 << 19
 # rows per stacked eigensolve in the seesaw engine, and weights per
-# branch-and-bound: a 201-point curve at 16 starts fits one chunk, and no
-# input makes either hold more
+# branch-and-bound: a 201-point curve, one row a weight, fits one chunk
+# many times over, and no input makes either hold more
 _CHUNK = 4096
 
 # the smallest |Hessian eigenvalue| a Newton step divides by, as a fraction
@@ -858,57 +861,58 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
     )
 
 
-def _certify(batch: _Batch, starts: int, seed: int) -> Tuple[_Descent, np.ndarray, np.ndarray]:
-    """`certified_bound` of every row of `batch`: the seesaw, then the one trust rule.
+def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
+    """`certified_bound` of every row of `batch`, as arrays.
 
-    Every unconverged row goes through one batched branch-and-bound at
-    GAP_TOL, with its seesaw value as the upper bound, and one seesaw
-    batch polishes each row's best vertex; both read the batch's box data.
-    Every value returned is then lowered by the rounding slack of a
-    penalty eigenvalue. Returns the rows kept, which of them the polish
-    gave, and which are certified.
+    One batch runs the grid route (`_solve`) of every row; one batched
+    branch-and-bound at GAP_TOL and one polish batch run every row whose
+    polish stalled. All read the batch's box data. Returns the rows kept,
+    their values lowered by the rounding slack of a penalty eigenvalue,
+    and which of them are certified.
     """
-    rows, _ = _solve(batch, True, False, starts, seed)
-    polished = np.zeros(rows.values.shape, dtype=bool)
+    _, rows = _solve(batch, False, True, 0, 0)
     certified = rows.converged.copy()
     todo = np.flatnonzero(~certified)
     if todo.size:
         stalled = batch.take(todo)
         proof = _in_chunks(_branch_and_bound, stalled, rows.values[todo], gap=GAP_TOL)
         _, polish = _descend(stalled, 0, 0, proof)
-        # the lower value is kept, ties going to the polish
+        # the lower value is kept, ties going to the second polish
         take = ~(polish.values > rows.values[todo])
         for field, new in zip(rows, polish):
             field[todo[take]] = new[take]
-        polished[todo] = take
         certified[todo] = proof.lower >= rows.values[todo] - GAP_TOL * rows.scale[todo]
     values = rows.values - _slack(batch.ops.shape[-1]) * rows.scale
-    return rows._replace(values=values), polished, certified
+    return rows._replace(values=values), certified
 
 
-def certified_bound(pair: WeightedPair, starts: int = 16, seed: int = 0) -> BoundResult:
-    """Seesaw first; if any start stalls, prove a lower bound.
+def certified_bound(pair: WeightedPair) -> BoundResult:
+    """The grid route (`grid_bound`); where its polish stalls, a proof at GAP_TOL.
 
-    A converged seesaw is certified. A stalled one goes through the
-    branch-and-bound (`_branch_and_bound`), and a seesaw run polishes the
-    lowest point it evaluated. The lower of the stalled and the polished
-    value is kept, ties going to the polish, so the value is always V at a
-    real minimizer. It is certified when the proven lower bound lies
-    within GAP_TOL times the penalty's scale of it. The value returned is
-    that V less the rounding slack of a penalty eigenvalue, 4 dim^2 eps of
-    the penalty's scale: where the exact bound is linear in lambda, rounding
-    would otherwise put V an ulp above it as often as below, and a tuple on
-    that facet would be detected by rounding alone. The pair's spectral
-    box is solved once, for the seesaw and the proof.
+    The grid route's polish starts from a vertex proven to lie within
+    GRID_GAP / 2 plus a rounding slack of the infimum, in units of the
+    penalty scale, and only lowers V, so a converged polish cannot sit at
+    a distant local minimum; it is certified. A stalled polish goes through
+    the branch-and-bound (`_branch_and_bound`) at GAP_TOL, with its value
+    as the upper bound, and a second seesaw run polishes the lowest point
+    that proof evaluated. The lower of the two values is kept, ties going
+    to the second, so the value is always V at a real minimizer; it is
+    certified when the proven lower bound lies within GAP_TOL times the
+    penalty's scale of it. The value returned is that V less the rounding
+    slack of a penalty eigenvalue, 4 dim^2 eps of the penalty's scale:
+    where the exact bound is linear in lambda, rounding would otherwise
+    put V an ulp above it as often as below, and a tuple on that facet
+    would be detected by rounding alone. No seeded start is drawn, and the
+    pair's spectral box is solved once.
     """
-    rows, polished, certified = _certify(_batch([pair]), starts, seed)
-    return rows.record(0, "grid_refined" if polished[0] else "seesaw", certified[0])
+    rows, certified = _certify(_batch([pair]))
+    return rows.record(0, "grid_refined", certified[0])
 
 
 def grid_bound(pair: WeightedPair) -> BoundResult:
-    """The route `bound --method grid|both` compares the seesaw against.
+    """The grid route: the first step of every certified bound, and `bound --method grid|both`.
 
-    Independent of the seesaw's starts and values: one run of the
+    It draws no starts and never sees the seesaw's values: one run of the
     branch-and-bound from the box alone (upper bound +inf) with the coarse
     gap GRID_GAP, then a single seesaw run polishes its lowest vertex. On
     a mirror symmetric box (`_mirrors`) the run tiles only means >= 0 on
@@ -920,7 +924,8 @@ def grid_bound(pair: WeightedPair) -> BoundResult:
     units of the penalty scale, and the polish can only lower it, so the
     value carries that window whether or not the polish converges. The
     result is labeled grid_refined and is certified when the polish
-    converges. This is the one-pair grid route of `local_bounds`; batched
+    converges. `certified_bound` runs this route and proves a stalled
+    polish. This is the one-pair grid route of `local_bounds`; batched
     there with other pairs or with the seesaw route, the result is the
     same.
     """
@@ -928,22 +933,20 @@ def grid_bound(pair: WeightedPair) -> BoundResult:
     return gridded[0]
 
 
-def _certified_curve(
-    x: MomentPair, y: MomentPair, lams: Sequence[float], starts: int, seed: int
-) -> Tuple[_Descent, np.ndarray]:
+def _certified_curve(x: MomentPair, y: MomentPair, lams: Sequence[float]) -> Tuple[_Descent, np.ndarray]:
     """`certified_bound` at weights (lam, 1 - lam) for every lam in [0, 1], solved together.
 
     The box is validated once, by its pairs at lam = 0 and lam = 1: every
     weight between them passes the same checks, its penalty scale lying
-    between theirs. One seesaw batch covers every weight, and one
-    branch-and-bound every weight that stalls. Returns the rows
-    `_certify` keeps and their certified flags; no record is built.
+    between theirs. One branch-and-bound and one polish batch cover every
+    weight, and one more of each every weight whose polish stalls. Returns
+    the rows `_certify` keeps and their certified flags; no record is
+    built.
     """
     ends = _batch([WeightedPair(0.0, 1.0, x, y), WeightedPair(1.0, 0.0, x, y)])
     lam = np.array(lams, dtype=float)
     every_lam = ends._replace(box=np.zeros(lam.size, dtype=int), lam=lam, mu=1.0 - lam)
-    rows, _, certified = _certify(every_lam, starts, seed)
-    return rows, certified
+    return _certify(every_lam)
 
 
 def _variances(vecs: np.ndarray, m: MomentPair) -> np.ndarray:
@@ -965,13 +968,7 @@ def compose_sep_bound(local_a: BoundResult, local_b: BoundResult) -> float:
     return local_a.value + local_b.value
 
 
-def trace_region(
-    x: MomentPair,
-    y: MomentPair,
-    lambdas: Sequence[float],
-    starts: int = 16,
-    seed: int = 0,
-) -> RegionBoundary:
+def trace_region(x: MomentPair, y: MomentPair, lambdas: Sequence[float]) -> RegionBoundary:
     """Trace the lower-left boundary of the achievable variance region.
 
     For each lambda (mu = 1 - lambda) the certified bound is solved and
@@ -979,14 +976,15 @@ def trace_region(
     supporting line for the whole set of certified points. A solve that
     does not certify is kept as a flagged point rather than raised. The
     lambdas are solved in one batch and each point is read off its arrays,
-    bit for bit the variances of `certified_bound`'s minimizer.
+    bit for bit the variances of `certified_bound`'s minimizer. No seeded
+    start is drawn, so the region does not depend on any seed.
     """
     lams = [float(l) for l in lambdas]
     if any(not 0.0 < l < 1.0 for l in lams):
         raise ValueError("lambdas must lie strictly inside (0, 1)")
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be sorted ascending")
-    rows, certified = _certified_curve(x, y, lams, starts, seed)
+    rows, certified = _certified_curve(x, y, lams)
     return RegionBoundary(
         points=tuple(zip(_variances(rows.vecs, x).tolist(), _variances(rows.vecs, y).tolist())),
         lambdas=tuple(lams),
@@ -995,20 +993,17 @@ def trace_region(
     )
 
 
-def sep_bound_curve(
-    x: MomentPair,
-    y: MomentPair,
-    num: int = 201,
-    starts: int = 16,
-    seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sep_bound_curve(x: MomentPair, y: MomentPair, num: int = 201) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Separability bound c(lambda) on a uniform lambda grid over [0, 1].
 
     Returns the grid, the two-party bound for identical parties (twice the
     certified local bound) and each point's certified flag. Window
     extraction interpolates this cache linearly rather than re-solving per
-    query. The weights are solved in one batch, with no record per weight.
+    query. The weights are solved in one batch, with no record per weight:
+    the grid route of `certified_bound` for every weight, and its proof at
+    GAP_TOL for every weight whose polish stalls. No seeded start is
+    drawn, so the curve does not depend on any seed.
     """
     lams = np.linspace(0.0, 1.0, num)
-    rows, certified = _certified_curve(x, y, lams, starts, seed)
+    rows, certified = _certified_curve(x, y, lams)
     return lams, 2.0 * rows.values, certified

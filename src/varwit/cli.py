@@ -5,15 +5,19 @@ artifact; replaying the manifest re-runs the exact command with its
 resolved seed and reproduces the bytes. Exit codes follow one
 convention: 0 success, 2 numerical warning (a result is printed but some
 solve did not certify; stderr names its lambdas), 64 usage, 74 I/O.
-Whether a bound certifies is decided by `bounds.certified_bound` alone:
-a converged seesaw, or a stalled one whose branch-and-bound lower bound
-proves it within `bounds.GAP_TOL`. Only `bound`, which prints the seesaw
-and the independent `grid_bound` route (a coarse branch-and-bound from the
-box alone, then a polish) side by side, has its own rule: both must
-converge and agree within `AGREE_TOL`. It solves both parties and both
-routes through `bounds.local_bounds`, in one proof batch and one descent
-batch; the routes share the batches but never rows, so each result is
-the party's one-pair `seesaw_bound` or `grid_bound`.
+Whether a bound certifies is decided by `bounds.certified_bound` alone,
+which `region`, `witness` and `report` use: the grid route (a coarse
+branch-and-bound from the box alone, then a polish of its lowest
+vertex) with a converged polish, or a stalled polish whose
+branch-and-bound lower bound proves it within `bounds.GAP_TOL`. These
+commands draw no seeded starts; they keep --starts and --seed parsed so
+that recorded manifests replay, and their outputs do not depend on
+either. Only `bound`, which prints the seeded multi-start seesaw and the
+grid route side by side, has its own rule: both must converge and agree
+within `AGREE_TOL`. It solves both parties and both routes through
+`bounds.local_bounds`, in one proof batch and one descent batch; the
+routes share the batches but never rows, so each result is the party's
+one-pair `seesaw_bound` or `grid_bound`.
 
 The argument parser is built once, when the module is imported, and
 every `main` call reuses it; `main` looks up the command function
@@ -368,7 +372,7 @@ def cmd_region(args) -> int:
     seed = _resolve_seed(args)
     lambdas = _parse_lambdas(args.lambdas)
     x, y = spin1_moment_pairs(args.alpha)
-    region = trace_region(x, y, lambdas, starts=args.starts, seed=seed)
+    region = trace_region(x, y, lambdas)
     os.makedirs(args.output_dir, exist_ok=True)
     csv_path = os.path.join(args.output_dir, "region.csv")
     rows = [
@@ -396,16 +400,12 @@ def cmd_witness(args) -> int:
     noisy_pairs = spin1_moment_pairs(args.alpha)
     bound_pairs = noisy_pairs if args.adapted else spin1_moment_pairs(0.0)
     d2x, d2y = _measured_tuples(args, noisy_pairs)[0]
-    local = certified_bound(
-        WeightedPair(args.lam, 1.0 - args.lam, *bound_pairs), starts=args.starts, seed=seed
-    )
+    local = certified_bound(WeightedPair(args.lam, 1.0 - args.lam, *bound_pairs))
     verdict = evaluate_witness_from_tuple(d2x, d2y, args.lam, 1.0 - args.lam, 2.0 * local.value)
     code = EXIT_OK
     if args.output_dir is not None:
         os.makedirs(args.output_dir, exist_ok=True)
-        lams, cs, certified = sep_bound_curve(
-            *bound_pairs, num=args.lambda_grid, starts=args.starts, seed=seed
-        )
+        lams, cs, certified = sep_bound_curve(*bound_pairs, num=args.lambda_grid)
         v = lams * d2x + (1.0 - lams) * d2y
         rows = list(zip(lams.tolist(), v.tolist(), cs.tolist(), (v < cs).tolist()))
         csv_path = os.path.join(args.output_dir, "witness_sweep.csv")
@@ -539,15 +539,11 @@ def cmd_report(args) -> int:
     ideal_pairs = spin1_moment_pairs(0.0)
     noisy_pairs = ideal_pairs if args.alpha == 0.0 else spin1_moment_pairs(args.alpha)
     tuple_ideal, tuple_noisy = _measured_tuples(args, ideal_pairs, noisy_pairs)
-    lams, c_noiseless, ok_noiseless = sep_bound_curve(
-        *ideal_pairs, num=args.lambda_grid, starts=args.starts, seed=seed
-    )
+    lams, c_noiseless, ok_noiseless = sep_bound_curve(*ideal_pairs, num=args.lambda_grid)
     if noisy_pairs is ideal_pairs:
         c_adapted, ok_adapted = c_noiseless, ok_noiseless
     else:
-        _, c_adapted, ok_adapted = sep_bound_curve(
-            *noisy_pairs, num=args.lambda_grid, starts=args.starts, seed=seed
-        )
+        _, c_adapted, ok_adapted = sep_bound_curve(*noisy_pairs, num=args.lambda_grid)
     windows = {
         "ideal": detection_window(*tuple_ideal, lams, c_noiseless),
         "adapted": detection_window(*tuple_noisy, lams, c_adapted),
@@ -622,13 +618,14 @@ def build_parser() -> _CliParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CliParser)
 
-    def add_seed(p):
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=f"RNG seed (default: ${ENV_SEED} or 0)",
-        )
+    def add_seed(p, help=f"RNG seed (default: ${ENV_SEED} or 0)"):
+        p.add_argument("--seed", type=int, default=None, help=help)
+
+    # certified bounds draw no starts; region, witness and report keep
+    # --starts and --seed parsed, because recorded manifests replay their argv
+    ignored_starts = dict(type=_int_at_least(1), default=16,
+                          help="ignored: certified bounds draw no starts")
+    manifest_seed = f"recorded in manifests (default: ${ENV_SEED} or 0); certified bounds draw no starts"
 
     b = sub.add_parser("bound", help="local uncertainty bound and composed two-party bound")
     b.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -644,10 +641,10 @@ def build_parser() -> _CliParser:
     r.add_argument("--lambdas", required=True,
                    help="interior point count, or comma-separated lambda values")
     r.add_argument("--alpha", type=float, default=0.0)
-    r.add_argument("--starts", type=_int_at_least(1), default=16)
+    r.add_argument("--starts", **ignored_starts)
     r.add_argument("--output-dir", dest="output_dir", default=".")
     r.add_argument("--svg", action="store_true")
-    add_seed(r)
+    add_seed(r, manifest_seed)
 
     w = sub.add_parser("witness", help="witness verdict for a state or variance tuple")
     src = w.add_mutually_exclusive_group(required=True)
@@ -660,10 +657,10 @@ def build_parser() -> _CliParser:
                    help="judge against the noise-adapted bound (default)")
     w.add_argument("--non-adapted", dest="adapted", action="store_false",
                    help="judge against the noiseless bound")
-    w.add_argument("--starts", type=_int_at_least(1), default=16)
+    w.add_argument("--starts", **ignored_starts)
     w.add_argument("--output-dir", dest="output_dir", default=None,
                    help="also write the lambda sweep CSV here")
-    add_seed(w)
+    add_seed(w, manifest_seed)
 
     s = sub.add_parser("simulate", help="finite-statistics variance tuple of a state")
     s.add_argument("--state", default="singlet")
@@ -695,10 +692,10 @@ def build_parser() -> _CliParser:
     rsrc.add_argument("--tuple", dest="tuple_", help="measured variances 'd2x,d2y'")
     rep.add_argument("--alpha", type=float, default=0.0)
     rep.add_argument("--lambda-grid", dest="lambda_grid", type=_int_at_least(2), default=201)
-    rep.add_argument("--starts", type=_int_at_least(1), default=16)
+    rep.add_argument("--starts", **ignored_starts)
     rep.add_argument("--output-dir", dest="output_dir", default=".")
     rep.add_argument("--svg", action="store_true")
-    add_seed(rep)
+    add_seed(rep, manifest_seed)
 
     return parser
 

@@ -20,6 +20,7 @@ from .operators import (
     MomentPair,
     Povm,
     PureState,
+    _check_dim_field,
     _matrix_from_json,
     _matrix_to_json,
     moment_pair,
@@ -87,8 +88,7 @@ class NoiseChannel:
             (float(b["p"]), _matrix_from_json(b["unitary"])) for b in data["branches"]
         )
         chan = cls(branches)
-        if "dim" in data and int(data["dim"]) != chan.dim:
-            raise ValueError("dim field does not match branch unitaries")
+        _check_dim_field(data, chan.dim, "branch unitaries")
         return chan
 
 

@@ -50,6 +50,20 @@ def _vector_from_json(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs])
 
 
+def _check_dim_field(data: dict, dim: int, what: str) -> None:
+    """Reject a "dim" field of `data` that is not the integer `dim`, the dimension of its `what`.
+
+    A JSON integer only: int() would truncate 3.7 to 3 and accept it.
+    """
+    if "dim" not in data:
+        return
+    given = data["dim"]
+    if isinstance(given, bool) or not isinstance(given, int):
+        raise ValueError(f"dim field must be an integer, got {given!r}")
+    if given != dim:
+        raise ValueError(f"dim field {given} does not match {what} ({dim})")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A dense Hermitian matrix; carries every observable in the package."""
@@ -76,8 +90,7 @@ class HermitianOperator:
     @classmethod
     def from_dict(cls, data: dict) -> "HermitianOperator":
         arr = _matrix_from_json(data["entries"])
-        if "dim" in data and int(data["dim"]) != arr.shape[0]:
-            raise ValueError("dim field does not match entries shape")
+        _check_dim_field(data, arr.shape[0], "entries shape")
         return cls(arr)
 
 
@@ -119,8 +132,7 @@ class PureState:
     @classmethod
     def from_dict(cls, data: dict) -> "PureState":
         vec = _vector_from_json(data["amplitudes"])
-        if "dim" in data and int(data["dim"]) != vec.shape[0]:
-            raise ValueError("dim field does not match amplitude count")
+        _check_dim_field(data, vec.shape[0], "amplitude count")
         return cls(vec)
 
 

@@ -16,6 +16,7 @@ from varwit import (
     WeightedPair,
     certified_bound,
     compose_sep_bound,
+    detection_window,
     eig_hermitian,
     expectation,
     grid_bound,
@@ -88,6 +89,27 @@ def test_stop_rules_tolerances_and_fixed_angles_are_not_arguments():
     for fn in solvers + (projective_povm, theta1_sweep, theta2_sweep):
         params = set(inspect.signature(fn).parameters)
         assert not params & {"tol", "max_iter", "degeneracy_tol", "theta1", "theta2"}, fn.__name__
+    # a certified bound draws no seeded start, so nothing seeds it
+    for fn in (certified_bound, sep_bound_curve, trace_region, bounds._certified_curve, bounds._certify):
+        assert not set(inspect.signature(fn).parameters) & {"starts", "seed"}, fn.__name__
+
+
+def test_certified_path_draws_no_seeded_start(monkeypatch):
+    # only the seesaw route of `local_bounds` draws starts; a certified bound
+    # is the grid route, its proofs and its polishes
+    def refuse(*args):
+        raise AssertionError("a certified bound drew seeded starts")
+
+    x, y = spin1_moment_pairs(0.2)
+    monkeypatch.setattr(bounds, "_start_means", refuse)
+    with capped_seesaw(1):
+        # every polish stalls, so the second proof and polish run too
+        assert certified_bound(WeightedPair(0.3, 0.7, x, y)).certified
+    assert certified_bound(WeightedPair(0.5, 0.5, x, y)).certified
+    assert sep_bound_curve(x, y, num=5)[2].all()
+    assert all(trace_region(x, y, [0.3, 0.5]).certified)
+    with pytest.raises(AssertionError, match="drew seeded starts"):
+        seesaw_bound(WeightedPair(0.5, 0.5, x, y))
 
 
 def test_penalty_single_observable_eigenstate():
@@ -273,13 +295,13 @@ def penalty_scale(pair):
 
 
 def test_certified_bound_trusts_a_stall_the_oracle_confirms():
-    # four steps leave this seed's starts stalled a few 1e-12 above the
+    # two steps leave the grid route's polish stalled a few 1e-13 above the
     # infimum; the branch-and-bound proves the stalled value within the gap
     pair = spin1_pair(0.355, 0.645, 0.2)
-    with capped_seesaw(4):
-        stalled = seesaw_bound(pair, seed=1)
+    with capped_seesaw(2):
+        stalled = grid_bound(pair)
         assert not stalled.converged and not stalled.certified
-        res = certified_bound(pair, seed=1)
+        res = certified_bound(pair)
     assert res.certified
     assert res.value <= stalled.value
     lower = proven_lower(pair, stalled.value)
@@ -288,23 +310,25 @@ def test_certified_bound_trusts_a_stall_the_oracle_confirms():
 
 
 def test_certified_bound_rejects_a_stall_the_oracle_undercuts(monkeypatch):
-    # after five steps a single start from this seed is stalled far above
-    # the infimum; the branch-and-bound finds the lower basin, and its
-    # polish is returned, proven and certified
+    # after one step the grid route's polish is stalled 1.2e-8 above the
+    # infimum; the branch-and-bound at GAP_TOL finds a lower vertex, and
+    # the second polish from it is returned, proven and certified
     pair = spin1_pair(0.2, 0.8)
-    with capped_seesaw(5):
-        stalled = seesaw_bound(pair, starts=1, seed=2)
+    exact = local_infimum(0.2, 0.8, 0.0)
+    with capped_seesaw(1):
+        stalled = grid_bound(pair)
         assert not stalled.converged
-        res = certified_bound(pair, starts=1, seed=2)
+        assert stalled.value > exact + 1e-8
+        res = certified_bound(pair)
         assert res.certified and res.method == "grid_refined"
-        assert res.value < stalled.value - 1e-2
-        exact = local_infimum(0.2, 0.8, 0.0)
+        assert res.value < stalled.value - 1e-8
         assert exact - 1e-12 <= res.value <= exact + bounds.GAP_TOL * penalty_scale(pair)
         assert abs(variance_functional(pair, res.minimizer) - res.value) < 1e-12
-        # a cell cap the proof cannot close within leaves the stall uncertified
+        # a cell cap the proofs cannot close within leaves the stall uncertified
         monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
-        capped = certified_bound(pair, starts=1, seed=2)
-        assert not capped.certified
+        stalled = grid_bound(pair)
+        capped = certified_bound(pair)
+        assert not stalled.converged and not capped.certified
         assert capped.value <= stalled.value
 
 
@@ -395,21 +419,26 @@ def test_trace_region_supporting_lines():
 
 def test_trace_region_symmetric_weight_has_mirrored_twin():
     # the lambda = 1/2 supporting line touches the boundary at two
-    # mirror-image points; swapping the measurement roles returns the twin
+    # mirror-image points (a, b) and (b, a), a != b; with the measurement
+    # roles swapped the point found, read back as (Var X, Var Y), lies on
+    # the same line, whichever of the twins it is
     x, y = spin1_moment_pairs(0.0)
     fwd = trace_region(x, y, [0.5])
     rev = trace_region(y, x, [0.5])
     dx, dy = fwd.points[0]
     rdy, rdx = rev.points[0]
-    assert abs(dx - rdy) < 1e-6 and abs(dy - rdx) < 1e-6
     assert abs(fwd.bounds[0] - rev.bounds[0]) < 1e-9
-    assert abs((dx + dy) / 2.0 - 7.0 / 32.0) < 1e-8
+    for a, b, c in ((dx, dy, fwd.bounds[0]), (rdx, rdy, rev.bounds[0])):
+        assert abs((a + b) / 2.0 - c) < 1e-8
+        assert abs((a + b) / 2.0 - 7.0 / 32.0) < 1e-8
+        assert abs(a - b) > 0.1
+    assert {round(dx, 6), round(dy, 6)} == {round(rdx, 6), round(rdy, 6)}
 
 
 def test_trace_region_flags_stalled_points(monkeypatch):
     x, y = spin1_moment_pairs(0.0)
     with capped_seesaw(1):
-        # one step stalls every start, and the proof then certifies each point
+        # one step stalls every polish, and the proof then certifies each point
         reg = trace_region(x, y, [0.4, 0.6])
         assert all(reg.certified)
         # with a cell cap the proof cannot close within, the points stay flagged
@@ -564,11 +593,11 @@ def test_engine_chunks_do_not_change_rows(monkeypatch):
 
 
 def test_proof_chunks_do_not_change_rows(monkeypatch):
-    # three steps stall every start, so all 8 weights go to the proof,
-    # which then runs in 3 chunks
+    # one step stalls every polish, so all 8 weights go through both
+    # proofs, which then run in 3 chunks each
     x, y = spin1_moment_pairs(0.2)
     lams = [0.1, 0.2, 0.3, 0.35, 0.45, 0.6, 0.72, 0.9]
-    with capped_seesaw(3):
+    with capped_seesaw(1):
         whole = trace_region(x, y, lams)
         monkeypatch.setattr(bounds, "_CHUNK", 3)
         chunked = trace_region(x, y, lams)
@@ -590,9 +619,9 @@ def test_proof_chunks_do_not_change_rows(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.2, 0.5])
 def test_sep_bound_curve_rows_equal_certified_bound(alpha):
     x, y = spin1_moment_pairs(alpha)
-    lams, values, certified = sep_bound_curve(x, y, num=11, seed=4)
+    lams, values, certified = sep_bound_curve(x, y, num=11)
     for lam, value, ok in zip(lams, values, certified):
-        res = certified_bound(WeightedPair(float(lam), float(1.0 - lam), x, y), seed=4)
+        res = certified_bound(WeightedPair(float(lam), float(1.0 - lam), x, y))
         assert value == 2.0 * res.value
         assert ok == res.certified
 
@@ -603,9 +632,9 @@ def test_trace_region_points_equal_certified_bound_variances(alpha):
     # variance pair of `certified_bound`'s minimizer, bit for bit
     x, y = spin1_moment_pairs(alpha)
     lams = [0.1, 0.3, 0.5, 0.72, 0.9]
-    reg = trace_region(x, y, lams, seed=2)
+    reg = trace_region(x, y, lams)
     for lam, point, value, ok in zip(lams, reg.points, reg.bounds, reg.certified):
-        res = certified_bound(WeightedPair(lam, 1.0 - lam, x, y), seed=2)
+        res = certified_bound(WeightedPair(lam, 1.0 - lam, x, y))
         assert point == (variance(res.minimizer, x), variance(res.minimizer, y))
         assert (value, ok) == (res.value, res.certified)
 
@@ -627,7 +656,7 @@ def test_sep_bound_curve_builds_no_record_per_weight(monkeypatch):
 
 
 def test_stalled_certified_bound_solves_its_spectral_box_once(monkeypatch):
-    # the seesaw, the proof and the polish of one stalled pair share one
+    # the grid route, the proof and the polish of one stalled pair share one
     # span and one pair of penalty scales
     pair = spin1_pair(0.5, 0.5, 0.2)
     calls = {"_spectral_box": 0, "_penalty_scale": 0}
@@ -638,18 +667,19 @@ def test_stalled_certified_bound_solves_its_spectral_box_once(monkeypatch):
             return fn(*args)
 
         monkeypatch.setattr(bounds, name, counted)
-    with capped_seesaw(4):
-        assert not seesaw_bound(pair, seed=3).converged
+    with capped_seesaw(2):
+        assert not grid_bound(pair).converged
         calls.update(dict.fromkeys(calls, 0))
-        certified_bound(pair, seed=3)
+        certified_bound(pair)
     assert calls == {"_spectral_box": 1, "_penalty_scale": 2}
 
 
 def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
-    # one stacked eigensolve per seesaw step for the whole curve, one more
-    # per step of the polish, and one branch-and-bound for every stalled
-    # weight: its rounds, and so its eigvalsh calls, are those of the
-    # hardest weight alone
+    # one stacked eigensolve per polish step for the whole curve, one more
+    # per step of the second polish, one coarse branch-and-bound for every
+    # weight and one at GAP_TOL for every weight whose polish stalls: their
+    # rounds, and so their eigvalsh calls, are those of the hardest weight
+    # alone
     x, y = spin1_moment_pairs(0.2)
     counts = {"eigh": 0, "eigvalsh": 0, "oracle": 0}
     eigh, eigvalsh, oracle = np.linalg.eigh, np.linalg.eigvalsh, bounds.grid_bound
@@ -664,8 +694,8 @@ def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
     monkeypatch.setattr(bounds, "grid_bound", counted("oracle", oracle))
-    # a cap the slowest weights need more steps than, so that some stall
-    max_iter = 30
+    # a cap the slowest polishes need more steps than, so that some stall
+    max_iter = 2
     with capped_seesaw(max_iter):
         lams, _, certified = sep_bound_curve(x, y, num=201)
         assert certified.all()
@@ -673,8 +703,8 @@ def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
         assert counts["eigh"] <= 2 * max_iter
         curve_calls = counts["eigvalsh"]
         pairs = [WeightedPair(float(lam), float(1.0 - lam), x, y) for lam in lams]
-        found, _ = bounds.local_bounds(pairs, grid=False)
-        stalled = [float(lam) for lam, res in zip(lams, found) if not res.converged]
+        _, gridded = bounds.local_bounds(pairs, seesaw=False)
+        stalled = [float(lam) for lam, res in zip(lams, gridded) if not res.converged]
         assert len(stalled) >= 4
         single_calls = []
         for lam in stalled:
@@ -699,20 +729,29 @@ def test_sep_bound_curve_matches_the_exact_infimum(alpha, certified_curves):
         assert_within_gap(value / 2.0, local_infimum(pair.lam, pair.mu, alpha), pair)
 
 
+def test_separable_facet_tuples_get_no_window(certified_curves):
+    # (0, 2) and (2, 0) are the variance pairs of products of L_X = 0 or
+    # L_Y = 0 eigenstates at any alpha: separable, and on the bound along a
+    # facet of the curve, so no weight may detect them
+    for lams, values, _ in certified_curves.values():
+        for d2x, d2y in ((0.0, 2.0), (2.0, 0.0)):
+            assert not detection_window(d2x, d2y, lams, values)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.2])
 def test_report_curves_lie_within_1e_9_of_the_exact_infimum(alpha):
-    # the two curves `report --seed 1` solves; a first-order seesaw stopped
-    # up to 2.4e-9 above the infimum on them, on the unsafe side
+    # the two curves `report` solves; a first-order seesaw stopped up to
+    # 2.4e-9 above the infimum on them, on the unsafe side
     x, y = spin1_moment_pairs(alpha)
-    lams, values, certified = sep_bound_curve(x, y, num=201, seed=1)
+    lams, values, certified = sep_bound_curve(x, y, num=201)
     assert certified.all()
     for lam, value in zip(lams, values):
         assert abs(value / 2.0 - local_infimum(float(lam), float(1.0 - lam), alpha)) <= 1e-9
 
 
 def test_sep_bound_curve_solves_few_eigh_matrices(monkeypatch):
-    # 201 weights x 16 starts; a first-order seesaw passed about 195,000
-    # matrices through eigh here
+    # 201 polish rows; a first-order seesaw from 16 starts a weight passed
+    # about 195,000 matrices through eigh here
     x, y = spin1_moment_pairs(0.2)
     solved = linalg_matrices(monkeypatch, "eigh", lambda: sep_bound_curve(x, y, num=201))
     assert solved <= 60_000
@@ -734,7 +773,7 @@ def test_seesaw_bound_is_scale_invariant():
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0])
 def test_trace_region_matches_the_exact_infimum(alpha):
     x, y = spin1_moment_pairs(alpha)
-    reg = trace_region(x, y, list(np.linspace(0.05, 0.95, 19)), seed=3)
+    reg = trace_region(x, y, list(np.linspace(0.05, 0.95, 19)))
     assert all(reg.certified)
     for lam, c in zip(reg.lambdas, reg.bounds):
         pair = WeightedPair(lam, 1.0 - lam, x, y)
@@ -784,10 +823,10 @@ def test_proof_on_a_degenerate_box():
 
 @pytest.mark.parametrize("alpha, alpha_b", [(0.0, 0.2), (0.2, 1.0), (0.5, 0.1)])
 def test_proof_composes_unequal_parties(alpha, alpha_b):
-    # two steps stall every start, so each party's bound is the proven one
+    # one step stalls every polish, so each party's bound is the proven one
     for lam in (0.3, 0.72):
         pair_a, pair_b = spin1_pair(lam, 1.0 - lam, alpha), spin1_pair(lam, 1.0 - lam, alpha_b)
-        with capped_seesaw(2):
+        with capped_seesaw(1):
             local_a = certified_bound(pair_a)
             local_b = certified_bound(pair_b)
         exact = local_infimum(lam, 1.0 - lam, alpha) + local_infimum(lam, 1.0 - lam, alpha_b)

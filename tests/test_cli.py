@@ -25,7 +25,7 @@ from varwit import (
     spin1_moment_pairs,
     variance,
 )
-from helpers import capped_seesaw
+from helpers import capped_seesaw, local_infimum
 from varwit.cli import (
     AGREE_TOL,
     EXIT_IO,
@@ -292,12 +292,12 @@ def test_region_writes_csv_svg_and_manifests(tmp_path, capsys):
 
 
 def test_region_uncertified_point_warns(tmp_path, capsys, monkeypatch):
-    # after five steps a single start from this seed is stalled well above
-    # the infimum; the branch-and-bound proves the polished point, unless a
-    # cell cap stops it first
+    # after one step the grid route's polish is stalled above the infimum;
+    # the branch-and-bound proves the second polish, unless a cell cap
+    # stops it first
     out = str(tmp_path)
-    argv = ["region", "--lambdas", "0.2", "--starts", "1", "--seed", "2", "--output-dir", out]
-    with capped_seesaw(5):
+    argv = ["region", "--lambdas", "0.2", "--output-dir", out]
+    with capped_seesaw(1):
         assert main(argv) == EXIT_OK
         monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
         code = main(argv)
@@ -362,12 +362,18 @@ def test_witness_rejects_unrecognized_state_file(tmp_path, capsys):
     # where the eigensolver does not fail on it either
     nan_entries = [[[1.0 / 9.0 if i == j else 0.0, 0.0] for j in range(9)] for i in range(9)]
     nan_entries[0][0][0] = float("nan")
+    mixed = [[[1.0 / 9.0 if i == j else 0.0, 0.0] for j in range(9)] for i in range(9)]
+    singlet = make_singlet().to_dict()
     bad_files = (
         {"vector": [1, 0, 0]},
         5,
         {"amplitudes": [1, 2]},
         {"entries": [[1, 0], [0, 1]]},
         {"entries": nan_entries},
+        # a dim field that int() would truncate to the true 9
+        dict(singlet, dim=9.7),
+        {"dim": 9.7, "entries": mixed},
+        dict(singlet, dim="9"),
     )
     for k, data in enumerate(bad_files):
         path = str(tmp_path / f"state_{k}.json")
@@ -378,28 +384,81 @@ def test_witness_rejects_unrecognized_state_file(tmp_path, capsys):
 
 
 def test_witness_trusts_a_stall_the_oracle_confirms(capsys):
-    # four steps leave the seesaw stalled here, but the branch-and-bound
-    # proves the stalled value
-    argv = ["witness", "--tuple", "0.3,0.3", "--alpha", "0.2", "--lambda", "0.355", "--seed", "1"]
-    with capped_seesaw(4):
+    # two steps leave the grid route's polish stalled here, but the
+    # branch-and-bound proves the stalled value
+    argv = ["witness", "--tuple", "0.3,0.3", "--alpha", "0.2", "--lambda", "0.355"]
+    pair = WeightedPair(0.355, 0.645, *spin1_moment_pairs(0.2))
+    with capped_seesaw(2):
+        assert not grid_bound(pair).converged
         code, _ = run_cli(argv, capsys)
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tuple", "0,2", "--alpha", "0.5", "--lambda", "0.5"],
+        ["--tuple", "0,2", "--alpha", "0.2", "--lambda", "0.72"],
+        ["--tuple", "0.612,0.612", "--alpha", "0.11421472854447745",
+         "--lambda", "0.3715911991772264", "--starts", "1", "--seed", "48"],
+    ],
+)
+def test_witness_does_not_detect_a_tuple_on_or_above_the_bound(argv, capsys):
+    # (0, 2) is the variance pair of a product of two L_X = 0 eigenstates:
+    # separable, and on the bound at both weights. (0.612, 0.612) lies above
+    # the exact bound 0.60728 at its weight, where one seeded start once
+    # stopped at a non-global minimum, 0.61917
+    code, payload = run_cli(["witness"] + argv, capsys)
+    assert code == EXIT_OK
+    assert payload["detected"] is False
+    lam, alpha = payload["lambda"], payload["alpha"]
+    exact = 2.0 * local_infimum(lam, 1.0 - lam, alpha)
+    assert abs(payload["c_sep"] - exact) <= 1e-9
+    assert payload["c_sep"] <= payload["v_value"]
+
+
+def test_certified_outputs_do_not_depend_on_starts_or_seed(tmp_path, capsys):
+    # the commands judged by certified bounds keep --starts and --seed
+    # parsed for old manifests, and print and write the same bytes under
+    # any of them; the manifests differ only in what they record of them
+    requests = [
+        ["witness", "--tuple", "0.3,0.3", "--alpha", "0.2", "--lambda", "0.355", "--lambda-grid", "21"],
+        ["region", "--lambdas", "7", "--alpha", "0.2", "--svg"],
+        ["report", "--tuple", "0.48,0.48", "--alpha", "0.2", "--lambda-grid", "21", "--svg"],
+    ]
+    for argv in requests:
+        out = tmp_path / argv[0]
+        runs = []
+        for extra in ([], ["--starts", "1", "--seed", "48"]):
+            code = main(argv + ["--output-dir", str(out)] + extra)
+            written = {}
+            for path in sorted(out.iterdir()):
+                if path.name.endswith(".manifest.json"):
+                    manifest = json.loads(path.read_text())
+                    for key in ("seed", "starts", "argv"):
+                        manifest["parameters"].pop(key)
+                    written[path.name] = manifest["parameters"], manifest["artifact_paths"]
+                else:
+                    written[path.name] = path.read_bytes()
+                path.unlink()
+            runs.append((code, capsys.readouterr().out, written))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_OK and len(runs[0][2]) >= 2
+
+
 @pytest.mark.parametrize("command", ["report", "witness"])
 def test_uncertified_sweep_point_is_named(command, tmp_path, capsys, monkeypatch):
-    # after five steps a single start from this seed is stalled 0.1 above
-    # the infimum at lambda = 0.2; with a cell cap the proof cannot close
-    # within, that point stays uncertified
-    argv = [command, "--tuple", "0.1,0.1", "--lambda-grid", "6", "--starts", "1",
-            "--seed", "2", "--output-dir", str(tmp_path)]
-    with capped_seesaw(5):
+    # after two steps the grid route's polish has converged at lambda = 0
+    # and 1 and is stalled at the four inner points; with a cell cap no
+    # proof closes within, those four, and only they, stay uncertified
+    argv = [command, "--tuple", "0.1,0.1", "--lambda-grid", "6", "--output-dir", str(tmp_path)]
+    with capped_seesaw(2):
         assert main(argv) == EXIT_OK
         monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
         code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
-    assert "did not certify at lambda = 0.2" in err
+    assert "did not certify at lambda = 0.2, 0.4, 0.6000000000000001, 0.8\n" in err
 
 
 def test_witness_sweep_csv_and_replay_flags(tmp_path, capsys):

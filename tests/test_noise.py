@@ -66,6 +66,9 @@ def test_channel_json_round_trip():
     for (p1, u1), (p2, u2) in zip(back.branches, ch.branches):
         assert p1 == p2
         assert np.array_equal(u1, u2)
+    for dim in (3.7, 3.0, True, "3", 4):
+        with pytest.raises(ValueError, match="dim field"):
+            NoiseChannel.from_dict(dict(payload, dim=dim))
 
 
 def test_spin_flip_channel_branch_probabilities():

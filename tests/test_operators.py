@@ -74,6 +74,9 @@ def test_hermitian_operator_json_round_trip():
     assert len(payload["entries"][0][0]) == 2
     back = HermitianOperator.from_dict(payload)
     assert np.array_equal(back.entries, op.entries)
+    for dim in (4.5, 4.0, True, "4", 3):
+        with pytest.raises(ValueError, match="dim field"):
+            HermitianOperator.from_dict(dict(payload, dim=dim))
 
 
 def test_pure_state_norm_validation():
@@ -89,6 +92,9 @@ def test_pure_state_density_and_json():
     assert abs(np.trace(rho.matrix.entries) - 1.0) < 1e-12
     back = PureState.from_dict(psi.to_dict())
     assert np.array_equal(back.amplitudes, psi.amplitudes)
+    for dim in (3.7, 3.0, True, "3", 2):
+        with pytest.raises(ValueError, match="dim field"):
+            PureState.from_dict(dict(psi.to_dict(), dim=dim))
 
 
 def test_density_matrix_validation():

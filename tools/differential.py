@@ -11,10 +11,11 @@ wrote replays to the same bytes. The requests are every
 `perfbench/workloads.py::query_stream` request at seeds 1, 2 and 60013,
 `report --state singlet --alpha 0.2 --seed 1` with and without `--svg`,
 `region --lambdas 33 --svg` and `witness --tuple 0,2 --lambda 0.72
---output-dir` at alpha 0 and 0.5, one single-start `witness` at a
-non-global minimum, and two requests whose seesaw batch spans more than
-one chunk of `varwit.bounds._CHUNK` rows: `report --lambda-grid 401`
-(6,416 rows) and `region --lambdas 300 --alpha 0.5` (4,800 rows).
+--output-dir` at alpha 0 and 0.5, one single-start `witness` where a
+seeded start once stopped at a non-global minimum, and two requests
+whose certified batch, one row a weight, spans more than one chunk of
+`varwit.bounds._CHUNK` (4,096) rows: `report --lambda-grid 4500` and
+`region --lambdas 4200 --alpha 0.5`.
 Prints the digest of all records of each side, then each request whose
 records differ with the parts that differ (exit code, stdout, stderr,
 files, replays), and exits 1 if any request differs, else 0.
@@ -56,8 +57,8 @@ def requests(work):
     out.append((["witness", "--tuple", "0.612,0.612", "--alpha", "0.11421472854447745",
                  "--lambda", "0.3715911991772264", "--starts", "1", "--seed", "48"], None))
     with_dir("report_chunks", ["report", "--state", "singlet", "--alpha", "0.2", "--seed", "1",
-                               "--lambda-grid", "401"])
-    with_dir("region_chunks", ["region", "--lambdas", "300", "--alpha", "0.5"])
+                               "--lambda-grid", "4500"])
+    with_dir("region_chunks", ["region", "--lambdas", "4200", "--alpha", "0.5"])
     return out
 
 

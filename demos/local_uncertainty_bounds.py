@@ -8,8 +8,9 @@ that minimum, the local uncertainty bound
 
     c(lam) = inf over pure states of  lam * Var(L_X) + (1 - lam) * Var(L_Y),
 
-by two independent routes and shows why the result can be trusted,
-even where the fast route stalls.
+with a proof over the means polished by a descent, checks it against
+the exact value, and shows why the result can be trusted, even where
+the descent stalls.
 """
 
 import numpy as np
@@ -37,13 +38,13 @@ pen = penalty_operator(WeightedPair(0.5, 0.5, x_pair, y_pair), 0.0, 0.0)
 print("penalty at means (0, 0), lam = 1/2:")
 print(np.round(pen.entries.real, 6))
 
-# --- two independent solvers ----------------------------------------
-# Route 1: a descent over the means (the ground state at the current
-# means, then a saddle-free Newton step on the means, or the plain
-# update to the state's expectations where that step would not help),
-# restarted from 16 random points in the spectral box.
-# Route 2: a coarse branch-and-bound over the means, from the box alone,
-# then a polish of the lowest vertex it found.
+# --- the solver ------------------------------------------------------
+# A coarse branch-and-bound over the means, from the box alone, finds a
+# vertex proven to lie close to the minimum. A descent over the means
+# (the ground state at the current means, then a saddle-free Newton step
+# on the means, or the plain update to the state's expectations where
+# that step would not help) then polishes that vertex. grid_bound is
+# this route; seesaw_bound returns the same result under the seesaw label.
 pair = WeightedPair(0.5, 0.5, x_pair, y_pair)
 by_seesaw = seesaw_bound(pair)
 by_grid = grid_bound(pair)
@@ -57,8 +58,7 @@ dx = by_seesaw.means
 print(f"minimizer means (<L_X>, <L_Y>) = ({dx[0]:+.6f}, {dx[1]:+.6f})")
 
 # --- why a stalled seesaw can still be trusted ----------------------
-# A descent can stop early, for instance in a flat valley or from a poor
-# start; its value is then the variance of a real state but may sit above
+# A descent can stop early, for instance in a flat valley; its value is then the variance of a real state but may sit above
 # the infimum. certified_bound proves a lower bound instead of trusting
 # it: the bound is the minimum over the means of g + lam x^2 + mu y^2,
 # where g is the smallest penalty eigenvalue without its x^2, y^2 terms.
@@ -66,10 +66,10 @@ print(f"minimizer means (<L_X>, <L_Y>) = ({dx[0]:+.6f}, {dx[1]:+.6f})")
 # its three corners, and that plane plus the quadratic has a closed-form
 # minimum. Triangles that could still hold a lower value are split until
 # the proven bound meets the best value found. grid_bound runs the same
-# proof from the box of means alone, coarsely and with no descent start at
-# all, and polishes the lowest corner it evaluated. certified_bound is that
-# route, with a fine proof wherever the polish stalls, less a rounding
-# slack; at lam = 0.2 both land on the seesaw's value:
+# proof from the box of means alone, coarsely, and polishes the lowest
+# corner it evaluated. certified_bound is that route, with a fine proof
+# wherever the polish stalls, less a rounding slack; at lam = 0.2 the two
+# agree to that slack:
 pair_02 = WeightedPair(0.2, 0.8, x_pair, y_pair)
 from_box = grid_bound(pair_02)
 certified = certified_bound(pair_02)

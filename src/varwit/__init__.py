@@ -2,9 +2,9 @@
 
 The package splits into small layers: operators (dense matrices, POVMs,
 moments), noise (Heisenberg-picture channels and the noise fit), bounds
-(local uncertainty minimization: certified bounds from a coarse
+(local uncertainty minimization: every bound is a coarse
 branch-and-bound and a polish of its lowest vertex, proven at a fine gap
-where the polish stalls, plus a seeded multi-start seesaw), witness
+where the polish stalls), witness
 (global moment pairs, verdicts, detection windows), simulate (benchmark
 states and finite statistics), and cli (reproducible workflows).
 """

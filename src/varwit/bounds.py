@@ -5,51 +5,47 @@ pure states. At fixed means (x_bar, y_bar) the functional is the
 expectation of a penalty operator, so the infimum becomes a minimization
 of f(x_bar, y_bar), the penalty's smallest eigenvalue, over two real mean
 parameters (the penalty-operator form of Dammeier, Schwonnek & Werner,
-NJP 17, 093046 (2015)). A descent finds minimizers fast but only locally;
-one engine, `_seesaw_rows`, runs every descent, batched over weights and
-starts. Each step solves the penalty's eigenpairs at the current means.
-Their gradient and Hessian of f give a saddle-free Newton step on the
-means; a trial that would raise V is rejected for the first-order seesaw
-step, moving the means to the ground state's expectations, so V never
-rises. A run stops when f moves less than _TOL times the penalty scale,
-or after _MAX_ITER eigensolves; both are constants of this module.
-A branch-and-bound over the mean box proves lower bounds for the
-infimum. The grid route, `grid_bound`, runs it from the box alone at the
-coarse gap GRID_GAP and polishes its lowest vertex with one descent, so
-it draws no starts. Every certified bound (`certified_bound`,
-`sep_bound_curve`, `trace_region`) is that route, followed where the
-polish stalls by a proof at GAP_TOL and a second polish; the rule of
-`certified_bound` decides whether a bound may be trusted. The seeded
-multi-start descent, `seesaw_bound`, serves only `bound --method
-seesaw|both` in the CLI, whose own rule is that both routes converge and
-agree within `cli.AGREE_TOL`.
+NJP 17, 093046 (2015)). A branch-and-bound over the mean box proves lower
+bounds for the infimum, and a descent polishes the lowest vertex it
+found; no descent starts anywhere else, so nothing is drawn at random.
+One engine, `_seesaw_rows`, runs every descent, batched over weights.
+Each step solves the penalty's eigenpairs at the current means. Their
+gradient and Hessian of f give a saddle-free Newton step on the means; a
+trial that would raise V is rejected for the first-order seesaw step,
+moving the means to the ground state's expectations, so V never rises. A
+run stops when f moves less than _TOL times the penalty scale, or after
+_MAX_ITER eigensolves; both are constants of this module.
+The grid route, `grid_bound`, runs the branch-and-bound from the box
+alone at the coarse gap GRID_GAP and polishes its lowest vertex.
+`seesaw_bound` is the same record under the seesaw label. Every
+certified bound (`certified_bound`, `sep_bound_curve`, `trace_region`)
+is that route, followed where the polish stalls by a proof at GAP_TOL
+and a second polish; the rule of `certified_bound` decides whether a
+bound may be trusted.
 
 Inside the solver a batch (`_Batch`) is arrays: rows (lam, mu), each
 carrying the index of its box (one party's moment pairs), and each box's
-operators, span of means, penalty scales and proof span, gathered once
-per call. Where f is mirror symmetric, f(x, y) = f(-x, y) or f(x, -y),
-the branch-and-bound tiles only the half span of means >= 0 on that
-side: the noisy spin-1 box has both mirrors, so its proofs tile a
-quarter of the box. `_batch` tests each mirror once per box and
-measures its defect, by Weyl's inequality a bound on how far rounding
-lets f differ from its mirror image; a side is halved only when that
-defect is within the rounding slack, and the proof subtracts it. The
-seeded starts still draw from the whole span.
+operators, penalty scales and proof span, gathered once per call. Where
+f is mirror symmetric, f(x, y) = f(-x, y) or f(x, -y), the
+branch-and-bound tiles only the half span of means >= 0 on that side:
+the noisy spin-1 box has both mirrors, so its proofs tile a quarter of
+the box. `_batch` tests each mirror once per box and measures its
+defect, by Weyl's inequality a bound on how far rounding lets f differ
+from its mirror image; a side is halved only when that defect is within
+the rounding slack, and the proof subtracts it.
 Both engines run on chunks of _CHUNK rows (`_in_chunks`). The engines,
-the descent and the trust rule pass only such arrays; `local_bounds`,
-`seesaw_bound`, `grid_bound` and `certified_bound` build the records at
-the edge.
-`local_bounds` solves the seesaw and the grid route of many pairs in one
-proof batch and one descent batch; the routes share the batches but
-never rows, and `seesaw_bound` and `grid_bound` are its one-pair case.
+the grid route and the trust rule pass only such arrays; `local_bounds`,
+`grid_bound` and `certified_bound` build the records at the edge.
+`local_bounds` solves the grid route of many pairs in one proof batch
+and one polish batch, and `grid_bound` is its one-pair case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from math import sqrt
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -151,10 +147,11 @@ class BoundResult:
     """A local bound value with its minimizer and solver metadata.
 
     The value is the functional evaluated on the minimizer, less a
-    rounding slack when `certified_bound` returns it; grid_refined is a
-    seesaw polish started from the lowest vertex of a
-    branch-and-bound. `certified` says whether the value may serve as a
-    separability bound; the solver that builds the result sets it.
+    rounding slack when `certified_bound` returns it. Each is a seesaw
+    polish started from the lowest vertex of a branch-and-bound, labeled
+    grid_refined, or seesaw when `seesaw_bound` returns it. `certified`
+    says whether the value may serve as a separability bound; the solver
+    that builds the result sets it.
     `scale` is the pair's penalty scale, the unit in which the value may
     fall below zero by rounding (VALUE_FLOOR).
     """
@@ -283,18 +280,16 @@ class _Batch(NamedTuple):
     """Rows (lam, mu) as both engines take them, each carrying its box.
 
     A box is one party's moment pairs (x, y). ops[:, b] holds box b's
-    (X1, X2, Y1, Y2), spans[b] its span of means (xlo, xhi, ylo, yhi),
-    the spectral box of its (X1, Y1), and scales[b] the penalty scales
-    (`_penalty_scale`) of x and y. proof_spans[b] is the part of the span
-    the branch-and-bound tiles: a side on which f is mirror symmetric to
+    (X1, X2, Y1, Y2) and scales[b] the penalty scales (`_penalty_scale`)
+    of x and y. proof_spans[b] is the part of its span of means, the
+    spectral box (xlo, xhi, ylo, yhi) of its (X1, Y1), that the
+    branch-and-bound tiles: a side on which f is mirror symmetric to
     rounding shrinks to [0, max(hi, -lo)]. defects[b] holds the (x, y)
     terms of those mirrors' Weyl defects (`_mirrors`); a side kept whole
-    adds none. Seeded starts still draw from the whole span. Row i
-    belongs to box box[i].
+    adds none. Row i belongs to box box[i].
     """
 
     ops: np.ndarray  # (4, boxes, d, d)
-    spans: np.ndarray  # (boxes, 4)
     scales: np.ndarray  # (boxes, 2)
     proof_spans: np.ndarray  # (boxes, 4)
     defects: np.ndarray  # (boxes, 2)
@@ -308,7 +303,7 @@ class _Batch(NamedTuple):
 
     def row_ops(self, rows) -> np.ndarray:
         """(X1, X2, Y1, Y2) of each of `rows`; a one-box batch broadcasts its (1, d, d) stacks."""
-        return self.ops if self.spans.shape[0] == 1 else self.ops[:, self.box[rows]]
+        return self.ops if self.ops.shape[1] == 1 else self.ops[:, self.box[rows]]
 
     def row_scales(self) -> np.ndarray:
         """Each row's penalty scale, lam times its box's X scale plus mu times its Y scale."""
@@ -398,7 +393,6 @@ def _batch(pairs: Sequence[WeightedPair]) -> _Batch:
     scales = np.array([(_penalty_scale(x), _penalty_scale(y)) for x, y in boxes])
     return _Batch(
         ops,
-        spans,
         scales,
         *_mirrors(ops, spans, scales),
         np.array(box, dtype=int),
@@ -555,135 +549,46 @@ def _newton_step(lr, mr, w, basis, rx, ry, dx, dy):
     return sx, sy, fine
 
 
-def _start_means(span: np.ndarray, starts: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Seeded starting means, uniform over a box's span (xlo, xhi, ylo, yhi).
+def _solve(batch: _Batch) -> _Descent:
+    """The grid route of every row of `batch`, as arrays: one proof batch, then one polish batch.
 
-    Start s draws its x mean, then its y mean, from one stream; a side of
-    zero width draws nothing and every start takes its one point.
+    One branch-and-bound from the box alone (upper bound +inf) at the
+    coarse gap GRID_GAP runs every row; then each row's one seesaw run
+    polishes the lowest vertex its proof found. No row reads another's
+    values. The result carries each row's penalty scale.
     """
-    lo, hi = span[[0, 2]], span[[1, 3]]
-    wide = hi > lo
-    means = np.tile(lo, (starts, 1))
-    if wide.any():
-        rng = np.random.default_rng(seed)
-        means[:, wide] = rng.uniform(lo[wide], hi[wide], size=(starts, int(wide.sum())))
-    return means[:, 0], means[:, 1]
-
-
-def _descend(
-    batch: _Batch, starts: int, seed: int, polish: Optional[_Proof]
-) -> Tuple[Optional[_Descent], Optional[_Descent]]:
-    """One seesaw batch: seeded starts for every row of `batch`, and a polish row each.
-
-    Each box draws its `starts` seeded starts once from its span
-    (`_start_means`), and every row of the box runs them; when
-    `polish` is given, each row also runs from the lowest vertex that
-    proof found for it. A row's runs are consecutive, and no run reads
-    another's values. Returns, as `_Descent` arrays with one entry per
-    row of `batch`, each row's seesaw run (none when starts is 0) and its
-    polish run (none without `polish`); they carry the penalty scale.
-
-    A row's seesaw run is the earliest start whose value lies within the
-    rounding slack of the lowest, so runs that reach one minimum up to
-    rounding tie by start rather than by their rounding. It is converged
-    only if every start is.
-    """
-    n, per = batch.lam.size, starts + (polish is not None)
-    x0, y0 = np.empty((n, per)), np.empty((n, per))
-    if starts:
-        means = np.array([_start_means(span, starts, seed) for span in batch.spans])
-        x0[:, :starts], y0[:, :starts] = means[batch.box].transpose(1, 0, 2)
-    if polish is not None:
-        x0[:, starts], y0[:, starts] = polish.xm, polish.ym
-    runs = _in_chunks(_seesaw_rows, batch.take(np.repeat(np.arange(n), per)), x0.ravel(), y0.ravel())
-    first = np.arange(n) * per
-    found = polished = None
-    if starts:
-        values = runs.values.reshape(n, per)[:, :starts]
-        # values within rounding of the lowest tie, and go to the earliest start
-        tie = values.min(axis=1) + _slack(batch.ops.shape[-1]) * runs.scale[first]
-        found = _Descent(*(field[first + np.argmax(values <= tie[:, None], axis=1)] for field in runs))
-        found = found._replace(converged=runs.converged.reshape(n, per)[:, :starts].all(axis=1))
-    if polish is not None:
-        polished = _Descent(*(field[first + starts] for field in runs))
-    return found, polished
-
-
-def _solve(
-    batch: _Batch, seesaw: bool, grid: bool, starts: int, seed: int
-) -> Tuple[Optional[_Descent], Optional[_Descent]]:
-    """`local_bounds` on a batch: each pair's seesaw row and grid row, as arrays."""
     if not batch.lam.size:
         raise ValueError("no weighted pairs given")
-    if not (seesaw or grid):
-        raise ValueError("ask for the seesaw route, the grid route or both")
-    if seesaw and starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
-    upper = np.full(batch.lam.size, np.inf)
-    proof = _in_chunks(_branch_and_bound, batch, upper, gap=GRID_GAP) if grid else None
-    return _descend(batch, starts if seesaw else 0, seed, proof)
+    proof = _in_chunks(_branch_and_bound, batch, np.full(batch.lam.size, np.inf), gap=GRID_GAP)
+    return _in_chunks(_seesaw_rows, batch, proof.xm, proof.ym)
 
 
-def local_bounds(
-    pairs: Sequence[WeightedPair],
-    seesaw: bool = True,
-    grid: bool = True,
-    starts: int = 16,
-    seed: int = 0,
-) -> Tuple[List[BoundResult], List[BoundResult]]:
-    """`seesaw_bound` and `grid_bound` of every pair, in one proof batch and one descent batch.
+def local_bounds(pairs: Sequence[WeightedPair]) -> List[BoundResult]:
+    """`grid_bound` of every pair, in one proof batch and one polish batch.
 
-    The grid route's branch-and-bound runs every pair's row in one batch
-    (upper bound +inf, gap GRID_GAP). Then one seesaw batch holds every
-    pair's seeded starts and every pair's polish row, started from the
-    vertex its proof found. The two routes share the batches but never
-    rows: no row reads another's values, and the grid route never sees
-    the seesaw's starts or values, so each result equals the one-pair
-    `seesaw_bound` or `grid_bound` bit for bit. Pairs that share their
-    moment pairs with their neighbour form one box and draw one set of
-    starts; each row carries its box, whose operators, spectral box,
-    penalty scales and proof span are gathered once for both routes. The
-    grid route tiles the proof span; the starts draw from the spectral
-    box. The solve runs on arrays (`_batch`); the records are built here,
-    at its edge, one per pair and route.
-
-    Returns:
-        The seesaw results and the grid results, one per pair for each
-        route asked for and an empty list for a route not asked for.
+    The branch-and-bound runs every pair's row in one batch, and one
+    seesaw batch then polishes each row from the vertex its proof found
+    (`_solve`). No row reads another's values, so each result equals the
+    one-pair `grid_bound` bit for bit. Pairs that share their moment
+    pairs with their neighbour form one box, whose operators, spectral
+    box, penalty scales and proof span are gathered once. The solve runs
+    on arrays (`_batch`); the records are built here, at its edge, one
+    per pair, labeled grid_refined and certified when the polish
+    converges.
     """
-    found, gridded = _solve(_batch(pairs), seesaw, grid, starts, seed)
-    return (
-        [found.record(i, "seesaw", found.converged[i]) for i in range(len(pairs))] if seesaw else [],
-        [gridded.record(i, "grid_refined", gridded.converged[i]) for i in range(len(pairs))] if grid else [],
-    )
+    rows = _solve(_batch(pairs))
+    return [rows.record(i, "grid_refined", rows.converged[i]) for i in range(len(pairs))]
 
 
-def seesaw_bound(pair: WeightedPair, starts: int = 16, seed: int = 0) -> BoundResult:
-    """Multi-start second-order seesaw minimization of the weighted variance sum.
+def seesaw_bound(pair: WeightedPair) -> BoundResult:
+    """`grid_bound` of `pair`, labeled seesaw, as `bound --method seesaw` prints it.
 
-    Takes the ground state of the penalty at the current means, then moves
-    the means by a saddle-free Newton step built from the same eigenpairs,
-    or to that state's expectations when the Newton step is unusable or
-    would raise the value; every start runs at once (see `_seesaw_rows`).
-    This is the one-pair seesaw route of `local_bounds`; batched there
-    with other pairs or with the grid route, the result is the same.
-
-    Args:
-        pair: weights and moment pairs.
-        starts: independent starting means, drawn uniformly from the
-            spectral box of (X1, Y1) with a deterministic seed.
-        seed: RNG seed for the starting means.
-
-    A run stops when the penalty eigenvalue changes less than _TOL times
-    the penalty scale (`WeightedPair.scale`); converged=False if any run
-    reaches _MAX_ITER eigensolves first (the best value found is still
-    reported, uncertified).
-
-    Returns:
-        The earliest start whose value lies within rounding of the lowest.
+    Every descent starts from a proven vertex, so the seesaw route is the
+    grid route's polish: a second-order seesaw (see `_seesaw_rows`) from
+    the lowest vertex of a branch-and-bound at GRID_GAP. The record is
+    `grid_bound`'s, with no second solve; only its method differs.
     """
-    found, _ = local_bounds([pair], grid=False, starts=starts, seed=seed)
-    return found[0]
+    return replace(grid_bound(pair), method="seesaw")
 
 
 class _Proof(NamedTuple):
@@ -759,7 +664,7 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
     lam ex + mu ey along with the rounding slack; a box without mirrors
     tiles its whole span, less nothing. The proof span is split into right
     triangles; `_cell_lower` bounds f on each. Every evaluated f is an upper bound, as is the
-    row's `upper` (a seesaw value, or +inf). A cell is pruned once its
+    row's `upper` (a polished value, or +inf). A cell is pruned once its
     bound lies within gap / 2 of the row's best upper bound, so a row that
     ends by pruning has its lowest vertex within gap / 2 plus the slack of
     the infimum. Every surviving cell is bisected through its hypotenuse,
@@ -870,13 +775,13 @@ def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
     their values lowered by the rounding slack of a penalty eigenvalue,
     and which of them are certified.
     """
-    _, rows = _solve(batch, False, True, 0, 0)
+    rows = _solve(batch)
     certified = rows.converged.copy()
     todo = np.flatnonzero(~certified)
     if todo.size:
         stalled = batch.take(todo)
         proof = _in_chunks(_branch_and_bound, stalled, rows.values[todo], gap=GAP_TOL)
-        _, polish = _descend(stalled, 0, 0, proof)
+        polish = _in_chunks(_seesaw_rows, stalled, proof.xm, proof.ym)
         # the lower value is kept, ties going to the second polish
         take = ~(polish.values > rows.values[todo])
         for field, new in zip(rows, polish):
@@ -902,18 +807,17 @@ def certified_bound(pair: WeightedPair) -> BoundResult:
     slack of a penalty eigenvalue, 4 dim^2 eps of the penalty's scale:
     where the exact bound is linear in lambda, rounding would otherwise
     put V an ulp above it as often as below, and a tuple on that facet
-    would be detected by rounding alone. No seeded start is drawn, and the
-    pair's spectral box is solved once.
+    would be detected by rounding alone. The pair's spectral box is solved
+    once.
     """
     rows, certified = _certify(_batch([pair]))
     return rows.record(0, "grid_refined", certified[0])
 
 
 def grid_bound(pair: WeightedPair) -> BoundResult:
-    """The grid route: the first step of every certified bound, and `bound --method grid|both`.
+    """The grid route: the first step of every certified bound, and every route of `bound`.
 
-    It draws no starts and never sees the seesaw's values: one run of the
-    branch-and-bound from the box alone (upper bound +inf) with the coarse
+    One run of the branch-and-bound from the box alone (upper bound +inf) with the coarse
     gap GRID_GAP, then a single seesaw run polishes its lowest vertex. On
     a mirror symmetric box (`_mirrors`) the run tiles only means >= 0 on
     each symmetric side, a quarter of the noisy spin-1 box, so the lowest
@@ -925,12 +829,10 @@ def grid_bound(pair: WeightedPair) -> BoundResult:
     value carries that window whether or not the polish converges. The
     result is labeled grid_refined and is certified when the polish
     converges. `certified_bound` runs this route and proves a stalled
-    polish. This is the one-pair grid route of `local_bounds`; batched
-    there with other pairs or with the seesaw route, the result is the
-    same.
+    polish. This is the one-pair case of `local_bounds`; batched there
+    with other pairs, the result is the same.
     """
-    _, gridded = local_bounds([pair], seesaw=False)
-    return gridded[0]
+    return local_bounds([pair])[0]
 
 
 def _certified_curve(x: MomentPair, y: MomentPair, lams: Sequence[float]) -> Tuple[_Descent, np.ndarray]:
@@ -976,8 +878,7 @@ def trace_region(x: MomentPair, y: MomentPair, lambdas: Sequence[float]) -> Regi
     supporting line for the whole set of certified points. A solve that
     does not certify is kept as a flagged point rather than raised. The
     lambdas are solved in one batch and each point is read off its arrays,
-    bit for bit the variances of `certified_bound`'s minimizer. No seeded
-    start is drawn, so the region does not depend on any seed.
+    bit for bit the variances of `certified_bound`'s minimizer.
     """
     lams = [float(l) for l in lambdas]
     if any(not 0.0 < l < 1.0 for l in lams):
@@ -1001,8 +902,7 @@ def sep_bound_curve(x: MomentPair, y: MomentPair, num: int = 201) -> Tuple[np.nd
     extraction interpolates this cache linearly rather than re-solving per
     query. The weights are solved in one batch, with no record per weight:
     the grid route of `certified_bound` for every weight, and its proof at
-    GAP_TOL for every weight whose polish stalls. No seeded start is
-    drawn, so the curve does not depend on any seed.
+    GAP_TOL for every weight whose polish stalls.
     """
     lams = np.linspace(0.0, 1.0, num)
     rows, certified = _certified_curve(x, y, lams)

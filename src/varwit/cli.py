@@ -5,19 +5,19 @@ artifact; replaying the manifest re-runs the exact command with its
 resolved seed and reproduces the bytes. Exit codes follow one
 convention: 0 success, 2 numerical warning (a result is printed but some
 solve did not certify; stderr names its lambdas), 64 usage, 74 I/O.
-Whether a bound certifies is decided by `bounds.certified_bound` alone,
-which `region`, `witness` and `report` use: the grid route (a coarse
-branch-and-bound from the box alone, then a polish of its lowest
-vertex) with a converged polish, or a stalled polish whose
-branch-and-bound lower bound proves it within `bounds.GAP_TOL`. These
-commands draw no seeded starts; they keep --starts and --seed parsed so
-that recorded manifests replay, and their outputs do not depend on
-either. Only `bound`, which prints the seeded multi-start seesaw and the
-grid route side by side, has its own rule: both must converge and agree
-within `AGREE_TOL`. It solves both parties and both routes through
-`bounds.local_bounds`, in one proof batch and one descent batch; the
-routes share the batches but never rows, so each result is the party's
-one-pair `seesaw_bound` or `grid_bound`.
+Every bound is the grid route: a coarse branch-and-bound from the box
+alone, then a polish of its lowest vertex. Whether a bound certifies is
+decided by `bounds.certified_bound` alone, which `region`, `witness` and
+`report` use: a converged polish, or a stalled polish whose
+branch-and-bound lower bound proves it within `bounds.GAP_TOL`. `bound`
+solves both parties through `bounds.local_bounds`, in one proof batch
+and one polish batch, so each result is the party's one-pair
+`grid_bound`; it prints that result under every route --method names
+(seesaw, grid or both) and exits 2 unless every party's polish
+converged. No bound draws seeded starts: `bound`, `region`, `witness`
+and `report` keep --starts and --seed parsed so that old command lines
+and recorded manifests still run, and no output of theirs depends on
+either.
 
 The argument parser is built once, when the module is imported, and
 every `main` call reuses it; `main` looks up the command function
@@ -78,9 +78,6 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
-
-# `bound --method both` passes only when the seesaw and `grid_bound` land this close
-AGREE_TOL = 1e-4
 
 
 class _UsageError(Exception):
@@ -324,7 +321,6 @@ def _std(values: Sequence[float]) -> float:
 
 
 def cmd_bound(args) -> int:
-    seed = _resolve_seed(args)
     alpha_b = args.alpha_b if args.alpha_b is not None else args.alpha
     pair_a = WeightedPair(args.lam, args.mu, *spin1_moment_pairs(args.alpha))
     pair_b = (
@@ -332,40 +328,30 @@ def cmd_bound(args) -> int:
         if alpha_b == args.alpha
         else WeightedPair(args.lam, args.mu, *spin1_moment_pairs(alpha_b))
     )
-    found, gridded = local_bounds(
-        [pair_a] if pair_b is pair_a else [pair_a, pair_b],
-        seesaw=args.method != "grid",
-        grid=args.method != "seesaw",
-        starts=args.starts,
-        seed=seed,
-    )
-    results: Dict[str, dict] = {}
-    warn = False
-    for method, routed in (("seesaw", found), ("grid", gridded)):
-        if not routed:
-            continue
-        res_a, res_b = routed[0], routed[-1]
-        warn = warn or not (res_a.converged and res_b.converged)
-        results[method] = {
-            "local_a": res_a.to_dict(),
-            "local_b": res_b.to_dict(),
-            "c_sep": res_a.value + res_b.value,
+    routed = local_bounds([pair_a] if pair_b is pair_a else [pair_a, pair_b])
+    res_a, res_b = routed[0], routed[-1]
+    c_sep = res_a.value + res_b.value
+    # every route is the same run, printed under each key asked for
+    labels = {"seesaw": "seesaw", "grid": "grid_refined"}
+    results = {
+        key: {
+            "local_a": dict(res_a.to_dict(), method=labels[key]),
+            "local_b": dict(res_b.to_dict(), method=labels[key]),
+            "c_sep": c_sep,
         }
-    if len(results) == 2:
-        if abs(results["seesaw"]["c_sep"] - results["grid"]["c_sep"]) > AGREE_TOL:
-            warn = True
-    primary = "seesaw" if "seesaw" in results else "grid"
+        for key in (labels if args.method == "both" else [args.method])
+    }
     _print_json(
         {
             "lambda": args.lam,
             "mu": args.mu,
             "alpha": args.alpha,
             "alpha_b": alpha_b,
-            "c_sep": results[primary]["c_sep"],
+            "c_sep": c_sep,
             "results": results,
         }
     )
-    return _uncertified_exit("bound", [args.lam], [not warn])
+    return _uncertified_exit("bound", [args.lam], [res_a.converged and res_b.converged])
 
 
 def cmd_region(args) -> int:
@@ -621,11 +607,11 @@ def build_parser() -> _CliParser:
     def add_seed(p, help=f"RNG seed (default: ${ENV_SEED} or 0)"):
         p.add_argument("--seed", type=int, default=None, help=help)
 
-    # certified bounds draw no starts; region, witness and report keep
-    # --starts and --seed parsed, because recorded manifests replay their argv
+    # no bound draws starts; the bound commands keep --starts and --seed
+    # parsed, because old command lines and recorded manifests pass them
     ignored_starts = dict(type=_int_at_least(1), default=16,
-                          help="ignored: certified bounds draw no starts")
-    manifest_seed = f"recorded in manifests (default: ${ENV_SEED} or 0); certified bounds draw no starts"
+                          help="ignored: no bound draws seeded starts")
+    manifest_seed = f"recorded in manifests (default: ${ENV_SEED} or 0); no bound draws seeded starts"
 
     b = sub.add_parser("bound", help="local uncertainty bound and composed two-party bound")
     b.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -634,8 +620,8 @@ def build_parser() -> _CliParser:
     b.add_argument("--alpha-b", dest="alpha_b", type=float, default=None,
                    help="noise on the second party (default: same as --alpha)")
     b.add_argument("--method", choices=["seesaw", "grid", "both"], default="both")
-    b.add_argument("--starts", type=_int_at_least(1), default=16)
-    add_seed(b)
+    b.add_argument("--starts", **ignored_starts)
+    add_seed(b, "ignored: no bound draws seeded starts")
 
     r = sub.add_parser("region", help="trace the variance region lower boundary")
     r.add_argument("--lambdas", required=True,
@@ -673,7 +659,7 @@ def build_parser() -> _CliParser:
     c.add_argument("--sweep", required=True,
                    help="'theta1', 'theta2', or a CSV file with theta1_deg,theta2_deg")
     c.add_argument("--alpha", type=float, default=0.0)
-    c.add_argument("--steps", type=int, default=45)
+    c.add_argument("--steps", type=_int_at_least(1), default=45)
     c.add_argument("--shots", type=int, default=20000)
     c.add_argument("--trials", type=int, default=100)
     c.add_argument("--output-dir", dest="output_dir", default=".")

@@ -151,38 +151,6 @@ def newton_step(lam, mu, w, px, py, dx, dy):
     )
 
 
-def scalar_start_means(x, y, starts, seed):
-    """Reference seeded starts: one scalar draw per side and start, x before y.
-
-    A side of zero width draws nothing. Returns two lists of floats.
-    """
-    ex = np.linalg.eigvalsh(x.first.entries)
-    ey = np.linalg.eigvalsh(y.first.entries)
-    xlo, xhi, ylo, yhi = float(ex[0]), float(ex[-1]), float(ey[0]), float(ey[-1])
-    rng = np.random.default_rng(seed)
-    xs, ys = [], []
-    for _ in range(starts):
-        xs.append(float(rng.uniform(xlo, xhi)) if xhi > xlo else xlo)
-        ys.append(float(rng.uniform(ylo, yhi)) if yhi > ylo else ylo)
-    return xs, ys
-
-
-def scalar_seesaw(pair, starts=16, tol=1e-10, max_iter=500, seed=0):
-    """Reference multi-start seesaw: scalar_descend from each seeded start.
-
-    Returns (vec, value, xm, ym, iterations, all_converged) of the earliest
-    start whose value lies within the rounding slack of the lowest.
-    """
-    runs = [
-        scalar_descend(pair, x0, y0, tol, max_iter)
-        for x0, y0 in zip(*scalar_start_means(pair.x, pair.y, starts, seed))
-    ]
-    low = min(run[1] for run in runs)
-    tie = low + 4.0 * pair.dim**2 * np.finfo(float).eps * pair.scale
-    vec, value, xm, ym, iters, _ = next(run for run in runs if run[1] <= tie)
-    return vec, value, xm, ym, iters, all(run[5] for run in runs)
-
-
 def local_infimum(lam, mu, alpha):
     """Exact inf over qutrit states of lam Var X + mu Var Y in the noisy spin-1 box.
 

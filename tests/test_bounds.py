@@ -1,6 +1,7 @@
 import inspect
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +40,7 @@ from helpers import (
     local_infimum,
     random_povm,
     random_pure,
-    scalar_seesaw,
-    scalar_start_means,
+    scalar_descend,
     spin1_box,
 )
 
@@ -82,34 +82,16 @@ def test_stop_rules_tolerances_and_fixed_angles_are_not_arguments():
         sep_bound_curve,
         trace_region,
         bounds._certified_curve,
-        bounds._descend,
+        bounds._solve,
         bounds._certify,
         bounds._seesaw_rows,
     )
     for fn in solvers + (projective_povm, theta1_sweep, theta2_sweep):
         params = set(inspect.signature(fn).parameters)
         assert not params & {"tol", "max_iter", "degeneracy_tol", "theta1", "theta2"}, fn.__name__
-    # a certified bound draws no seeded start, so nothing seeds it
-    for fn in (certified_bound, sep_bound_curve, trace_region, bounds._certified_curve, bounds._certify):
+    # every descent starts from a proven vertex, so nothing seeds a bound
+    for fn in solvers:
         assert not set(inspect.signature(fn).parameters) & {"starts", "seed"}, fn.__name__
-
-
-def test_certified_path_draws_no_seeded_start(monkeypatch):
-    # only the seesaw route of `local_bounds` draws starts; a certified bound
-    # is the grid route, its proofs and its polishes
-    def refuse(*args):
-        raise AssertionError("a certified bound drew seeded starts")
-
-    x, y = spin1_moment_pairs(0.2)
-    monkeypatch.setattr(bounds, "_start_means", refuse)
-    with capped_seesaw(1):
-        # every polish stalls, so the second proof and polish run too
-        assert certified_bound(WeightedPair(0.3, 0.7, x, y)).certified
-    assert certified_bound(WeightedPair(0.5, 0.5, x, y)).certified
-    assert sep_bound_curve(x, y, num=5)[2].all()
-    assert all(trace_region(x, y, [0.3, 0.5]).certified)
-    with pytest.raises(AssertionError, match="drew seeded starts"):
-        seesaw_bound(WeightedPair(0.5, 0.5, x, y))
 
 
 def test_penalty_single_observable_eigenstate():
@@ -180,7 +162,7 @@ def test_seesaw_value_is_monotone_in_iterations():
             values = []
             for k in range(1, 81):
                 with capped_seesaw(k):
-                    values.append(seesaw_bound(pair, starts=1, seed=1).value)
+                    values.append(seesaw_bound(pair).value)
             assert np.all(np.diff(values) <= 1e-12)
 
 
@@ -358,9 +340,9 @@ def test_oracle_agreement_smoke():
     for alpha in (0.0, 0.2):
         for lam in (0.25, 0.5, 0.75):
             pair = spin1_pair(lam, 1.0 - lam, alpha)
-            s = seesaw_bound(pair)
-            g = grid_bound(pair)
-            assert abs(s.value - g.value) < 1e-4
+            exact = local_infimum(lam, 1.0 - lam, alpha)
+            for res in (seesaw_bound(pair), grid_bound(pair)):
+                assert abs(res.value - exact) < 1e-4
 
 
 def test_lower_bound_soundness_random_states():
@@ -383,9 +365,6 @@ def test_noise_raises_local_bound():
 def test_weight_scaling_homogeneity():
     pair1 = spin1_pair(0.37, 0.63)
     pair3 = spin1_pair(3 * 0.37, 3 * 0.63)
-    s1 = seesaw_bound(pair1)
-    s3 = seesaw_bound(pair3)
-    assert abs(s3.value - 3.0 * s1.value) < 1e-8
     g1 = grid_bound(pair1)
     g3 = grid_bound(pair3)
     assert abs(g3.value - 3.0 * g1.value) < 1e-8
@@ -502,13 +481,28 @@ def test_bound_result_rejects_negative_value():
         )
 
 
-def assert_same_as_scalar(res, pair, **kwargs):
-    vec, value, xm, ym, iters, conv = scalar_seesaw(pair, **kwargs)
+def assert_same_as_scalar(res, pair, x0, y0, max_iter=500):
+    vec, value, xm, ym, iters, conv = scalar_descend(pair, x0, y0, 1e-10, max_iter)
     assert res.value == value
     assert res.means == (xm, ym)
     assert res.iterations == iters
     assert res.converged == conv
     assert np.array_equal(res.minimizer.amplitudes, vec)
+
+
+def spread_starts(pair, count, seed):
+    """`count` starting means, uniform over the spectral box of `pair`'s (X1, Y1)."""
+    xlo, xhi, ylo, yhi = bounds._spectral_box(pair.x, pair.y)
+    rng = np.random.default_rng(seed)
+    return list(zip(rng.uniform(xlo, xhi, count).tolist(), rng.uniform(ylo, yhi, count).tolist()))
+
+
+def assert_engine_matches_scalar(pairs, starts, max_iter=500):
+    # the engine runs pairs[k] from starts[k], every run in one batch
+    x0, y0 = np.array(starts).T
+    runs = bounds._in_chunks(bounds._seesaw_rows, bounds._batch(pairs), x0, y0)
+    for k, (pair, start) in enumerate(zip(pairs, starts)):
+        assert_same_as_scalar(runs.record(k, "seesaw", runs.converged[k]), pair, *start, max_iter=max_iter)
 
 
 def random_povm_pairs():
@@ -523,42 +517,34 @@ def random_povm_pairs():
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
 def test_engine_matches_scalar_seesaw_bit_for_bit(alpha, lam):
     pair = spin1_pair(lam, 1.0 - lam, alpha)
-    assert_same_as_scalar(seesaw_bound(pair, seed=1), pair, seed=1)
+    starts = spread_starts(pair, 6, 1)
+    assert_engine_matches_scalar([pair] * 6, starts)
     with capped_seesaw(3):
-        assert_same_as_scalar(seesaw_bound(pair, seed=2), pair, seed=2, max_iter=3)
+        assert_engine_matches_scalar([pair] * 6, starts, max_iter=3)
+    # the grid route is one such run, from the lowest vertex of its proof
+    proof = bounds._branch_and_bound(bounds._batch([pair]), np.array([np.inf]), bounds.GRID_GAP)
+    grid = grid_bound(pair)
+    assert_same_as_scalar(grid, pair, float(proof.xm[0]), float(proof.ym[0]))
+    seesaw = seesaw_bound(pair)
+    assert seesaw.method == "seesaw" and same_result(replace(seesaw, method="grid_refined"), grid)
 
 
 def test_engine_squares_means_like_python_floats():
-    # from this seed, on this point of the noiseless 201-point curve,
+    # from this start, on this point of the noiseless 201-point curve,
     # numpy's square and the libm pow behind a Python float's ** 2 round
     # one mean differently
     pair = spin1_pair(0.265, 0.735)
-    assert_same_as_scalar(seesaw_bound(pair, seed=14), pair, seed=14)
+    assert_engine_matches_scalar([pair], [(0.40547861116410977, 0.7202375733051889)])
 
 
 def test_engine_matches_scalar_seesaw_on_random_povms():
     for x, y in random_povm_pairs():
         for lam in (0.0, 0.3, 0.5, 1.0):
             pair = WeightedPair(lam, 1.0 - lam, x, y)
-            assert_same_as_scalar(seesaw_bound(pair), pair)
+            starts = spread_starts(pair, 6, 0)
+            assert_engine_matches_scalar([pair] * 6, starts)
             with capped_seesaw(3):
-                assert_same_as_scalar(seesaw_bound(pair), pair, max_iter=3)
-
-
-@pytest.mark.parametrize("wide", ["xy", "x", "y", ""])
-def test_start_means_draw_the_scalar_stream(wide):
-    # the vectorized draw takes the scalar loop's numbers in its order, x
-    # before y per start, and draws nothing on a side of zero width
-    x, y = spin1_moment_pairs(0.2)
-    flat_x, flat_y = (MomentPair(np.zeros((3, 3)), m.second) for m in (x, y))
-    bx, by = (x if "x" in wide else flat_x), (y if "y" in wide else flat_y)
-    span = np.array(bounds._spectral_box(bx, by))
-    xlo, xhi, ylo, yhi = span
-    assert (xhi > xlo, yhi > ylo) == ("x" in wide, "y" in wide)
-    for seed in range(21):
-        for starts in (1, 16):
-            x0, y0 = bounds._start_means(span, starts, seed)
-            assert (x0.tolist(), y0.tolist()) == scalar_start_means(bx, by, starts, seed)
+                assert_engine_matches_scalar([pair] * 6, starts, max_iter=3)
 
 
 def same_result(a, b):
@@ -575,21 +561,12 @@ def two_box_pairs(lams_a, lams_b):
 
 
 def test_engine_chunks_do_not_change_rows(monkeypatch):
-    # two boxes of two weights each, 17 seesaw rows a weight (16 starts and
-    # the polish): chunks of 7 rows split both boxes, and rows 28 to 34 hold both
-    mixed = two_box_pairs([0.2, 0.7], [0.3, 0.5])
-    alone = [(seesaw_bound(pair, seed=3), grid_bound(pair)) for pair in mixed]
-    # 6 weights x 16 starts run in 14 chunks of 7 rows
+    # two boxes of three weights each, 4 starts a weight: chunks of 7 rows
+    # split both boxes, and rows 7 to 13 hold both; each run is still the
+    # scalar run from its start
     monkeypatch.setattr(bounds, "_CHUNK", 7)
-    x, y = spin1_moment_pairs(0.5)
-    lams = [0.0, 0.2, 0.45, 0.5, 0.8, 1.0]
-    pairs = [WeightedPair(lam, 1.0 - lam, x, y) for lam in lams]
-    found, _ = bounds.local_bounds(pairs, grid=False, seed=3)
-    for pair, res in zip(pairs, found):
-        assert_same_as_scalar(res, pair, seed=3)
-    found, gridded = bounds.local_bounds(mixed, seed=3)
-    for (seesaw, grid), res, res_grid in zip(alone, found, gridded):
-        assert same_result(res, seesaw) and same_result(res_grid, grid)
+    pairs = [pair for pair in two_box_pairs([0.0, 0.45, 0.5], [0.2, 0.8, 1.0]) for _ in range(4)]
+    assert_engine_matches_scalar(pairs, [spread_starts(p, 1, k)[0] for k, p in enumerate(pairs)])
 
 
 def test_proof_chunks_do_not_change_rows(monkeypatch):
@@ -605,15 +582,14 @@ def test_proof_chunks_do_not_change_rows(monkeypatch):
     assert chunked.bounds == whole.bounds
     assert chunked.points == whole.points
     assert chunked.certified == whole.certified
-    # five grid rows of two boxes in chunks of 3: the first chunk holds
-    # both boxes, and the chunk boundary splits the second
+    # six grid rows of two boxes in chunks of 2: a chunk boundary splits
+    # each box, and the middle chunk holds both
     monkeypatch.undo()
-    mixed = two_box_pairs([0.3, 0.5], [0.2, 0.6, 0.9])
-    alone = [(seesaw_bound(pair), grid_bound(pair)) for pair in mixed]
-    monkeypatch.setattr(bounds, "_CHUNK", 3)
-    found, gridded = bounds.local_bounds(mixed)
-    for (seesaw, grid), res, res_grid in zip(alone, found, gridded):
-        assert same_result(res, seesaw) and same_result(res_grid, grid)
+    mixed = two_box_pairs([0.2, 0.5, 0.7], [0.3, 0.6, 0.9])
+    alone = [grid_bound(pair) for pair in mixed]
+    monkeypatch.setattr(bounds, "_CHUNK", 2)
+    for grid, res in zip(alone, bounds.local_bounds(mixed)):
+        assert same_result(res, grid)
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5])
@@ -703,7 +679,7 @@ def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
         assert counts["eigh"] <= 2 * max_iter
         curve_calls = counts["eigvalsh"]
         pairs = [WeightedPair(float(lam), float(1.0 - lam), x, y) for lam in lams]
-        _, gridded = bounds.local_bounds(pairs, seesaw=False)
+        gridded = bounds.local_bounds(pairs)
         stalled = [float(lam) for lam, res in zip(lams, gridded) if not res.converged]
         assert len(stalled) >= 4
         single_calls = []
@@ -844,9 +820,15 @@ def test_proof_does_not_depend_on_the_weights_scale():
         assert exact - bounds.GAP_TOL * penalty_scale(pair) / w <= lower / w <= exact
 
 
-def whole_box(batch):
+def box_spans(batch, pairs):
+    """Each box's span of means, the spectral box of its (X1, Y1)."""
+    first = np.unique(batch.box, return_index=True)[1]
+    return np.array([bounds._spectral_box(pairs[i].x, pairs[i].y) for i in first])
+
+
+def whole_box(batch, pairs):
     """`batch` with every box's proof tiling its whole span, less no defect."""
-    return batch._replace(proof_spans=batch.spans, defects=np.zeros_like(batch.defects))
+    return batch._replace(proof_spans=box_spans(batch, pairs), defects=np.zeros_like(batch.defects))
 
 
 def proof_lowers(batch):
@@ -859,11 +841,12 @@ def test_quarter_box_proof_brackets_the_exact_infimum():
     cases = [(alpha, lam) for alpha in (0.0, 0.2, 0.5, 0.7, 1.0) for lam in (0.1, 0.3, 0.5, 0.72, 0.9)]
     pairs = [spin1_pair(lam, 1.0 - lam, alpha) for alpha, lam in cases]
     batch = bounds._batch(pairs)
-    lo, hi = batch.spans[:, 0::2], batch.spans[:, 1::2]
+    spans = box_spans(batch, pairs)
+    lo, hi = spans[:, 0::2], spans[:, 1::2]
     assert np.array_equal(batch.proof_spans[:, 0::2], np.zeros_like(lo))
     assert np.array_equal(batch.proof_spans[:, 1::2], np.maximum(hi, -lo))
     assert np.all(batch.defects <= bounds._slack(3) * batch.scales)
-    quarter, whole = proof_lowers(batch), proof_lowers(whole_box(batch))
+    quarter, whole = proof_lowers(batch), proof_lowers(whole_box(batch, pairs))
     for (alpha, lam), pair, low, full in zip(cases, pairs, quarter, whole):
         assert low <= local_infimum(lam, 1.0 - lam, alpha)
         assert abs(low - full) <= bounds.GAP_TOL * penalty_scale(pair)
@@ -876,7 +859,7 @@ def test_random_boxes_keep_their_whole_box(monkeypatch):
     lams = (0.2, 0.5, 0.9)
     pairs = [WeightedPair(lam, 1.0 - lam, *random_pairs(seed)[:2]) for seed in (3, 17) for lam in lams]
     batch = bounds._batch(pairs)
-    assert np.array_equal(batch.proof_spans, batch.spans)
+    assert np.array_equal(batch.proof_spans, box_spans(batch, pairs))
     assert not batch.defects.any()
     with capped_seesaw(3):
         routes = [(grid_bound(pair), certified_bound(pair)) for pair in pairs]
@@ -895,7 +878,7 @@ def test_a_mirror_broken_beyond_rounding_keeps_its_side():
         y_off = MomentPair(y.first.entries + eps * np.eye(3), y.second)
         pair = WeightedPair(0.5, 0.5, x, y_off)
         batch = bounds._batch([pair])
-        xlo, xhi, ylo, yhi = batch.spans[0]
+        xlo, xhi, ylo, yhi = bounds._spectral_box(x, y_off)
         assert tuple(batch.proof_spans[0, :2]) == (0.0, max(xhi, -xlo))
         assert tuple(batch.proof_spans[0, 2:]) == ((0.0, max(yhi, -ylo)) if halved else (ylo, yhi))
         lower, undefected = proof_lowers(batch)[0], proof_lowers(batch._replace(
@@ -927,7 +910,7 @@ def random_pairs(seed):
 def test_proven_lower_bound_lies_below_every_state(seed, lam):
     x, y, rng = random_pairs(seed)
     pair = WeightedPair(lam, 1.0 - lam, x, y)
-    found = seesaw_bound(pair, starts=4, seed=seed % 1000)
+    found = grid_bound(pair)
     lower = proven_lower(pair, found.value)
     assert lower <= found.value
     for _ in range(50):

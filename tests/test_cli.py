@@ -27,7 +27,6 @@ from varwit import (
 )
 from helpers import capped_seesaw, local_infimum
 from varwit.cli import (
-    AGREE_TOL,
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -78,6 +77,9 @@ def test_malformed_tuple_is_usage_error(tmp_path, capsys):
     assert main(["region", "--lambdas", "3", "--starts", "0",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE
     assert main(["bound", "--lambda", "1e308", "--mu", "1e308"]) == EXIT_USAGE
+    # a step count below 1 would divide the sweep's span by zero
+    assert main(["calibrate", "--sweep", "theta1", "--steps", "-1",
+                 "--output-dir", str(tmp_path)]) == EXIT_USAGE
     # no mesh knob: the grid route is a branch-and-bound with a fixed gap
     assert main(["bound", "--lambda", "0.5", "--mu", "0.5", "--grid-n", "5"]) == EXIT_USAGE
     assert main(["bound", "--lambda", "0.5", "--mu", "0.5", "--method", "seesaw",
@@ -160,8 +162,7 @@ def test_bound_at_huge_weights_prints_its_rounding_dust(capsys):
     for route in routes.values():
         assert abs(route["c_sep"]) < 1e-15 * 1e300
     converged = all(r[k]["converged"] for r in routes.values() for k in ("local_a", "local_b"))
-    agree = abs(routes["seesaw"]["c_sep"] - routes["grid"]["c_sep"]) <= AGREE_TOL
-    assert code == (EXIT_OK if converged and agree else EXIT_NUMERICAL)
+    assert code == (EXIT_OK if converged else EXIT_NUMERICAL)
 
 
 def test_bound_at_tiny_weights_converges_in_their_scale(capsys):
@@ -174,14 +175,21 @@ def test_bound_at_tiny_weights_converges_in_their_scale(capsys):
 
 
 def test_bound_seesaw_at_huge_weights_prints_valid_json(capsys):
-    code = main(["bound", "--lambda", "1e300", "--mu", "1e300", "--alpha", "0.2", "--method", "seesaw"])
-
     def reject(constant):
         raise ValueError(f"not JSON: {constant}")
 
-    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
-    assert code == EXIT_OK
-    assert abs(payload["c_sep"] - 1.5246875e300) <= 1e-12 * 1.5246875e300
+    argv = ["bound", "--lambda", "1e300", "--mu", "1e300", "--alpha", "0.2"]
+    for method in (["--method", "seesaw"], []):
+        code = main(argv + method)
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == EXIT_OK
+        assert abs(payload["c_sep"] - 1.5246875e300) <= 1e-12 * 1.5246875e300
+    # the default prints both routes, one run under two labels
+    routes = payload["results"]
+    for side in ("local_a", "local_b"):
+        assert routes["seesaw"][side].pop("method") == "seesaw"
+        assert routes["grid"][side].pop("method") == "grid_refined"
+    assert routes["seesaw"] == routes["grid"]
 
 
 def test_bound_mixed_party_noise(capsys):
@@ -213,14 +221,15 @@ def bound_argv(lam, mu, alpha, alpha_b, method, seed=3):
 @pytest.mark.parametrize("alpha_b", [0.0, 0.4, 1.0])
 @pytest.mark.parametrize("lam,mu", [(0.3, 0.7), (0.5, 0.5)])
 def test_bound_request_shares_batches_but_not_rows(lam, mu, alpha_b, capsys):
-    # both parties and both routes run in one proof and one descent batch;
+    # both parties run in one proof and one polish batch, printed under both
+    # route names;
     # every result must still be the one-pair solve, bit for bit (alpha_b = 1
     # is a box of zero width, lam = mu the ring of minimizers)
     alpha = 0.2
     _, both = run_cli(bound_argv(lam, mu, alpha, alpha_b, "both"), capsys)
     for side, a in (("local_a", alpha), ("local_b", alpha_b)):
         pair = WeightedPair(lam, mu, *spin1_moment_pairs(a))
-        for method, res in (("seesaw", seesaw_bound(pair, seed=3)), ("grid", grid_bound(pair))):
+        for method, res in (("seesaw", seesaw_bound(pair)), ("grid", grid_bound(pair))):
             assert both["results"][method][side] == json.loads(json.dumps(res.to_dict()))
     for method in ("seesaw", "grid"):
         _, one = run_cli(bound_argv(lam, mu, alpha, alpha_b, method), capsys)
@@ -244,20 +253,17 @@ def test_bound_request_makes_one_proof_and_one_descent_batch(monkeypatch, capsys
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name), True))
     run_cli(bound_argv(0.3, 0.7, 0.2, 0.4, "both", seed=0), capsys)
     assert (counts["_branch_and_bound"], counts["_seesaw_rows"]) == (1, 1)
-    # each box solves its spectral box once, for both routes
+    # each box solves its spectral box once, for the proof and the polish
     assert counts["_spectral_box"] == 2
-    # the same matrices as the four one-pair solves, in fewer calls, less
-    # the second spectral box (two eigvalsh matrices) of each box
+    # the same matrices as the two one-pair solves, in fewer calls
     request = dict(counts)
     for name in counts:
         counts[name] = 0
     for a in (0.2, 0.4):
-        pair = WeightedPair(0.3, 0.7, *spin1_moment_pairs(a))
-        seesaw_bound(pair)
-        grid_bound(pair)
-    assert counts["_branch_and_bound"] == 2 and counts["_seesaw_rows"] == 4
-    assert counts["_spectral_box"] == 4
-    assert (request["eigh"], request["eigvalsh"]) == (counts["eigh"], counts["eigvalsh"] - 2 * 2)
+        grid_bound(WeightedPair(0.3, 0.7, *spin1_moment_pairs(a)))
+    assert counts["_branch_and_bound"] == 2 and counts["_seesaw_rows"] == 2
+    assert counts["_spectral_box"] == 2
+    assert (request["eigh"], request["eigvalsh"]) == (counts["eigh"], counts["eigvalsh"])
 
 
 def test_region_writes_csv_svg_and_manifests(tmp_path, capsys):
@@ -444,6 +450,10 @@ def test_certified_outputs_do_not_depend_on_starts_or_seed(tmp_path, capsys):
             runs.append((code, capsys.readouterr().out, written))
         assert runs[0] == runs[1]
         assert runs[0][0] == EXIT_OK and len(runs[0][2]) >= 2
+    # bound writes no files; it prints the same bytes under any of them
+    argv = ["bound", "--lambda", "0.3", "--mu", "0.7", "--alpha", "0.2", "--method", "both"]
+    runs = [(main(argv + extra), capsys.readouterr().out) for extra in ([], ["--starts", "1", "--seed", "48"])]
+    assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
 
 
 @pytest.mark.parametrize("command", ["report", "witness"])

@@ -12,10 +12,13 @@ wrote replays to the same bytes. The requests are every
 `report --state singlet --alpha 0.2 --seed 1` with and without `--svg`,
 `region --lambdas 33 --svg` and `witness --tuple 0,2 --lambda 0.72
 --output-dir` at alpha 0 and 0.5, one single-start `witness` where a
-seeded start once stopped at a non-global minimum, and two requests
-whose certified batch, one row a weight, spans more than one chunk of
-`varwit.bounds._CHUNK` (4,096) rows: `report --lambda-grid 4500` and
-`region --lambdas 4200 --alpha 0.5`.
+seeded start once stopped at a non-global minimum, `bound --lambda 1e300
+--mu 1e300 --alpha 0.2` (both routes, at weights near overflow), one
+`bound` with `--starts 1 --seed 48` (ignored options that old command
+lines still pass), and two requests whose certified batch, one row a
+weight, spans more than one chunk of `varwit.bounds._CHUNK` (4,096)
+rows: `report --lambda-grid 4500` and `region --lambdas 4200 --alpha
+0.5`.
 Prints the digest of all records of each side, then each request whose
 records differ with the parts that differ (exit code, stdout, stderr,
 files, replays), and exits 1 if any request differs, else 0.
@@ -56,6 +59,9 @@ def requests(work):
         with_dir(f"witness_{alpha}", ["witness", "--tuple", "0,2", "--lambda", "0.72", "--alpha", alpha])
     out.append((["witness", "--tuple", "0.612,0.612", "--alpha", "0.11421472854447745",
                  "--lambda", "0.3715911991772264", "--starts", "1", "--seed", "48"], None))
+    out.append((["bound", "--lambda", "1e300", "--mu", "1e300", "--alpha", "0.2"], None))
+    out.append((["bound", "--lambda", "0.3", "--mu", "0.7", "--alpha", "0.2", "--alpha-b", "0.5",
+                 "--starts", "1", "--seed", "48"], None))
     with_dir("report_chunks", ["report", "--state", "singlet", "--alpha", "0.2", "--seed", "1",
                                "--lambda-grid", "4500"])
     with_dir("region_chunks", ["region", "--lambdas", "4200", "--alpha", "0.5"])

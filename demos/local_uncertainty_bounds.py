@@ -19,7 +19,6 @@ from varwit import (
     WeightedPair,
     certified_bound,
     compose_sep_bound,
-    grid_bound,
     penalty_operator,
     seesaw_bound,
     spin1_moment_pairs,
@@ -43,13 +42,12 @@ print(np.round(pen.entries.real, 6))
 # vertex proven to lie close to the minimum. A descent over the means
 # (the ground state at the current means, then a saddle-free Newton step
 # on the means, or the plain update to the state's expectations where
-# that step would not help) then polishes that vertex. grid_bound is
-# this route; seesaw_bound returns the same result under the seesaw label.
+# that step would not help) then polishes that vertex. certified_bound
+# is this route; seesaw_bound returns the same result under the name of
+# its descent.
 pair = WeightedPair(0.5, 0.5, x_pair, y_pair)
 by_seesaw = seesaw_bound(pair)
-by_grid = grid_bound(pair)
 print(f"\nseesaw bound : {by_seesaw.value:.12f}  (converged={by_seesaw.converged})")
-print(f"grid bound   : {by_grid.value:.12f}  (method={by_grid.method})")
 print(f"exact value  : {7 / 32:.12f}  (= 7/32)")
 
 # the minimizer itself is an ordinary pure state; its variance pair
@@ -65,16 +63,14 @@ print(f"minimizer means (<L_X>, <L_Y>) = ({dx[0]:+.6f}, {dx[1]:+.6f})")
 # g is concave, so on a triangle of means it lies above the plane through
 # its three corners, and that plane plus the quadratic has a closed-form
 # minimum. Triangles that could still hold a lower value are split until
-# the proven bound meets the best value found. grid_bound runs the same
+# the proven bound meets the best value found. Every bound runs that
 # proof from the box of means alone, coarsely, and polishes the lowest
-# corner it evaluated. certified_bound is that route, with a fine proof
-# wherever the polish stalls, less a rounding slack; at lam = 0.2 the two
-# agree to that slack:
+# corner it evaluated; wherever the polish stalls, a fine proof follows.
+# A polish that converged, or a stall the fine proof confirms, is
+# certified, and its value is lowered by a rounding slack:
 pair_02 = WeightedPair(0.2, 0.8, x_pair, y_pair)
-from_box = grid_bound(pair_02)
 certified = certified_bound(pair_02)
-print(f"\nproof from the box at lam = 0.2: {from_box.value:.12f}  (method={from_box.method})")
-print(f"certified bound                : {certified.value:.12f}  (certified={certified.certified})")
+print(f"\ncertified bound at lam = 0.2: {certified.value:.12f}  (certified={certified.certified})")
 
 # --- from local bound to separability bound -------------------------
 # For a product state the global variances split into local parts, so

@@ -51,7 +51,7 @@ assert np.allclose(contracted.entries, (1.0 - alpha) * lx.entries)
 # goes up. The adapted separability bound at alpha = 0.2 is much larger
 # than the noiseless 7/16 = 0.4375, and that gap is exactly what a
 # noise-adapted witness exploits. Each bound is a proof over the means
-# polished by a descent (seesaw_bound).
+# polished by a descent (seesaw_bound, the certified bound).
 print("\n alpha   c_sep(1/2)")
 for a in (0.0, 0.1, 0.2, 0.3):
     x_pair, y_pair = spin1_moment_pairs(a)

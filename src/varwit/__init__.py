@@ -2,7 +2,7 @@
 
 The package splits into small layers: operators (dense matrices, POVMs,
 moments), noise (Heisenberg-picture channels and the noise fit), bounds
-(local uncertainty minimization: every bound is a coarse
+(local uncertainty minimization: one rule gives every bound, a coarse
 branch-and-bound and a polish of its lowest vertex, proven at a fine gap
 where the polish stalls), witness
 (global moment pairs, verdicts, detection windows), simulate (benchmark
@@ -42,7 +42,6 @@ from .bounds import (
     WeightedPair,
     certified_bound,
     compose_sep_bound,
-    grid_bound,
     penalty_operator,
     seesaw_bound,
     sep_bound_curve,
@@ -98,7 +97,6 @@ __all__ = [
     "evaluate_witness_from_tuple",
     "expectation",
     "fit_alpha",
-    "grid_bound",
     "identity",
     "joint_outcome_distribution",
     "make_singlet",

@@ -15,13 +15,12 @@ trial that would raise V is rejected for the first-order seesaw step,
 moving the means to the ground state's expectations, so V never rises. A
 run stops when f moves less than _TOL times the penalty scale, or after
 _MAX_ITER eigensolves; both are constants of this module.
-The grid route, `grid_bound`, runs the branch-and-bound from the box
-alone at the coarse gap GRID_GAP and polishes its lowest vertex.
-`seesaw_bound` is the same record under the seesaw label. Every
-certified bound (`certified_bound`, `sep_bound_curve`, `trace_region`)
-is that route, followed where the polish stalls by a proof at GAP_TOL
-and a second polish; the rule of `certified_bound` decides whether a
-bound may be trusted.
+Every bound (`local_bounds`, `certified_bound`, `seesaw_bound`,
+`sep_bound_curve`, `trace_region`) is reached by one rule, `_certify`:
+the branch-and-bound from the box alone at the coarse gap GRID_GAP, a
+polish of its lowest vertex, and, where the polish stalls, a proof at
+GAP_TOL and a second polish. That rule alone decides whether a bound
+may be trusted.
 
 Inside the solver a batch (`_Batch`) is arrays: rows (lam, mu), each
 carrying the index of its box (one party's moment pairs), and each box's
@@ -33,16 +32,15 @@ the box. `_batch` tests each mirror once per box and measures its
 defect, by Weyl's inequality a bound on how far rounding lets f differ
 from its mirror image; a side is halved only when that defect is within
 the rounding slack, and the proof subtracts it.
-Both engines run on chunks of _CHUNK rows (`_in_chunks`). The engines,
-the grid route and the trust rule pass only such arrays; `local_bounds`,
-`grid_bound` and `certified_bound` build the records at the edge.
-`local_bounds` solves the grid route of many pairs in one proof batch
-and one polish batch, and `grid_bound` is its one-pair case.
+Both engines run on chunks of _CHUNK rows (`_in_chunks`). The engines
+and the rule pass only such arrays; `local_bounds` builds the records at
+the edge, many pairs in one batch, and `certified_bound` is its one-pair
+case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from math import sqrt
 from typing import List, NamedTuple, Sequence, Tuple, Union
@@ -64,8 +62,8 @@ SUPPORT_TOL = 1e-8
 # a stalled polish is trusted only when its proven lower bound lies this
 # close to its value, in units of the penalty's scale (`_penalty_scale`)
 GAP_TOL = 1e-8
-# the pruning gap of `grid_bound`'s run, in the same units; its lowest
-# vertex lies within half of it of the infimum
+# the pruning gap of every bound's first proof (`_certify`), in the same
+# units; its lowest vertex lies within half of it of the infimum
 GRID_GAP = 1e-5
 # a seesaw run stops when its penalty eigenvalue moves less than _TOL times
 # the penalty scale (`WeightedPair.scale`), so the rule does not depend on
@@ -86,8 +84,6 @@ _CURVATURE_FLOOR = 0.01
 # a ground-state gap at or below this, in units of the penalty scale, is
 # rounding: the Hessian is then meaningless and the row takes the seesaw step
 _GAP_FLOOR = 64 * np.finfo(float).eps
-
-_METHODS = ("seesaw", "grid_refined")
 
 
 def _slack(dim: int) -> float:
@@ -147,11 +143,10 @@ class BoundResult:
     """A local bound value with its minimizer and solver metadata.
 
     The value is the functional evaluated on the minimizer, less a
-    rounding slack when `certified_bound` returns it. Each is a seesaw
-    polish started from the lowest vertex of a branch-and-bound, labeled
-    grid_refined, or seesaw when `seesaw_bound` returns it. `certified`
-    says whether the value may serve as a separability bound; the solver
-    that builds the result sets it.
+    rounding slack and clamped at 0 (`_certify`). Every result is a
+    seesaw polish started from the lowest vertex of a branch-and-bound.
+    `certified` says whether the value may serve as a separability bound;
+    the rule that builds the result (`_certify`) sets it.
     `scale` is the pair's penalty scale, the unit in which the value may
     fall below zero by rounding (VALUE_FLOOR).
     """
@@ -161,13 +156,10 @@ class BoundResult:
     means: Tuple[float, float]
     iterations: int
     converged: bool
-    method: str
     certified: bool = False
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         if self.value < VALUE_FLOOR * self.scale:
             raise ValueError(f"bound value {self.value!r} below zero beyond tolerance")
 
@@ -178,7 +170,6 @@ class BoundResult:
             "means": [self.means[0], self.means[1]],
             "iterations": self.iterations,
             "converged": self.converged,
-            "method": self.method,
         }
 
 
@@ -262,7 +253,7 @@ class _Descent(NamedTuple):
     converged: np.ndarray
     scale: np.ndarray  # the row's penalty scale
 
-    def record(self, i: int, method: str, certified: bool) -> BoundResult:
+    def record(self, i: int, certified: bool) -> BoundResult:
         """Row i as a validated `BoundResult`."""
         return BoundResult(
             value=float(self.values[i]),
@@ -270,7 +261,6 @@ class _Descent(NamedTuple):
             means=(float(self.xm[i]), float(self.ym[i])),
             iterations=int(self.iterations[i]),
             converged=bool(self.converged[i]),
-            method=method,
             certified=bool(certified),
             scale=float(self.scale[i]),
         )
@@ -549,48 +539,6 @@ def _newton_step(lr, mr, w, basis, rx, ry, dx, dy):
     return sx, sy, fine
 
 
-def _solve(batch: _Batch) -> _Descent:
-    """The grid route of every row of `batch`, as arrays: one proof batch, then one polish batch.
-
-    One branch-and-bound from the box alone (upper bound +inf) at the
-    coarse gap GRID_GAP runs every row; then each row's one seesaw run
-    polishes the lowest vertex its proof found. No row reads another's
-    values. The result carries each row's penalty scale.
-    """
-    if not batch.lam.size:
-        raise ValueError("no weighted pairs given")
-    proof = _in_chunks(_branch_and_bound, batch, np.full(batch.lam.size, np.inf), gap=GRID_GAP)
-    return _in_chunks(_seesaw_rows, batch, proof.xm, proof.ym)
-
-
-def local_bounds(pairs: Sequence[WeightedPair]) -> List[BoundResult]:
-    """`grid_bound` of every pair, in one proof batch and one polish batch.
-
-    The branch-and-bound runs every pair's row in one batch, and one
-    seesaw batch then polishes each row from the vertex its proof found
-    (`_solve`). No row reads another's values, so each result equals the
-    one-pair `grid_bound` bit for bit. Pairs that share their moment
-    pairs with their neighbour form one box, whose operators, spectral
-    box, penalty scales and proof span are gathered once. The solve runs
-    on arrays (`_batch`); the records are built here, at its edge, one
-    per pair, labeled grid_refined and certified when the polish
-    converges.
-    """
-    rows = _solve(_batch(pairs))
-    return [rows.record(i, "grid_refined", rows.converged[i]) for i in range(len(pairs))]
-
-
-def seesaw_bound(pair: WeightedPair) -> BoundResult:
-    """`grid_bound` of `pair`, labeled seesaw, as `bound --method seesaw` prints it.
-
-    Every descent starts from a proven vertex, so the seesaw route is the
-    grid route's polish: a second-order seesaw (see `_seesaw_rows`) from
-    the lowest vertex of a branch-and-bound at GRID_GAP. The record is
-    `grid_bound`'s, with no second solve; only its method differs.
-    """
-    return replace(grid_bound(pair), method="seesaw")
-
-
 class _Proof(NamedTuple):
     """Per-row outcome of the branch-and-bound."""
 
@@ -767,15 +715,36 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
 
 
 def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
-    """`certified_bound` of every row of `batch`, as arrays.
+    """The one rule behind every bound: each row of `batch` solved and judged, as arrays.
 
-    One batch runs the grid route (`_solve`) of every row; one batched
-    branch-and-bound at GAP_TOL and one polish batch run every row whose
-    polish stalled. All read the batch's box data. Returns the rows kept,
-    their values lowered by the rounding slack of a penalty eigenvalue,
-    and which of them are certified.
+    One branch-and-bound from the box alone (upper bound +inf) at the
+    coarse gap GRID_GAP runs every row, and one seesaw batch polishes the
+    lowest vertex each row's proof found. That vertex lies within
+    GRID_GAP / 2 plus a rounding slack of the infimum, in units of the
+    penalty scale, and the polish only lowers V, so a converged polish
+    cannot sit at a distant local minimum; it is certified. Every row
+    whose polish stalled goes through one more batched branch-and-bound,
+    at GAP_TOL with its value as the upper bound, and a second polish
+    from the lowest point that proof evaluated. The lower of the two
+    values is kept, ties going to the second, so the value is always V at
+    a real minimizer; it is certified when the proven lower bound lies
+    within GAP_TOL times the penalty scale of it. On a mirror symmetric
+    box (`_mirrors`) the proofs tile only means >= 0 on each symmetric
+    side, so the minimizer may be the mirror image of the one the whole
+    box would give. No row reads another's values, so a row's result
+    does not depend on the batch.
+
+    Returns the rows, their values lowered by the rounding slack of a
+    penalty eigenvalue, 4 dim^2 eps of the penalty scale, and clamped at
+    0, and which of them are certified. Where the exact bound is linear in
+    lambda, rounding would otherwise put V an ulp above it as often as
+    below, and a tuple on that facet would be detected by rounding alone;
+    a variance sum is never negative, so the clamp keeps a lower bound.
     """
-    rows = _solve(batch)
+    if not batch.lam.size:
+        raise ValueError("no weighted pairs given")
+    proof = _in_chunks(_branch_and_bound, batch, np.full(batch.lam.size, np.inf), gap=GRID_GAP)
+    rows = _in_chunks(_seesaw_rows, batch, proof.xm, proof.ym)
     certified = rows.converged.copy()
     todo = np.flatnonzero(~certified)
     if todo.size:
@@ -787,52 +756,34 @@ def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
         for field, new in zip(rows, polish):
             field[todo[take]] = new[take]
         certified[todo] = proof.lower >= rows.values[todo] - GAP_TOL * rows.scale[todo]
-    values = rows.values - _slack(batch.ops.shape[-1]) * rows.scale
+    values = np.maximum(rows.values - _slack(batch.ops.shape[-1]) * rows.scale, 0.0)
     return rows._replace(values=values), certified
 
 
+def local_bounds(pairs: Sequence[WeightedPair]) -> List[BoundResult]:
+    """The bound of every pair (`_certify`), solved in one batch, one record per pair.
+
+    Pairs that share their moment pairs with their neighbour form one
+    box, whose operators, spectral box, penalty scales and proof span are
+    gathered once. No row reads another's values, so each record equals
+    the one-pair `certified_bound` bit for bit.
+    """
+    rows, certified = _certify(_batch(pairs))
+    return [rows.record(i, certified[i]) for i in range(len(pairs))]
+
+
 def certified_bound(pair: WeightedPair) -> BoundResult:
-    """The grid route (`grid_bound`); where its polish stalls, a proof at GAP_TOL.
-
-    The grid route's polish starts from a vertex proven to lie within
-    GRID_GAP / 2 plus a rounding slack of the infimum, in units of the
-    penalty scale, and only lowers V, so a converged polish cannot sit at
-    a distant local minimum; it is certified. A stalled polish goes through
-    the branch-and-bound (`_branch_and_bound`) at GAP_TOL, with its value
-    as the upper bound, and a second seesaw run polishes the lowest point
-    that proof evaluated. The lower of the two values is kept, ties going
-    to the second, so the value is always V at a real minimizer; it is
-    certified when the proven lower bound lies within GAP_TOL times the
-    penalty's scale of it. The value returned is that V less the rounding
-    slack of a penalty eigenvalue, 4 dim^2 eps of the penalty's scale:
-    where the exact bound is linear in lambda, rounding would otherwise
-    put V an ulp above it as often as below, and a tuple on that facet
-    would be detected by rounding alone. The pair's spectral box is solved
-    once.
-    """
-    rows, certified = _certify(_batch([pair]))
-    return rows.record(0, "grid_refined", certified[0])
-
-
-def grid_bound(pair: WeightedPair) -> BoundResult:
-    """The grid route: the first step of every certified bound, and every route of `bound`.
-
-    One run of the branch-and-bound from the box alone (upper bound +inf) with the coarse
-    gap GRID_GAP, then a single seesaw run polishes its lowest vertex. On
-    a mirror symmetric box (`_mirrors`) the run tiles only means >= 0 on
-    each symmetric side, a quarter of the noisy spin-1 box, so the lowest
-    vertex, and the minimizer the polish reaches, may be the mirror image
-    of the one the whole box would give.
-    When the run ends by pruning rather than at the cell cap, that vertex
-    lies within GRID_GAP / 2 plus a rounding slack of the infimum, in
-    units of the penalty scale, and the polish can only lower it, so the
-    value carries that window whether or not the polish converges. The
-    result is labeled grid_refined and is certified when the polish
-    converges. `certified_bound` runs this route and proves a stalled
-    polish. This is the one-pair case of `local_bounds`; batched there
-    with other pairs, the result is the same.
-    """
+    """The bound of `pair` (`_certify`): the one-pair case of `local_bounds`."""
     return local_bounds([pair])[0]
+
+
+def seesaw_bound(pair: WeightedPair) -> BoundResult:
+    """`certified_bound` of `pair`, as `bound --method seesaw` prints it.
+
+    Every descent is a second-order seesaw (`_seesaw_rows`) from a proven
+    vertex, so the seesaw route is the certified route.
+    """
+    return certified_bound(pair)
 
 
 def _certified_curve(x: MomentPair, y: MomentPair, lams: Sequence[float]) -> Tuple[_Descent, np.ndarray]:
@@ -840,10 +791,8 @@ def _certified_curve(x: MomentPair, y: MomentPair, lams: Sequence[float]) -> Tup
 
     The box is validated once, by its pairs at lam = 0 and lam = 1: every
     weight between them passes the same checks, its penalty scale lying
-    between theirs. One branch-and-bound and one polish batch cover every
-    weight, and one more of each every weight whose polish stalls. Returns
-    the rows `_certify` keeps and their certified flags; no record is
-    built.
+    between theirs. One `_certify` batch covers every weight. Returns the
+    rows it keeps and their certified flags; no record is built.
     """
     ends = _batch([WeightedPair(0.0, 1.0, x, y), WeightedPair(1.0, 0.0, x, y)])
     lam = np.array(lams, dtype=float)
@@ -900,9 +849,8 @@ def sep_bound_curve(x: MomentPair, y: MomentPair, num: int = 201) -> Tuple[np.nd
     Returns the grid, the two-party bound for identical parties (twice the
     certified local bound) and each point's certified flag. Window
     extraction interpolates this cache linearly rather than re-solving per
-    query. The weights are solved in one batch, with no record per weight:
-    the grid route of `certified_bound` for every weight, and its proof at
-    GAP_TOL for every weight whose polish stalls.
+    query. The weights are solved in one batch (`_certify`), with no
+    record per weight.
     """
     lams = np.linspace(0.0, 1.0, num)
     rows, certified = _certified_curve(x, y, lams)

@@ -5,19 +5,17 @@ artifact; replaying the manifest re-runs the exact command with its
 resolved seed and reproduces the bytes. Exit codes follow one
 convention: 0 success, 2 numerical warning (a result is printed but some
 solve did not certify; stderr names its lambdas), 64 usage, 74 I/O.
-Every bound is the grid route: a coarse branch-and-bound from the box
-alone, then a polish of its lowest vertex. Whether a bound certifies is
-decided by `bounds.certified_bound` alone, which `region`, `witness` and
-`report` use: a converged polish, or a stalled polish whose
-branch-and-bound lower bound proves it within `bounds.GAP_TOL`. `bound`
-solves both parties through `bounds.local_bounds`, in one proof batch
-and one polish batch, so each result is the party's one-pair
-`grid_bound`; it prints that result under every route --method names
-(seesaw, grid or both) and exits 2 unless every party's polish
-converged. No bound draws seeded starts: `bound`, `region`, `witness`
-and `report` keep --starts and --seed parsed so that old command lines
-and recorded manifests still run, and no output of theirs depends on
-either.
+Every bound comes from one rule, `bounds._certify`: a coarse
+branch-and-bound from the box alone, then a polish of its lowest vertex;
+a converged polish, or a stalled polish whose branch-and-bound lower
+bound proves it within `bounds.GAP_TOL`, certifies. `bound` solves both
+parties through `bounds.local_bounds`, in one batch, so each result is
+the party's `certified_bound`, the one `witness`, `region` and `report`
+use; it prints that result under every route --method names (seesaw,
+grid or both) and exits 2 unless both parties certify. No bound draws
+seeded starts: `bound`, `region`, `witness` and `report` keep --starts
+and --seed parsed so that old command lines and recorded manifests still
+run, and no output of theirs depends on either.
 
 The argument parser is built once, when the module is imported, and
 every `main` call reuses it; `main` looks up the command function
@@ -239,7 +237,10 @@ def _read_csv(path: str) -> Tuple[set, List[dict]]:
                     f"CSV file {path!r} line {reader.line_num} has {which} fields than its header"
                 )
             rows.append(row)
-    return set(reader.fieldnames or ()), rows
+        # read while the file is open: DictReader looks for the header
+        # line of an empty file again on every access
+        columns = set(reader.fieldnames or ())
+    return columns, rows
 
 
 def _load_state(source: str) -> DensityMatrix:
@@ -351,7 +352,7 @@ def cmd_bound(args) -> int:
             "results": results,
         }
     )
-    return _uncertified_exit("bound", [args.lam], [res_a.converged and res_b.converged])
+    return _uncertified_exit("bound", [args.lam], [res_a.certified and res_b.certified])
 
 
 def cmd_region(args) -> int:

@@ -61,6 +61,9 @@ class SampleConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+        # the multinomial sampler counts in int64
+        if self.shots > np.iinfo(np.int64).max:
+            raise ValueError(f"shots must be at most {np.iinfo(np.int64).max}, got {self.shots}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 

@@ -19,6 +19,18 @@ def capped_seesaw(steps):
         bounds._MAX_ITER = saved
 
 
+def raw_grid_route(pair):
+    """The first step of every bound, alone: the GRID_GAP proof from the box, then one polish.
+
+    No stall proof and no rounding slack: the record is the polish as it
+    stopped, certified when it converged.
+    """
+    b = bounds._batch([pair])
+    proof = bounds._in_chunks(bounds._branch_and_bound, b, np.full(1, np.inf), gap=bounds.GRID_GAP)
+    rows = bounds._in_chunks(bounds._seesaw_rows, b, proof.xm, proof.ym)
+    return rows.record(0, rows.converged[0])
+
+
 def random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return HermitianOperator((g + g.conj().T) / 2.0)

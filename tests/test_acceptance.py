@@ -28,7 +28,6 @@ from varwit import (
     compose_sep_bound,
     expectation,
     fit_alpha,
-    grid_bound,
     make_singlet,
     make_test_state,
     moments,
@@ -71,7 +70,7 @@ def test_criterion_1_noiseless_bound_both_methods():
     start = time.perf_counter()
     pair = half_half_pair(0.0)
     by_seesaw = seesaw_bound(pair)
-    by_grid = grid_bound(pair)
+    by_grid = certified_bound(pair)
     assert by_seesaw.converged
     assert abs(compose_sep_bound(by_seesaw, by_seesaw) - C_NOISELESS) < 1e-6
     assert abs(compose_sep_bound(by_grid, by_grid) - C_NOISELESS) < 1e-6
@@ -82,7 +81,7 @@ def test_criterion_2_adapted_bound_both_methods():
     start = time.perf_counter()
     pair = half_half_pair(0.2)
     by_seesaw = seesaw_bound(pair)
-    by_grid = grid_bound(pair)
+    by_grid = certified_bound(pair)
     assert by_seesaw.converged
     assert abs(compose_sep_bound(by_seesaw, by_seesaw) - C_ADAPTED) < 2e-3
     assert abs(compose_sep_bound(by_grid, by_grid) - C_ADAPTED) < 2e-3
@@ -155,7 +154,7 @@ def test_criterion_6_oracle_equivalence():
         for lam in np.linspace(0.05, 0.95, 19):
             pair = WeightedPair(float(lam), float(1.0 - lam), x, y)
             exact = local_infimum(pair.lam, pair.mu, alpha)
-            for res in (seesaw_bound(pair), grid_bound(pair)):
+            for res in (seesaw_bound(pair), certified_bound(pair)):
                 worst = max(worst, abs(res.value - exact))
     assert worst <= 1e-4
     assert time.perf_counter() - start < 120.0

@@ -1,7 +1,6 @@
 import inspect
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from varwit import (
     detection_window,
     eig_hermitian,
     expectation,
-    grid_bound,
     moment_pair,
     penalty_operator,
     projective_povm,
@@ -40,6 +38,7 @@ from helpers import (
     local_infimum,
     random_povm,
     random_pure,
+    raw_grid_route,
     scalar_descend,
     spin1_box,
 )
@@ -77,12 +76,10 @@ def test_stop_rules_tolerances_and_fixed_angles_are_not_arguments():
     solvers = (
         seesaw_bound,
         certified_bound,
-        grid_bound,
         bounds.local_bounds,
         sep_bound_curve,
         trace_region,
         bounds._certified_curve,
-        bounds._solve,
         bounds._certify,
         bounds._seesaw_rows,
     )
@@ -131,7 +128,6 @@ def test_penalty_dominates_functional():
 def test_seesaw_single_observable_reaches_zero():
     res = seesaw_bound(spin1_pair(1.0, 0.0))
     assert res.converged
-    assert res.method == "seesaw"
     assert abs(res.value) < 1e-9
 
 
@@ -162,39 +158,40 @@ def test_seesaw_value_is_monotone_in_iterations():
             values = []
             for k in range(1, 81):
                 with capped_seesaw(k):
-                    values.append(seesaw_bound(pair).value)
+                    values.append(raw_grid_route(pair).value)
             assert np.all(np.diff(values) <= 1e-12)
 
 
 def test_grid_single_observable():
     # an eigenstate of L_X alone has no variance
-    res = grid_bound(spin1_pair(1.0, 0.0))
-    assert res.method == "grid_refined" and res.certified
+    res = certified_bound(spin1_pair(1.0, 0.0))
+    assert res.certified
     assert abs(res.value) < 1e-12
 
 
 def test_grid_polished_noiseless_bound():
-    res = grid_bound(spin1_pair(1.0, 1.0))
-    assert res.method == "grid_refined"
+    res = certified_bound(spin1_pair(1.0, 1.0))
     assert abs(res.value - 0.4375) < 1e-5
 
 
 def test_grid_full_noise_diagonal_case():
     # at alpha=1 the first moments vanish, so the optimum sits at means
     # (0, 0) where the penalty is L_X^2 + L_Y^2 = diag(1, 2, 1)
-    res = grid_bound(spin1_pair(1.0, 1.0, 1.0))
+    res = certified_bound(spin1_pair(1.0, 1.0, 1.0))
     assert abs(res.value - 1.0) < 1e-9
     assert abs(res.means[0]) < 1e-12 and abs(res.means[1]) < 1e-12
 
 
 def test_value_floor_is_measured_in_the_penalty_scale():
     # at lam = 1e300 a zero bound comes out near -8e283 by rounding, about
-    # 1e-17 of the penalty's scale; no solver may reject that as negative
+    # 1e-17 of the penalty's scale; no record may reject that as negative,
+    # and a certified bound clamps it to 0
     pair = spin1_pair(1e300, 0.0)
-    for res in (seesaw_bound(pair), grid_bound(pair), certified_bound(pair)):
+    for res in (seesaw_bound(pair), raw_grid_route(pair), certified_bound(pair)):
         assert bounds.VALUE_FLOOR * pair.scale <= res.value <= 1e-12 * pair.scale
+    assert certified_bound(pair).value == 0.0
     BoundResult(value=-1e-6, minimizer=PureState(np.array([1.0, 0.0, 0.0])), means=(0.0, 0.0),
-                iterations=1, converged=True, method="seesaw", scale=1e4)
+                iterations=1, converged=True, scale=1e4)
 
 
 def linalg_matrices(monkeypatch, routine, fn):
@@ -215,7 +212,7 @@ def linalg_matrices(monkeypatch, routine, fn):
 def test_grid_bound_solves_few_matrices(monkeypatch):
     # 5% of the 40,401 nodes of a 201 x 201 mesh of means
     pair = spin1_pair(0.3, 0.7, 0.2)
-    solved = linalg_matrices(monkeypatch, "eigvalsh", lambda: grid_bound(pair))
+    solved = linalg_matrices(monkeypatch, "eigvalsh", lambda: certified_bound(pair))
     assert solved <= 0.05 * 201**2
 
 
@@ -223,7 +220,7 @@ def test_grid_bound_on_the_degenerate_box_solves_its_corners(monkeypatch):
     # at alpha = 1 the box is 4.6e-16 wide and every vertex ties, so the
     # coarse gap prunes both first cells
     pair = spin1_pair(0.5, 0.5, 1.0)
-    solved = linalg_matrices(monkeypatch, "eigvalsh", lambda: grid_bound(pair))
+    solved = linalg_matrices(monkeypatch, "eigvalsh", lambda: certified_bound(pair))
     assert solved <= 64
 
 
@@ -242,7 +239,7 @@ def test_grid_bound_solves_each_vertex_once(monkeypatch, alpha, lam):
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    grid_bound(pair)
+    certified_bound(pair)
     assert len(solved) > 100
     assert len(set(solved)) == len(solved)
 
@@ -252,7 +249,7 @@ def test_grid_bound_peaks_below_one_mib(alpha):
     pair = spin1_pair(0.5, 0.5, alpha)
     tracemalloc.start()
     try:
-        grid_bound(pair)
+        certified_bound(pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,11 +274,11 @@ def penalty_scale(pair):
 
 
 def test_certified_bound_trusts_a_stall_the_oracle_confirms():
-    # two steps leave the grid route's polish stalled a few 1e-13 above the
+    # two steps leave the first polish stalled a few 1e-13 above the
     # infimum; the branch-and-bound proves the stalled value within the gap
     pair = spin1_pair(0.355, 0.645, 0.2)
     with capped_seesaw(2):
-        stalled = grid_bound(pair)
+        stalled = raw_grid_route(pair)
         assert not stalled.converged and not stalled.certified
         res = certified_bound(pair)
     assert res.certified
@@ -292,23 +289,23 @@ def test_certified_bound_trusts_a_stall_the_oracle_confirms():
 
 
 def test_certified_bound_rejects_a_stall_the_oracle_undercuts(monkeypatch):
-    # after one step the grid route's polish is stalled 1.2e-8 above the
+    # after one step the first polish is stalled 1.2e-8 above the
     # infimum; the branch-and-bound at GAP_TOL finds a lower vertex, and
     # the second polish from it is returned, proven and certified
     pair = spin1_pair(0.2, 0.8)
     exact = local_infimum(0.2, 0.8, 0.0)
     with capped_seesaw(1):
-        stalled = grid_bound(pair)
+        stalled = raw_grid_route(pair)
         assert not stalled.converged
         assert stalled.value > exact + 1e-8
         res = certified_bound(pair)
-        assert res.certified and res.method == "grid_refined"
+        assert res.certified
         assert res.value < stalled.value - 1e-8
         assert exact - 1e-12 <= res.value <= exact + bounds.GAP_TOL * penalty_scale(pair)
         assert abs(variance_functional(pair, res.minimizer) - res.value) < 1e-12
         # a cell cap the proofs cannot close within leaves the stall uncertified
         monkeypatch.setattr(bounds, "_MAX_CELLS", 2)
-        stalled = grid_bound(pair)
+        stalled = raw_grid_route(pair)
         capped = certified_bound(pair)
         assert not stalled.converged and not capped.certified
         assert capped.value <= stalled.value
@@ -329,7 +326,6 @@ def test_compose_sep_bound_rejects_uncertified():
         means=local.means,
         iterations=500,
         converged=False,
-        method="seesaw",
         certified=False,
     )
     with pytest.raises(ValueError):
@@ -341,8 +337,7 @@ def test_oracle_agreement_smoke():
         for lam in (0.25, 0.5, 0.75):
             pair = spin1_pair(lam, 1.0 - lam, alpha)
             exact = local_infimum(lam, 1.0 - lam, alpha)
-            for res in (seesaw_bound(pair), grid_bound(pair)):
-                assert abs(res.value - exact) < 1e-4
+            assert abs(certified_bound(pair).value - exact) < 1e-4
 
 
 def test_lower_bound_soundness_random_states():
@@ -365,8 +360,8 @@ def test_noise_raises_local_bound():
 def test_weight_scaling_homogeneity():
     pair1 = spin1_pair(0.37, 0.63)
     pair3 = spin1_pair(3 * 0.37, 3 * 0.63)
-    g1 = grid_bound(pair1)
-    g3 = grid_bound(pair3)
+    g1 = certified_bound(pair1)
+    g3 = certified_bound(pair3)
     assert abs(g3.value - 3.0 * g1.value) < 1e-8
 
 
@@ -468,16 +463,6 @@ def test_bound_result_rejects_negative_value():
             means=(0.0, 0.0),
             iterations=1,
             converged=True,
-            method="seesaw",
-        )
-    with pytest.raises(ValueError):
-        BoundResult(
-            value=0.1,
-            minimizer=psi,
-            means=(0.0, 0.0),
-            iterations=1,
-            converged=True,
-            method="newton",
         )
 
 
@@ -502,7 +487,7 @@ def assert_engine_matches_scalar(pairs, starts, max_iter=500):
     x0, y0 = np.array(starts).T
     runs = bounds._in_chunks(bounds._seesaw_rows, bounds._batch(pairs), x0, y0)
     for k, (pair, start) in enumerate(zip(pairs, starts)):
-        assert_same_as_scalar(runs.record(k, "seesaw", runs.converged[k]), pair, *start, max_iter=max_iter)
+        assert_same_as_scalar(runs.record(k, runs.converged[k]), pair, *start, max_iter=max_iter)
 
 
 def random_povm_pairs():
@@ -521,12 +506,11 @@ def test_engine_matches_scalar_seesaw_bit_for_bit(alpha, lam):
     assert_engine_matches_scalar([pair] * 6, starts)
     with capped_seesaw(3):
         assert_engine_matches_scalar([pair] * 6, starts, max_iter=3)
-    # the grid route is one such run, from the lowest vertex of its proof
+    # the first polish of every bound is one such run, from the lowest
+    # vertex of its proof
     proof = bounds._branch_and_bound(bounds._batch([pair]), np.array([np.inf]), bounds.GRID_GAP)
-    grid = grid_bound(pair)
-    assert_same_as_scalar(grid, pair, float(proof.xm[0]), float(proof.ym[0]))
-    seesaw = seesaw_bound(pair)
-    assert seesaw.method == "seesaw" and same_result(replace(seesaw, method="grid_refined"), grid)
+    assert_same_as_scalar(raw_grid_route(pair), pair, float(proof.xm[0]), float(proof.ym[0]))
+    assert same_result(seesaw_bound(pair), certified_bound(pair))
 
 
 def test_engine_squares_means_like_python_floats():
@@ -582,11 +566,11 @@ def test_proof_chunks_do_not_change_rows(monkeypatch):
     assert chunked.bounds == whole.bounds
     assert chunked.points == whole.points
     assert chunked.certified == whole.certified
-    # six grid rows of two boxes in chunks of 2: a chunk boundary splits
-    # each box, and the middle chunk holds both
+    # six rows of two boxes in chunks of 2: a chunk boundary splits each
+    # box, and the middle chunk holds both
     monkeypatch.undo()
     mixed = two_box_pairs([0.2, 0.5, 0.7], [0.3, 0.6, 0.9])
-    alone = [grid_bound(pair) for pair in mixed]
+    alone = [certified_bound(pair) for pair in mixed]
     monkeypatch.setattr(bounds, "_CHUNK", 2)
     for grid, res in zip(alone, bounds.local_bounds(mixed)):
         assert same_result(res, grid)
@@ -632,8 +616,8 @@ def test_sep_bound_curve_builds_no_record_per_weight(monkeypatch):
 
 
 def test_stalled_certified_bound_solves_its_spectral_box_once(monkeypatch):
-    # the grid route, the proof and the polish of one stalled pair share one
-    # span and one pair of penalty scales
+    # the first proof and polish, the proof at GAP_TOL and the second polish
+    # of one stalled pair share one span and one pair of penalty scales
     pair = spin1_pair(0.5, 0.5, 0.2)
     calls = {"_spectral_box": 0, "_penalty_scale": 0}
     for name in calls:
@@ -644,7 +628,7 @@ def test_stalled_certified_bound_solves_its_spectral_box_once(monkeypatch):
 
         monkeypatch.setattr(bounds, name, counted)
     with capped_seesaw(2):
-        assert not grid_bound(pair).converged
+        assert not raw_grid_route(pair).converged
         calls.update(dict.fromkeys(calls, 0))
         certified_bound(pair)
     assert calls == {"_spectral_box": 1, "_penalty_scale": 2}
@@ -657,8 +641,8 @@ def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
     # rounds, and so their eigvalsh calls, are those of the hardest weight
     # alone
     x, y = spin1_moment_pairs(0.2)
-    counts = {"eigh": 0, "eigvalsh": 0, "oracle": 0}
-    eigh, eigvalsh, oracle = np.linalg.eigh, np.linalg.eigvalsh, bounds.grid_bound
+    counts = {"eigh": 0, "eigvalsh": 0}
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -669,18 +653,17 @@ def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
-    monkeypatch.setattr(bounds, "grid_bound", counted("oracle", oracle))
     # a cap the slowest polishes need more steps than, so that some stall
     max_iter = 2
     with capped_seesaw(max_iter):
         lams, _, certified = sep_bound_curve(x, y, num=201)
         assert certified.all()
-        assert counts["oracle"] == 0
         assert counts["eigh"] <= 2 * max_iter
         curve_calls = counts["eigvalsh"]
-        pairs = [WeightedPair(float(lam), float(1.0 - lam), x, y) for lam in lams]
-        gridded = bounds.local_bounds(pairs)
-        stalled = [float(lam) for lam, res in zip(lams, gridded) if not res.converged]
+        stalled = [
+            float(lam) for lam in lams
+            if not raw_grid_route(WeightedPair(float(lam), float(1.0 - lam), x, y)).converged
+        ]
         assert len(stalled) >= 4
         single_calls = []
         for lam in stalled:
@@ -700,6 +683,8 @@ def test_sep_bound_curve_matches_the_exact_infimum(alpha, certified_curves):
     x, y = spin1_moment_pairs(alpha)
     lams, values, certified = certified_curves[alpha]
     assert certified.all()
+    # a variance sum is never negative, and neither is a certified bound
+    assert values.min() >= 0.0
     for lam, value in zip(lams, values):
         pair = WeightedPair(float(lam), float(1.0 - lam), x, y)
         assert_within_gap(value / 2.0, local_infimum(pair.lam, pair.mu, alpha), pair)
@@ -787,7 +772,7 @@ def test_proof_on_a_degenerate_box():
     for pair in (spin1_pair(0.3, 0.7, 1.0), WeightedPair(0.3, 0.7, exact_x, y)):
         assert np.max(np.abs(bounds._spectral_box(pair.x, pair.y))) < 1e-15
         with capped_seesaw(1):
-            stalled = seesaw_bound(pair)
+            stalled = raw_grid_route(pair)
             assert not stalled.certified
             res = certified_bound(pair)
         assert res.certified
@@ -862,10 +847,10 @@ def test_random_boxes_keep_their_whole_box(monkeypatch):
     assert np.array_equal(batch.proof_spans, box_spans(batch, pairs))
     assert not batch.defects.any()
     with capped_seesaw(3):
-        routes = [(grid_bound(pair), certified_bound(pair)) for pair in pairs]
+        routes = [(raw_grid_route(pair), certified_bound(pair)) for pair in pairs]
         monkeypatch.setattr(bounds, "_mirrors", lambda ops, spans, scales: (spans, np.zeros_like(scales)))
         for pair, (grid, certified) in zip(pairs, routes):
-            assert same_result(grid_bound(pair), grid)
+            assert same_result(raw_grid_route(pair), grid)
             assert same_result(certified_bound(pair), certified)
 
 
@@ -910,7 +895,7 @@ def random_pairs(seed):
 def test_proven_lower_bound_lies_below_every_state(seed, lam):
     x, y, rng = random_pairs(seed)
     pair = WeightedPair(lam, 1.0 - lam, x, y)
-    found = grid_bound(pair)
+    found = certified_bound(pair)
     lower = proven_lower(pair, found.value)
     assert lower <= found.value
     for _ in range(50):
@@ -961,9 +946,10 @@ def test_proven_lower_bound_brackets_the_exact_infimum(lam, alpha):
 @example(lam=1.0, alpha=0.0, weight=1e300, seed=None)
 def test_grid_bound_lies_in_its_proven_window(lam, alpha, weight, seed):
     # the coarse run's lowest vertex lies within GRID_GAP / 2 of the
-    # infimum and the polish only lowers it; seed draws a random POVM box in
-    # place of the spin-1 one at alpha, where the GAP_TOL proof stands in
-    # for the exact infimum
+    # infimum and the polish only lowers it, and the certified value is that
+    # less one more rounding slack; seed draws a random POVM box in place of
+    # the spin-1 one at alpha, where the GAP_TOL proof stands in for the
+    # exact infimum
     x, y = spin1_moment_pairs(alpha) if seed is None else random_pairs(seed)[:2]
     pair = WeightedPair(lam * weight, (1.0 - lam) * weight, x, y)
     slack = 4.0 * pair.dim**2 * np.finfo(float).eps * pair.scale
@@ -973,6 +959,5 @@ def test_grid_bound_lies_in_its_proven_window(lam, alpha, weight, seed):
         low = proven_lower(pair, np.inf)
         high = low + bounds.GAP_TOL * pair.scale
     with np.errstate(all="raise"):
-        found = grid_bound(pair)
-    assert found.method == "grid_refined"
-    assert low - slack <= found.value <= high + 0.5 * bounds.GRID_GAP * pair.scale + slack
+        found = certified_bound(pair)
+    assert low - 2.0 * slack <= found.value <= high + 0.5 * bounds.GRID_GAP * pair.scale

@@ -18,14 +18,14 @@ from varwit import (
     TestStateParams,
     WeightedPair,
     __version__,
-    grid_bound,
+    certified_bound,
     make_singlet,
     make_test_state,
     seesaw_bound,
     spin1_moment_pairs,
     variance,
 )
-from helpers import capped_seesaw, local_infimum
+from helpers import capped_seesaw, local_infimum, raw_grid_route
 from varwit.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -80,7 +80,12 @@ def test_malformed_tuple_is_usage_error(tmp_path, capsys):
     # a step count below 1 would divide the sweep's span by zero
     assert main(["calibrate", "--sweep", "theta1", "--steps", "-1",
                  "--output-dir", str(tmp_path)]) == EXIT_USAGE
-    # no mesh knob: the grid route is a branch-and-bound with a fixed gap
+    # the multinomial sampler counts shots in int64
+    capsys.readouterr()
+    for command in (["simulate"], ["calibrate", "--sweep", "theta1", "--output-dir", str(tmp_path)]):
+        assert main(command + ["--shots", "100000000000000000000"]) == EXIT_USAGE
+        assert "shots must be at most 9223372036854775807" in capsys.readouterr().err
+    # no mesh knob: every bound's first proof is a branch-and-bound with a fixed gap
     assert main(["bound", "--lambda", "0.5", "--mu", "0.5", "--grid-n", "5"]) == EXIT_USAGE
     assert main(["bound", "--lambda", "0.5", "--mu", "0.5", "--method", "seesaw",
                  "--grid-n", "5"]) == EXIT_USAGE
@@ -150,7 +155,8 @@ def test_bound_noiseless_both_methods(capsys):
 
 def test_bound_at_huge_weights_prints_its_rounding_dust(capsys):
     # at lam = 1e300 the zero bound comes out near -8e283 by rounding, 8e-17
-    # of the weights' scale: valid JSON and the usual exit rule, not a usage error
+    # of the weights' scale, and prints clamped at 0: valid JSON and the
+    # usual exit rule, not a usage error
     code = main(["bound", "--lambda", "1e300", "--mu", "0"])
 
     def reject(constant):
@@ -160,7 +166,7 @@ def test_bound_at_huge_weights_prints_its_rounding_dust(capsys):
     routes = payload["results"]
     assert set(routes) == {"seesaw", "grid"}
     for route in routes.values():
-        assert abs(route["c_sep"]) < 1e-15 * 1e300
+        assert 0.0 <= route["c_sep"] < 1e-15 * 1e300
     converged = all(r[k]["converged"] for r in routes.values() for k in ("local_a", "local_b"))
     assert code == (EXIT_OK if converged else EXIT_NUMERICAL)
 
@@ -229,8 +235,10 @@ def test_bound_request_shares_batches_but_not_rows(lam, mu, alpha_b, capsys):
     _, both = run_cli(bound_argv(lam, mu, alpha, alpha_b, "both"), capsys)
     for side, a in (("local_a", alpha), ("local_b", alpha_b)):
         pair = WeightedPair(lam, mu, *spin1_moment_pairs(a))
-        for method, res in (("seesaw", seesaw_bound(pair)), ("grid", grid_bound(pair))):
-            assert both["results"][method][side] == json.loads(json.dumps(res.to_dict()))
+        for method, res, label in (("seesaw", seesaw_bound(pair), "seesaw"),
+                                   ("grid", certified_bound(pair), "grid_refined")):
+            record = dict(res.to_dict(), method=label)
+            assert both["results"][method][side] == json.loads(json.dumps(record))
     for method in ("seesaw", "grid"):
         _, one = run_cli(bound_argv(lam, mu, alpha, alpha_b, method), capsys)
         assert one["results"] == {method: both["results"][method]}
@@ -260,7 +268,7 @@ def test_bound_request_makes_one_proof_and_one_descent_batch(monkeypatch, capsys
     for name in counts:
         counts[name] = 0
     for a in (0.2, 0.4):
-        grid_bound(WeightedPair(0.3, 0.7, *spin1_moment_pairs(a)))
+        certified_bound(WeightedPair(0.3, 0.7, *spin1_moment_pairs(a)))
     assert counts["_branch_and_bound"] == 2 and counts["_seesaw_rows"] == 2
     assert counts["_spectral_box"] == 2
     assert (request["eigh"], request["eigvalsh"]) == (counts["eigh"], counts["eigvalsh"])
@@ -298,7 +306,7 @@ def test_region_writes_csv_svg_and_manifests(tmp_path, capsys):
 
 
 def test_region_uncertified_point_warns(tmp_path, capsys, monkeypatch):
-    # after one step the grid route's polish is stalled above the infimum;
+    # after one step the first polish is stalled above the infimum;
     # the branch-and-bound proves the second polish, unless a cell cap
     # stops it first
     out = str(tmp_path)
@@ -389,15 +397,25 @@ def test_witness_rejects_unrecognized_state_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_witness_trusts_a_stall_the_oracle_confirms(capsys):
-    # two steps leave the grid route's polish stalled here, but the
-    # branch-and-bound proves the stalled value
-    argv = ["witness", "--tuple", "0.3,0.3", "--alpha", "0.2", "--lambda", "0.355"]
+WITNESS_AT_A_STALL = ["witness", "--tuple", "0.3,0.3", "--alpha", "0.2", "--lambda", "0.355"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [WITNESS_AT_A_STALL, ["bound", "--lambda", "0.355", "--mu", "0.645", "--alpha", "0.2"]],
+    ids=["witness", "bound"],
+)
+def test_witness_trusts_a_stall_the_oracle_confirms(argv, capsys):
+    # two steps leave the first polish stalled here, but the branch-and-bound
+    # proves the stalled value; `bound` and `witness` share that rule, and so
+    # they print the same bound
     pair = WeightedPair(0.355, 0.645, *spin1_moment_pairs(0.2))
     with capped_seesaw(2):
-        assert not grid_bound(pair).converged
-        code, _ = run_cli(argv, capsys)
+        assert not raw_grid_route(pair).converged
+        code, payload = run_cli(argv, capsys)
+        _, witness = run_cli(WITNESS_AT_A_STALL, capsys)
     assert code == EXIT_OK
+    assert payload["c_sep"] == witness["c_sep"]
 
 
 @pytest.mark.parametrize(
@@ -458,7 +476,7 @@ def test_certified_outputs_do_not_depend_on_starts_or_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["report", "witness"])
 def test_uncertified_sweep_point_is_named(command, tmp_path, capsys, monkeypatch):
-    # after two steps the grid route's polish has converged at lambda = 0
+    # after two steps the first polish has converged at lambda = 0
     # and 1 and is stalled at the four inner points; with a cell cap no
     # proof closes within, those four, and only they, stay uncertified
     argv = [command, "--tuple", "0.1,0.1", "--lambda-grid", "6", "--output-dir", str(tmp_path)]
@@ -575,6 +593,11 @@ def test_fit_noise_wrong_columns_is_io_error(tmp_path, capsys):
         writer.writerow([10.0, 0.3])
     assert main(["fit-noise", "--input", path]) == EXIT_IO
     capsys.readouterr()
+    # a 0-byte file has no header, so no columns
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    assert main(["fit-noise", "--input", str(empty)]) == EXIT_IO
+    assert "needs columns" in capsys.readouterr().err
 
 
 def test_calibrate_with_sweep_file(tmp_path, capsys):
@@ -615,6 +638,11 @@ def test_calibrate_rejects_bad_sweep_columns(tmp_path, capsys):
         writer.writerow([30.0])
     assert main(["calibrate", "--sweep", sweep_path]) == EXIT_IO
     capsys.readouterr()
+    # a 0-byte file has no header, so no columns
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    assert main(["calibrate", "--sweep", str(empty), "--output-dir", str(tmp_path / "out")]) == EXIT_IO
+    assert "needs columns" in capsys.readouterr().err
 
 
 def test_report_tuple_outside_any_window(tmp_path, capsys):

@@ -15,7 +15,9 @@ wrote replays to the same bytes. The requests are every
 seeded start once stopped at a non-global minimum, `bound --lambda 1e300
 --mu 1e300 --alpha 0.2` (both routes, at weights near overflow), one
 `bound` with `--starts 1 --seed 48` (ignored options that old command
-lines still pass), and two requests whose certified batch, one row a
+lines still pass), `bound --lambda 1 --mu 0 --alpha 0.2` (a zero bound,
+where the rounding slack would carry the value below 0 but for its clamp),
+and two requests whose certified batch, one row a
 weight, spans more than one chunk of `varwit.bounds._CHUNK` (4,096)
 rows: `report --lambda-grid 4500` and `region --lambdas 4200 --alpha
 0.5`.
@@ -62,6 +64,7 @@ def requests(work):
     out.append((["bound", "--lambda", "1e300", "--mu", "1e300", "--alpha", "0.2"], None))
     out.append((["bound", "--lambda", "0.3", "--mu", "0.7", "--alpha", "0.2", "--alpha-b", "0.5",
                  "--starts", "1", "--seed", "48"], None))
+    out.append((["bound", "--lambda", "1", "--mu", "0", "--alpha", "0.2"], None))
     with_dir("report_chunks", ["report", "--state", "singlet", "--alpha", "0.2", "--seed", "1",
                                "--lambda-grid", "4500"])
     with_dir("region_chunks", ["region", "--lambdas", "4200", "--alpha", "0.5"])

@@ -179,8 +179,10 @@ class RegionBoundary:
 
     Each traced point is the minimizer's variance pair at one weight
     lambda (with mu = 1 - lambda); the matching bound value defines a
-    supporting line that no other certified point may undercut.
-    `certified` holds each point's certified flag.
+    supporting line that no other certified point may undercut by more
+    than SUPPORT_TOL, an absolute tolerance in the units of the bounds.
+    `certified` holds each point's certified flag; an uncertified index
+    is neither checked as a point nor used as a line.
     """
 
     points: Tuple[Tuple[float, float], ...]
@@ -192,16 +194,22 @@ class RegionBoundary:
         n = len(self.points)
         if not (len(self.lambdas) == len(self.bounds) == len(self.certified) == n):
             raise ValueError("field lengths differ")
-        for (dx, dy), ok_pt in zip(self.points, self.certified):
-            if not ok_pt:
-                continue
-            for lam, c, ok_line in zip(self.lambdas, self.bounds, self.certified):
-                if not ok_line:
-                    continue
-                if lam * dx + (1.0 - lam) * dy < c - SUPPORT_TOL:
-                    raise ValueError(
-                        f"point ({dx}, {dy}) falls below the supporting line at lambda={lam}"
-                    )
+        kept = np.flatnonzero(np.array(self.certified, dtype=bool))
+        points = np.array(self.points, dtype=float).reshape(-1, 2)[kept]
+        lams = np.array(self.lambdas, dtype=float)[kept]
+        floors = np.array(self.bounds, dtype=float)[kept] - SUPPORT_TOL
+        # blocks of points keep the (point, line) table near 2^20 entries
+        step = max(1, (1 << 20) // max(kept.size, 1))
+        for start in range(0, kept.size, step):
+            block = points[start : start + step, :, None]
+            under = lams * block[:, 0] + (1.0 - lams) * block[:, 1] < floors
+            if under.any():
+                # the first undercut in (point, line) order, each in input order
+                i, j = divmod(int(np.argmax(under)), kept.size)
+                (dx, dy), lam = self.points[kept[start + i]], self.lambdas[kept[j]]
+                raise ValueError(
+                    f"point ({dx}, {dy}) falls below the supporting line at lambda={lam}"
+                )
 
 
 def variance_functional(pair: WeightedPair, state: Union[DensityMatrix, PureState]) -> float:
@@ -372,6 +380,8 @@ def _batch(pairs: Sequence[WeightedPair]) -> _Batch:
     symmetries (`_mirrors`) are gathered here, once, however many routes
     and chunks then read them.
     """
+    if not pairs:
+        raise ValueError("no weighted pairs given")
     boxes, box = [], []
     for pair in pairs:
         if not boxes or boxes[-1][0] is not pair.x or boxes[-1][1] is not pair.y:
@@ -722,7 +732,14 @@ def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
     lowest vertex each row's proof found. That vertex lies within
     GRID_GAP / 2 plus a rounding slack of the infimum, in units of the
     penalty scale, and the polish only lowers V, so a converged polish
-    cannot sit at a distant local minimum; it is certified. Every row
+    ends within that much of the infimum in value; it is certified. That
+    is all it promises: near a knee, where two branches of local minima
+    come within GRID_GAP / 2 of each other, the vertex can lie in the
+    wrong basin, and the polish converges at a local minimum above the
+    infimum. `varwit witness --tuple 0.8599207990389836,0.4473465418192297
+    --alpha 0.11013211899741604 --lambda 0.307333`, a separable tuple on
+    the bound, is detected that way, margin 2.34e-5 (ROADMAP item 2 gives
+    every row a proof at GAP_TOL instead). Every row
     whose polish stalled goes through one more batched branch-and-bound,
     at GAP_TOL with its value as the upper bound, and a second polish
     from the lowest point that proof evaluated. The lower of the two

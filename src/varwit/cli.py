@@ -58,6 +58,7 @@ from .simulate import (
     make_singlet,
     make_test_state,
     run_calibration,
+    sample_std,
     sample_variance_tuple,
     theta1_sweep,
     theta2_sweep,
@@ -317,10 +318,6 @@ def _uncertified_exit(what: str, lams: Sequence[float], certified: Sequence[bool
     return EXIT_NUMERICAL
 
 
-def _std(values: Sequence[float]) -> float:
-    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-
-
 def cmd_bound(args) -> int:
     alpha_b = args.alpha_b if args.alpha_b is not None else args.alpha
     pair_a = WeightedPair(args.lam, args.mu, *spin1_moment_pairs(args.alpha))
@@ -430,8 +427,8 @@ def cmd_simulate(args) -> int:
             "seed": seed,
             "d2x": d2x,
             "d2y": d2y,
-            "d2x_std": _std([t[0] for t in per_trial]),
-            "d2y_std": _std([t[1] for t in per_trial]),
+            "d2x_std": sample_std([t[0] for t in per_trial]),
+            "d2y_std": sample_std([t[1] for t in per_trial]),
             "v_half_half": 0.5 * d2x + 0.5 * d2y,
             "per_trial": [[t[0], t[1]] for t in per_trial],
         }

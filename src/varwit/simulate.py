@@ -1,9 +1,10 @@
 """Benchmark states and finite-statistics measurement simulation.
 
 Shot noise is modeled as i.i.d. multinomial sampling of outcome
-(coincidence) counts at fixed total shots; the RNG is seeded and
-splittable, every trial and every sweep point draws from its own child
-seed, so runs are reproducible and order-independent.
+(coincidence) counts at fixed total shots. The RNG is seeded and
+splittable: each sweep point, and in it each setting, draws from its own
+child seed, every trial's counts in one call, so runs are reproducible
+and order-independent and a trial's values do not depend on the count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .operators import (
     PureState,
     expectation,
     moment_pair,
-    tensor,
     variance,
 )
 from .noise import spin1_moment_pairs, spin1_povms
@@ -119,22 +119,27 @@ def theta2_sweep(num: int = 45) -> List[TestStateParams]:
     return [TestStateParams(theta1=_SWEEP_THETA1, theta2=k * step) for k in range(1, num + 1)]
 
 
+def _checked_distribution(labels: Sequence, probs: Sequence[float], what: str) -> list:
+    """(label, p) pairs, p clipped at 0; p below PROB_FLOOR or a sum off 1 raises."""
+    out = []
+    for x, p in zip(labels, probs):
+        if p < PROB_FLOOR:
+            raise ValueError(f"{what} {x} has negative probability {p:.3e}")
+        out.append((x, max(p, 0.0)))
+    total = sum(p for _, p in out)
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    return out
+
+
 def outcome_distribution(
     state: Union[DensityMatrix, PureState], povm: Povm
 ) -> List[Tuple[float, float]]:
     """Outcome probabilities of one measurement in one state."""
     if state.dim != povm.dim:
         raise ValueError(f"state dim {state.dim} does not match POVM dim {povm.dim}")
-    out = []
-    for x, element in zip(povm.outcomes, povm.elements):
-        p = expectation(state, element)
-        if p < PROB_FLOOR:
-            raise ValueError(f"outcome {x} has negative probability {p:.3e}")
-        out.append((x, max(p, 0.0)))
-    total = sum(p for _, p in out)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return out
+    probs = [expectation(state, e) for e in povm.elements]
+    return _checked_distribution(povm.outcomes, probs, "outcome")
 
 
 def joint_outcome_distribution(
@@ -145,26 +150,16 @@ def joint_outcome_distribution(
         raise ValueError(
             f"state dim {state.dim} does not factor as {povm_a.dim} x {povm_b.dim}"
         )
-    out = []
-    for xa, ea in zip(povm_a.outcomes, povm_a.elements):
-        for xb, eb in zip(povm_b.outcomes, povm_b.elements):
-            p = expectation(state, tensor(ea, eb))
-            if p < PROB_FLOOR:
-                raise ValueError(
-                    f"outcome pair ({xa}, {xb}) has negative probability {p:.3e}"
-                )
-            out.append(((xa, xb), max(p, 0.0)))
-    total = sum(p for _, p in out)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return out
+    rho = (state.density() if isinstance(state, PureState) else state).matrix.entries
+    labels = [(xa, xb) for xa in povm_a.outcomes for xb in povm_b.outcomes]
+    probs = [float(np.trace(rho @ np.kron(ea.entries, eb.entries)).real)
+             for ea in povm_a.elements for eb in povm_b.elements]
+    return _checked_distribution(labels, probs, "outcome pair")
 
 
-def _sample_variance(rng: np.random.Generator, outcomes: np.ndarray, probs: np.ndarray, shots: int) -> float:
-    """Unbiased sample variance of `shots` i.i.d. draws, tallied multinomially."""
-    counts = rng.multinomial(shots, probs / probs.sum())
-    mean = float(counts @ outcomes) / shots
-    return float(counts @ (outcomes - mean) ** 2) / (shots - 1)
+def sample_std(values: Sequence[float]) -> float:
+    """Sample standard deviation (ddof 1) of `values`; 0 for a single value."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
 def _sample_trials(
@@ -172,26 +167,29 @@ def _sample_trials(
     dist_x: Sequence[Tuple[float, float]],
     dist_y: Sequence[Tuple[float, float]],
     config: SampleConfig,
-) -> List[Tuple[float, float]]:
-    """Per-trial sample variances of the X and Y outcome distributions.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-trial unbiased sample variances of the X and of the Y outcome distribution.
 
     The shot budget is split evenly (floor) between the two settings.
-    Each trial draws from its own child of seq, X counts before Y counts.
+    Each setting draws from its own child of seq, X from the first, and
+    draws every trial's counts in one multinomial call; trial k is row k
+    of that draw, so its values do not depend on config.trials.
     """
     per_setting = config.shots // 2
     if per_setting < 2:
         raise ValueError(
             f"need at least 2 shots per setting for a variance, got {per_setting}"
         )
-    outs_x, probs_x = (np.array(col) for col in zip(*dist_x))
-    outs_y, probs_y = (np.array(col) for col in zip(*dist_y))
-    per_trial = []
-    for child in seq.spawn(config.trials):
+    variances = []
+    for child, dist in zip(seq.spawn(2), (dist_x, dist_y)):
+        outcomes, probs = (np.array(col) for col in zip(*dist))
         rng = np.random.default_rng(child)
-        s2x = _sample_variance(rng, outs_x, probs_x, per_setting)
-        s2y = _sample_variance(rng, outs_y, probs_y, per_setting)
-        per_trial.append((s2x, s2y))
-    return per_trial
+        counts = rng.multinomial(per_setting, probs / probs.sum(), size=config.trials)
+        # column by column, so a row's arithmetic does not depend on the row count
+        mean = sum(c * x for c, x in zip(counts.T, outcomes)) / per_setting
+        spread = sum(c * (x - mean) ** 2 for c, x in zip(counts.T, outcomes))
+        variances.append(spread / (per_setting - 1))
+    return variances[0], variances[1]
 
 
 def sample_variance_tuple(
@@ -206,16 +204,14 @@ def sample_variance_tuple(
 
     The shot budget is split evenly between the X and Y settings (floor).
     Each trial draws fresh counts from the joint outcome distributions and
-    computes the unbiased sample variance of x_a + x_b per setting; the
-    headline values are the means over trials and the per-trial tuples are
-    returned for spread estimates.
+    computes the unbiased sample variance of x_a + x_b per setting
+    (`_sample_trials`); the headline values are the means over trials and
+    the per-trial tuples are returned for spread estimates.
     """
     dist_x = [(xa + xb, p) for (xa, xb), p in joint_outcome_distribution(state, povm_xa, povm_xb)]
     dist_y = [(ya + yb, p) for (ya, yb), p in joint_outcome_distribution(state, povm_ya, povm_yb)]
-    per_trial = _sample_trials(np.random.SeedSequence(config.seed), dist_x, dist_y, config)
-    d2x = float(np.mean([t[0] for t in per_trial]))
-    d2y = float(np.mean([t[1] for t in per_trial]))
-    return d2x, d2y, per_trial
+    s2x, s2y = _sample_trials(np.random.SeedSequence(config.seed), dist_x, dist_y, config)
+    return float(np.mean(s2x)), float(np.mean(s2y)), list(zip(s2x.tolist(), s2y.tolist()))
 
 
 def run_calibration(
@@ -225,9 +221,9 @@ def run_calibration(
 
     Per state this reports the exact variance sum at weights 1/2, 1/2 for
     the ideal and the noisy measurements, together with the sampled mean
-    and spread from finite statistics drawn on the noisy box. Sweep
-    points and trials use independently derived child seeds and records
-    come back in input order.
+    and spread (`sample_std`) from finite statistics drawn on the noisy
+    box. Each sweep point draws from its own child seed
+    (`_sample_trials`), and records come back in input order.
     """
     if not theta_sweep:
         raise ValueError("theta sweep is empty")
@@ -240,19 +236,17 @@ def run_calibration(
         psi = make_test_state(params)
         v_ideal = 0.5 * variance(psi, ideal_x) + 0.5 * variance(psi, ideal_y)
         v_noisy = 0.5 * variance(psi, noisy_x) + 0.5 * variance(psi, noisy_y)
-        trials = _sample_trials(
+        s2x, s2y = _sample_trials(
             record_seq, outcome_distribution(psi, povm_x), outcome_distribution(psi, povm_y), config
         )
-        values = [0.5 * s2x + 0.5 * s2y for s2x, s2y in trials]
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if config.trials > 1 else 0.0
+        values = 0.5 * s2x + 0.5 * s2y
         records.append(
             CalibrationRecord(
                 params=params,
                 v_ideal=v_ideal,
                 v_noisy=v_noisy,
-                v_sampled_mean=mean,
-                v_sampled_std=std,
+                v_sampled_mean=float(np.mean(values)),
+                v_sampled_std=sample_std(values),
             )
         )
     return records

@@ -1,4 +1,5 @@
 import inspect
+import re
 import tracemalloc
 import warnings
 
@@ -365,6 +366,13 @@ def test_weight_scaling_homogeneity():
     assert abs(g3.value - 3.0 * g1.value) < 1e-8
 
 
+def test_empty_inputs_raise_no_pairs_error():
+    x, y = spin1_moment_pairs(0.0)
+    for solve in (lambda: bounds.local_bounds([]), lambda: trace_region(x, y, [])):
+        with pytest.raises(ValueError, match="no weighted pairs given"):
+            solve()
+
+
 def test_trace_region_validates_lambdas():
     x, y = spin1_moment_pairs(0.0)
     with pytest.raises(ValueError):
@@ -430,6 +438,36 @@ def test_region_boundary_rejects_undercut_point():
             bounds=(1.0,),
             certified=(True,),
         )
+    # point 0 undercuts line 1 alone and point 1 undercuts both: the message
+    # names the first pair in (point, line) order
+    with pytest.raises(ValueError, match=r"^point \(0\.25, 0\.5\) falls below the supporting line at lambda=0\.75$"):
+        RegionBoundary(
+            points=((0.25, 0.5), (0.0, 0.0)),
+            lambdas=(0.25, 0.75),
+            bounds=(0.4, 0.35),
+            certified=(True, True),
+        )
+    # an uncertified index is neither a checked point nor a line: point 1
+    # would undercut line 0, and point 0 line 1
+    RegionBoundary(
+        points=((0.5, 0.5), (0.0, 0.0)),
+        lambdas=(0.25, 0.75),
+        bounds=(0.5, 2.0),
+        certified=(True, False),
+    )
+    # SUPPORT_TOL is absolute: an undercut by less than it passes
+    RegionBoundary(points=((0.0, 0.0),), lambdas=(0.5,), bounds=(0.9e-8,), certified=(True,))
+    # many points and lines: the first undercut lies blocks in, and line 0,
+    # which every point undercuts, is not certified
+    n = 3000
+    points = [(1.0, 1.0)] * n
+    points[2000], points[2500] = (-1.0, -2.0), (-3.0, -3.0)
+    points[0] = (-5.0, -5.0)
+    lams = tuple(float(l) for l in np.linspace(0.01, 0.99, n))
+    certified = (False,) + (True,) * (n - 1)
+    message = f"point (-1.0, -2.0) falls below the supporting line at lambda={lams[1]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RegionBoundary(points=tuple(points), lambdas=lams, bounds=(0.0,) * n, certified=certified)
 
 
 def test_noisy_region_lies_outside_noiseless_region():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varwit.noise import spin1_povms as noise_povms
 from varwit import (
     DensityMatrix,
     Povm,
@@ -202,6 +203,57 @@ def test_sampling_maximally_mixed_second_moment():
         rho, px, px, py, py, SampleConfig(shots=200000, seed=7, trials=1)
     )
     assert abs(d2x - 4.0 / 3.0) < 0.02
+
+
+def reference_variances(seq, dist, shots, trials):
+    """Unbiased sample variances of `trials` rows of counts drawn in one call from seq."""
+    outcomes, probs = (np.array(col) for col in zip(*dist))
+    counts = np.random.default_rng(seq).multinomial(shots, probs / probs.sum(), size=trials)
+    return np.array([row @ (outcomes - row @ outcomes / shots) ** 2 for row in counts]) / (shots - 1)
+
+
+def test_each_setting_draws_every_trial_from_its_own_child_seed():
+    px, py = noise_povms(0.2)
+    rho = DensityMatrix.from_pure(make_singlet())
+    _, _, short = sample_variance_tuple(rho, px, px, py, py, SampleConfig(shots=600, seed=4, trials=3))
+    _, _, long = sample_variance_tuple(rho, px, px, py, py, SampleConfig(shots=600, seed=4, trials=8))
+    # trial k is row k of its setting's draw, whatever the trial count
+    assert short == long[:3]
+    dists = [
+        [(a + b, p) for (a, b), p in joint_outcome_distribution(rho, povm, povm)] for povm in (px, py)
+    ]
+    children = np.random.SeedSequence(4).spawn(2)
+    want = [reference_variances(child, dist, 300, 8) for child, dist in zip(children, dists)]
+    np.testing.assert_allclose(np.array(long), np.array(want).T, rtol=1e-12, atol=0.0)
+    # a calibration record's trials are the rows of its sweep point's two draws
+    sweep = theta1_sweep(num=4)
+    for trials in (1, 5):
+        records = run_calibration(sweep, 0.2, SampleConfig(shots=600, seed=4, trials=trials))
+        for rec, point in zip(records, np.random.SeedSequence(4).spawn(len(sweep))):
+            psi = make_test_state(rec.params)
+            s2x, s2y = (
+                reference_variances(child, outcome_distribution(psi, povm), 300, 5)[:trials]
+                for child, povm in zip(point.spawn(2), (px, py))
+            )
+            assert abs(rec.v_sampled_mean - np.mean(0.5 * s2x + 0.5 * s2y)) <= 1e-12
+
+
+def test_one_sampling_call_builds_one_generator_per_setting(monkeypatch):
+    built = []
+    real = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    px, py = noise_povms(0.2)
+    rho = DensityMatrix.from_pure(make_singlet())
+    sample_variance_tuple(rho, px, px, py, py, SampleConfig(shots=600, seed=4, trials=50))
+    assert len(built) == 2
+    del built[:]
+    run_calibration(theta1_sweep(num=3), 0.2, SampleConfig(shots=600, seed=4, trials=50))
+    assert len(built) == 2 * 3
 
 
 def test_sampling_needs_enough_shots():

@@ -20,7 +20,9 @@ where the rounding slack would carry the value below 0 but for its clamp),
 and two requests whose certified batch, one row a
 weight, spans more than one chunk of `varwit.bounds._CHUNK` (4,096)
 rows: `report --lambda-grid 4500` and `region --lambdas 4200 --alpha
-0.5`.
+0.5`. Last come `calibrate --sweep theta1 --seed 1` and `fit-noise` on
+the CSV it wrote, the requests that print or write sampled values besides
+the stream's `simulate` requests.
 Prints the digest of all records of each side, then each request whose
 records differ with the parts that differ (exit code, stdout, stderr,
 files, replays), and exits 1 if any request differs, else 0.
@@ -68,6 +70,8 @@ def requests(work):
     with_dir("report_chunks", ["report", "--state", "singlet", "--alpha", "0.2", "--seed", "1",
                                "--lambda-grid", "4500"])
     with_dir("region_chunks", ["region", "--lambdas", "4200", "--alpha", "0.5"])
+    with_dir("calibrate", ["calibrate", "--sweep", "theta1", "--seed", "1"])
+    out.append((["fit-noise", "--input", os.path.join(work, "calibrate", "calibration.csv")], None))
     return out
 
 

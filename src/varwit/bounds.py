@@ -41,8 +41,6 @@ case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from math import sqrt
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -70,8 +68,8 @@ GRID_GAP = 1e-5
 # the weights' magnitude, or after _MAX_ITER eigensolves, uncertified
 _TOL = 1e-10
 _MAX_ITER = 500
-# branch-and-bound cells one weight may create before it gives up
-# uncertified; the ring of minimizers at lam = mu needs about 180k
+# branch-and-bound cells one weight may create before it gives up uncertified; a GAP_TOL
+# proof of the lam = mu ring on the spin-1 quarter box needs 44k (alpha = 0) to 21k (alpha = 0.5)
 _MAX_CELLS = 1 << 19
 # rows per stacked eigensolve in the seesaw engine, and weights per
 # branch-and-bound: a 201-point curve, one row a weight, fits one chunk
@@ -97,9 +95,9 @@ def _penalty_scale(m: MomentPair) -> float:
     A mean obeys |x| <= ||X1|| <= dim max|X1_ij|, so entry magnitudes bound
     it without an eigensolve.
     """
-    a1 = float(np.abs(m.first.entries).max())
+    a1, a2 = np.abs([m.first.entries, m.second.entries]).max(axis=(1, 2)).tolist()
     reach = m.dim * a1
-    return float(np.abs(m.second.entries).max()) + 2.0 * reach * a1 + reach * reach
+    return a2 + 2.0 * reach * a1 + reach * reach
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,22 +223,27 @@ def penalty_operator(pair: WeightedPair, x_bar: float, y_bar: float) -> Hermitia
     penalty means match the state's own first-moment expectations; that
     is what makes alternating descent work.
     """
-    return HermitianOperator(_penalty_raw(pair, float(x_bar), float(y_bar)))
+    ops = (pair.x.first.entries, pair.x.second.entries, pair.y.first.entries, pair.y.second.entries)
+    return HermitianOperator(_penalties(ops, pair.lam, pair.mu, float(x_bar), float(y_bar))[0])
 
 
-def _penalty_raw(pair: WeightedPair, x_bar: float, y_bar: float) -> np.ndarray:
-    x1, x2 = pair.x.first.entries, pair.x.second.entries
-    y1, y2 = pair.y.first.entries, pair.y.second.entries
-    eye = np.eye(pair.dim)
-    return pair.lam * (x2 - 2.0 * x_bar * x1 + x_bar**2 * eye) + pair.mu * (
-        y2 - 2.0 * y_bar * y1 + y_bar**2 * eye
+def _penalties(ops, lam, mu, x, y) -> np.ndarray:
+    """lam (X2 - 2 x X1 + x^2 I) + mu (Y2 - 2 y Y1 + y^2 I) of every row, shape (n, d, d).
+
+    ops holds (X1, X2, Y1, Y2), each (d, d) or (n, d, d); lam, mu, x, y are scalars or (n,).
+    """
+    x1, x2, y1, y2 = ops
+    lam, mu, x, y = (np.reshape(a, (-1, 1, 1)) for a in (lam, mu, x, y))
+    eye = np.eye(x1.shape[-1])
+    # float_power is libm pow, the rounding of a Python float's ** 2
+    return lam * (x2 - 2.0 * x * x1 + np.float_power(x, 2) * eye) + mu * (
+        y2 - 2.0 * y * y1 + np.float_power(y, 2) * eye
     )
 
 
 def _spectral_box(x: MomentPair, y: MomentPair) -> Tuple[float, float, float, float]:
-    ex = np.linalg.eigvalsh(x.first.entries)
-    ey = np.linalg.eigvalsh(y.first.entries)
-    return float(ex[0]), float(ex[-1]), float(ey[0]), float(ey[-1])
+    (xlo, *_, xhi), (ylo, *_, yhi) = np.linalg.eigvalsh([x.first.entries, y.first.entries]).tolist()
+    return xlo, xhi, ylo, yhi
 
 
 def _expect(vecs: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -313,59 +316,45 @@ class _Batch(NamedTuple):
 # conjugation then the parity D = diag((-1)^k) maps the penalty P(x, y) to
 # P(-x, y) when it negates X1 and keeps X2, Y1 and Y2; conjugation in the
 # given basis maps P(x, y) to P(x, -y) when X1, X2, Y2 are real and Y1 is
-# imaginary
-_MIRROR_SIGNS = np.array([[-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
-
-
-@cache
-def _mirror_weights(dim: int) -> np.ndarray:
-    """(op, 2 d^2, side): 4 where the mirror of a side reads that part of an entry of op, else 0.
-
-    The mirror of a side sends entry a of an operator of sign t to
-    p conj(a), with p = (-1)^(i + j) on the x side and 1 on the y side;
-    p conj(a) - t a is 2i Im(a) up to sign where p t = 1, else 2 Re(a).
-    The parts are those of a complex matrix viewed as floats, (Re, Im)
-    per entry.
-    """
-    k = np.arange(dim)
-    parity = np.stack([(-1.0) ** (k[:, None] + k), np.ones((dim, dim))])
-    imag = parity[:, None] * _MIRROR_SIGNS[:, :, None, None] > 0.0  # (side, op, d, d)
-    parts = np.stack([~imag, imag], axis=-1).reshape(2, 4, -1)
-    weights = 4.0 * parts.transpose(1, 2, 0)
-    weights.flags.writeable = False  # every call shares it
-    return weights
+# imaginary; shaped (side, op, box, row, column) to scale a stack of ops
+_MIRROR_SIGNS = np.array([[-1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]]).reshape(2, 4, 1, 1, 1)
 
 
 def _mirrors(ops: np.ndarray, spans: np.ndarray, scales: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each box's proof span and defect, from the two mirror symmetries of its f.
 
     The mirror of a side is an antiunitary U that sends each operator A
-    to t A + dA, with t its sign in _MIRROR_SIGNS. U P(x, y) U^-1 then
-    differs from the penalty at the mirrored means by lam (dX2 - 2 x dX1)
-    + mu (dY2 - 2 y dY1), so by Weyl's inequality the mirror moves f by
-    at most lam ex + mu ey, with ex = ||dX2||_F + 2 R_x ||dX1||_F, R_x
-    the largest |mean| on the x side, and ey the same for y. A mirror
-    whose ex and ey are at most the rounding slack (`_slack`) of the box's
-    two penalty scales halves its side when the side's span holds 0: the
-    proof tiles [0, max(hi, -lo)] there, which holds |x| for every x of
-    the span, and its lower bound less the defects of the mirrors used
-    bounds f on the whole span.
+    to t A + dA, with t its sign in _MIRROR_SIGNS: dA is the exact residual
+    of the image, D A* D (entries (-1)^(i + j) conj(a_ij)) on the x side and
+    A* on the y side, less t A. U P(x, y) U^-1 then differs from the
+    penalty at the mirrored means by lam (dX2 - 2 x dX1) + mu (dY2 - 2 y
+    dY1), so by Weyl's inequality the mirror moves f by at most lam ex +
+    mu ey, with ex = ||dX2||_F + 2 R_x ||dX1||_F, R_x the largest |mean| on
+    the x side, and ey the same for y. A mirror whose ex and ey are at most
+    the rounding slack (`_slack`) of the box's two penalty scales halves
+    its side when the side's span holds 0: the proof tiles [0, max(hi,
+    -lo)] there, which holds |x| for every x of the span, and its lower
+    bound less the defects of the mirrors used bounds f on the whole span.
 
     Returns the proof spans (boxes, 4) and the summed (ex, ey) of the
     mirrors used (boxes, 2), zero for a box that uses none.
     """
-    parts = ops.view(float).reshape(4, ops.shape[1], -1)
-    # ||dA||_F^2 of each (op, box, side); a batch holds a box or two, so
-    # the rest is scalar arithmetic
-    squares = (parts * parts @ _mirror_weights(ops.shape[-1])).tolist()
-    slack = _slack(ops.shape[-1])
+    dim = ops.shape[-1]
+    # the sign D A* D gives entry (i, j) of A*, (-1)^(i + j), on the x side; 1 on the y side
+    parity = np.ones((2, 1, 1, dim, dim))
+    parity[0, ..., 1::2, ::2] = parity[0, ..., ::2, 1::2] = -1.0
+    # dA of each (side, op, box), its entries in one row
+    residuals = (parity * ops.conj() - _MIRROR_SIGNS * ops).reshape(2, 4, -1, dim * dim)
+    # ||dA||_F, vecdot summing |dA_ij|^2; a batch holds a box or two, so the rest is scalar arithmetic
+    norms = np.sqrt(np.vecdot(residuals, residuals).real).tolist()
+    slack = _slack(dim)
     proof_spans, defects = spans.tolist(), []
     for b, (span, (sx, sy)) in enumerate(zip(proof_spans, scales.tolist())):
         reach = [max(span[1], -span[0]), max(span[3], -span[2])]
         total = [0.0, 0.0]
-        for side in (0, 1):
-            ex = sqrt(squares[1][b][side]) + 2.0 * reach[0] * sqrt(squares[0][b][side])
-            ey = sqrt(squares[3][b][side]) + 2.0 * reach[1] * sqrt(squares[2][b][side])
+        for side, (d1x, d2x, d1y, d2y) in enumerate(norms):
+            ex = d2x[b] + 2.0 * reach[0] * d1x[b]
+            ey = d2y[b] + 2.0 * reach[1] * d1y[b]
             if ex <= slack * sx and ey <= slack * sy and span[2 * side] <= 0.0 <= span[2 * side + 1]:
                 span[2 * side : 2 * side + 2] = 0.0, reach[side]
                 total = [total[0] + ex, total[1] + ey]
@@ -387,8 +376,8 @@ def _batch(pairs: Sequence[WeightedPair]) -> _Batch:
         if not boxes or boxes[-1][0] is not pair.x or boxes[-1][1] is not pair.y:
             boxes.append((pair.x, pair.y))
         box.append(len(boxes) - 1)
-    kinds = zip(*((x.first, x.second, y.first, y.second) for x, y in boxes))
-    ops = np.array([[op.entries for op in kind] for kind in kinds])
+    ops = np.array([[x.first.entries, x.second.entries, y.first.entries, y.second.entries] for x, y in boxes])
+    ops = ops.swapaxes(0, 1)
     spans = np.array([_spectral_box(x, y) for x, y in boxes])
     scales = np.array([(_penalty_scale(x), _penalty_scale(y)) for x, y in boxes])
     return _Batch(
@@ -435,7 +424,6 @@ def _seesaw_rows(batch: _Batch, x0: np.ndarray, y0: np.ndarray) -> _Descent:
     The rows are one chunk; `_in_chunks` runs more.
     """
     n, dim = batch.lam.size, batch.ops.shape[-1]
-    eye = np.eye(dim)
     scale = batch.row_scales()
     vecs = np.empty((n, dim), dtype=complex)
     xm, ym = np.empty(n), np.empty(n)
@@ -453,14 +441,8 @@ def _seesaw_rows(batch: _Batch, x0: np.ndarray, y0: np.ndarray) -> _Descent:
     acc_v = np.empty((n, dim), dtype=complex)
     acc_x, acc_y = np.empty(n), np.empty(n)
     for it in range(1, _MAX_ITER + 1):
-        x1, x2, y1, y2 = batch.row_ops(rows)
-        # float_power is libm pow, the rounding of a Python float's ** 2
-        pen = lw[:, None, None] * (
-            x2 - (2.0 * x_bar)[:, None, None] * x1 + np.float_power(x_bar, 2)[:, None, None] * eye
-        ) + mw[:, None, None] * (
-            y2 - (2.0 * y_bar)[:, None, None] * y1 + np.float_power(y_bar, 2)[:, None, None] * eye
-        )
-        w, basis = np.linalg.eigh(pen)
+        ops = x1, _, y1, _ = batch.row_ops(rows)
+        w, basis = np.linalg.eigh(_penalties(ops, lw, mw, x_bar, y_bar))
         w = w / sr[:, None]
         # ascending order makes the degenerate tie-break deterministic
         v = basis[:, :, 0]

@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,36 +85,6 @@ class _UsageError(Exception):
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run, written next to every artifact it produced."""
-
-    command: str
-    parameters: dict
-    seed: int
-    artifact_paths: Tuple[str, ...]
-    tool_version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "artifact_paths": list(self.artifact_paths),
-            "tool_version": self.tool_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        return cls(
-            command=data["command"],
-            parameters=dict(data["parameters"]),
-            seed=int(data["seed"]),
-            artifact_paths=tuple(data["artifact_paths"]),
-            tool_version=data["tool_version"],
-        )
 
 
 def _int_at_least(low: int):
@@ -179,14 +148,14 @@ def _replay_argv(command: str, params: dict) -> List[str]:
 
 
 def _emit_manifests(args, seed: int, artifact_paths: Sequence[str]) -> None:
-    manifest = RunManifest(
-        command=args.command,
-        parameters=_manifest_parameters(args, seed),
-        seed=seed,
-        artifact_paths=tuple(artifact_paths),
-        tool_version=__version__,
-    )
-    payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+    manifest = {
+        "command": args.command,
+        "parameters": _manifest_parameters(args, seed),
+        "seed": seed,
+        "artifact_paths": list(artifact_paths),
+        "tool_version": __version__,
+    }
+    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     for path in artifact_paths:
         with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -195,8 +164,8 @@ def _emit_manifests(args, seed: int, artifact_paths: Sequence[str]) -> None:
 def replay_manifest(path: str) -> int:
     """Re-run the command recorded in a manifest; outputs are bit-identical."""
     with open(path, encoding="utf-8") as fh:
-        manifest = RunManifest.from_dict(json.load(fh))
-    return main(list(manifest.parameters["argv"]))
+        argv = json.load(fh)["parameters"]["argv"]
+    return main(list(argv))
 
 
 def _fmt(value) -> str:

@@ -18,12 +18,16 @@ _MARGIN_L = 64.0
 _MARGIN_R = 16.0
 _MARGIN_T = 40.0
 _MARGIN_B = 48.0
+# the canvas size in pixels, and the number of labelled ticks on each axis
+_WIDTH = 720
+_HEIGHT = 480
+_TICKS = 6
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> List[float]:
+def _ticks(lo: float, hi: float) -> List[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+    return [lo + (hi - lo) * k / (_TICKS - 1) for k in range(_TICKS)]
 
 
 def svg_line_plot(
@@ -32,8 +36,6 @@ def svg_line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> None:
     """Write a line plot of (label, xs, ys) series to an SVG file."""
     if not series:
@@ -49,8 +51,8 @@ def svg_line_plot(
     pad = 0.04 * (yhi - ylo)
     ylo -= pad
     yhi += pad
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - xlo) / (xhi - xlo) * plot_w
@@ -60,13 +62,13 @@ def svg_line_plot(
 
     parts: List[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    parts.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
+    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#000000">{title}</text>'
         )
     # frame
@@ -96,7 +98,7 @@ def svg_line_plot(
         )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" fill="#000000">{xlabel}</text>'
         )
     if ylabel:

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 import tracemalloc
 import warnings
@@ -914,6 +915,62 @@ def test_a_mirror_broken_beyond_rounding_keeps_its_side():
             assert batch.defects[0, 1] > exact.defects[0, 1]
             drop = pair.lam * batch.defects[0, 0] + pair.mu * batch.defects[0, 1]
             assert abs((undefected - lower) - drop) <= 4.0 * np.spacing(lower)
+
+
+def entrywise_mirrors(x, y):
+    """A box's proof span and (ex, ey) defect, each mirror's residual taken entry by entry.
+
+    The x side mirror sends entry a of an operator to (-1)^(i + j) conj(a),
+    the y side mirror to conj(a); the residual is that less t a, with t
+    the sign the mirror should give the operator.
+    """
+    ops = (x.first.entries, x.second.entries, y.first.entries, y.second.entries)
+    signs = ((-1.0, 1.0, 1.0, 1.0), (1.0, 1.0, -1.0, 1.0))
+    span = list(bounds._spectral_box(x, y))
+    reach = (max(span[1], -span[0]), max(span[3], -span[2]))
+    scales = (bounds._penalty_scale(x), bounds._penalty_scale(y))
+    slack = bounds._slack(x.dim)
+    defect = [0.0, 0.0]
+    for side in (0, 1):
+        norms = []
+        for op, t in zip(ops, signs[side]):
+            squares = 0.0
+            for i in range(x.dim):
+                for j in range(x.dim):
+                    a = complex(op[i, j])
+                    mirrored = (-1) ** (i + j) * a.conjugate() if side == 0 else a.conjugate()
+                    squares += abs(mirrored - t * a) ** 2
+            norms.append(math.sqrt(squares))
+        ex = norms[1] + 2.0 * reach[0] * norms[0]
+        ey = norms[3] + 2.0 * reach[1] * norms[2]
+        if ex <= slack * scales[0] and ey <= slack * scales[1] and span[2 * side] <= 0.0 <= span[2 * side + 1]:
+            span[2 * side : 2 * side + 2] = 0.0, reach[side]
+            defect = [defect[0] + ex, defect[1] + ey]
+    return span, defect
+
+
+def test_mirror_defects_match_an_entrywise_residual():
+    x, y = spin1_moment_pairs(0.2)
+    shifted = [(x, MomentPair(y.first.entries + eps * np.eye(3), y.second)) for eps in (1e-15, 1e-6)]
+    boxes = [spin1_moment_pairs(alpha) for alpha in (0.0, 0.2, 1.0)] + shifted
+    batches = [[box] for box in boxes] + [[boxes[1], shifted[0]]]
+    for batch_boxes in batches:
+        batch = bounds._batch([WeightedPair(0.5, 0.5, bx, by) for bx, by in batch_boxes])
+        for b, (bx, by) in enumerate(batch_boxes):
+            span, defect = entrywise_mirrors(bx, by)
+            assert batch.proof_spans[b].tolist() == span
+            np.testing.assert_allclose(batch.defects[b], defect, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("alpha, lam", [(0.11013211899741604, 0.307333), (0.125, 0.378)])
+def test_certified_bound_at_a_knee_lies_at_or_below_the_infimum(alpha, lam):
+    # two branches of local minima come within GRID_GAP / 2 of each other
+    # here; the coarse proof's vertex lies in the wrong basin, and its
+    # polish converges at means (0.625, 0) or (0.738, 0), 1.2e-5 and
+    # 1.4e-5 above the infimum, the global minimum lying at x = 0
+    res = certified_bound(spin1_pair(lam, 1.0 - lam, alpha))
+    assert res.value <= local_infimum(lam, 1.0 - lam, alpha)
 
 
 # property tests over random POVM boxes, derandomized: the examples drawn

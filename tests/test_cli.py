@@ -397,6 +397,16 @@ def test_witness_rejects_unrecognized_state_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_witness_does_not_detect_a_separable_tuple_at_a_knee(capsys):
+    # the variance pair of psi (x) psi, psi an exact minimizer of the local
+    # functional: separable, and on the bound, so it must not be detected
+    argv = ["witness", "--tuple", "0.8599207990389836,0.4473465418192297",
+            "--alpha", "0.11013211899741604", "--lambda", "0.307333"]
+    _, payload = run_cli(argv, capsys)
+    assert payload["detected"] is False
+
+
 WITNESS_AT_A_STALL = ["witness", "--tuple", "0.3,0.3", "--alpha", "0.2", "--lambda", "0.355"]
 
 

@@ -17,10 +17,9 @@ run stops when f moves less than _TOL times the penalty scale, or after
 _MAX_ITER eigensolves; both are constants of this module.
 Every bound (`local_bounds`, `certified_bound`, `seesaw_bound`,
 `sep_bound_curve`, `trace_region`) is reached by one rule, `_certify`:
-the branch-and-bound from the box alone at the coarse gap GRID_GAP, a
-polish of its lowest vertex, and, where the polish stalls, a proof at
-GAP_TOL and a second polish. That rule alone decides whether a bound
-may be trusted.
+the proof from the box alone at the coarse gap GRID_GAP, a polish of its
+lowest vertex, and, where the polish stalls, a proof at GAP_TOL and a
+second polish. That rule alone decides whether a bound may be trusted.
 
 Inside the solver a batch (`_Batch`) is arrays: rows (lam, mu), each
 carrying the index of its box (one party's moment pairs), and each box's
@@ -31,11 +30,18 @@ the noisy spin-1 box has both mirrors, so its proofs tile a quarter of
 the box. `_batch` tests each mirror once per box and measures its
 defect, by Weyl's inequality a bound on how far rounding lets f differ
 from its mirror image; a side is halved only when that defect is within
-the rounding slack, and the proof subtracts it.
-Both engines run on chunks of _CHUNK rows (`_in_chunks`). The engines
-and the rule pass only such arrays; `local_bounds` builds the records at
-the edge, many pairs in one batch, and `certified_bound` is its one-pair
-case.
+the rounding slack, and the proof subtracts it. At lam = mu a box may
+also have a ring: a generator J that rotates X1 into Y1 and commutes
+with X2 + Y2 (L_Z for the noisy spin-1 box, the symmetry behind the
+Hofmann-Takeuchi closed form, PRA 68, 032103 (2003)), so f depends only
+on the radius of the means. `_batch` measures the ring's defect the same
+way (`_ring`), and a row with lam == mu on a box with a ring is proven by
+a branch-and-bound over that radius alone (`_ring_proof`); `_prove`
+routes every row to its proof.
+The descent and both proofs run on chunks of _CHUNK rows (`_in_chunks`).
+The engines and the rule pass only such arrays; `local_bounds` builds the
+records at the edge, many pairs in one batch, and `certified_bound` is
+its one-pair case.
 """
 
 from __future__ import annotations
@@ -68,8 +74,10 @@ GRID_GAP = 1e-5
 # the weights' magnitude, or after _MAX_ITER eigensolves, uncertified
 _TOL = 1e-10
 _MAX_ITER = 500
-# branch-and-bound cells one weight may create before it gives up uncertified; a GAP_TOL
-# proof of the lam = mu ring on the spin-1 quarter box needs 44k (alpha = 0) to 21k (alpha = 0.5)
+# branch-and-bound cells one weight may create before it gives up uncertified, in
+# either proof; at GAP_TOL on the spin-1 box a lam = mu row takes 21 (alpha = 0) to 209
+# (alpha = 0.5) intervals of radius, while a row 1e-9 off lam = mu still takes 44k
+# (alpha = 0) to 19k (alpha = 0.5) triangles of the quarter box
 _MAX_CELLS = 1 << 19
 # rows per stacked eigensolve in the seesaw engine, and weights per
 # branch-and-bound: a 201-point curve, one row a weight, fits one chunk
@@ -287,13 +295,18 @@ class _Batch(NamedTuple):
     branch-and-bound tiles: a side on which f is mirror symmetric to
     rounding shrinks to [0, max(hi, -lo)]. defects[b] holds the (x, y)
     terms of those mirrors' Weyl defects (`_mirrors`); a side kept whole
-    adds none. Row i belongs to box box[i].
+    adds none. rings[b] is box b's ring defect (`_ring`), the bound on how
+    far f at lam = mu may differ from f at the radius of its means, in
+    units of lam, or inf where the box has no ring; a row with lam == mu
+    on a box with a ring is proven over that radius (`_ring_proof`). Row i
+    belongs to box box[i].
     """
 
     ops: np.ndarray  # (4, boxes, d, d)
     scales: np.ndarray  # (boxes, 2)
     proof_spans: np.ndarray  # (boxes, 4)
     defects: np.ndarray  # (boxes, 2)
+    rings: np.ndarray  # (boxes,)
     box: np.ndarray  # (rows,)
     lam: np.ndarray
     mu: np.ndarray
@@ -362,12 +375,77 @@ def _mirrors(ops: np.ndarray, spans: np.ndarray, scales: np.ndarray) -> Tuple[np
     return np.array(proof_spans), np.array(defects)
 
 
+def _ring(ops: np.ndarray, spans: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Each box's ring defect: how far, in units of lam, f at lam = mu may move under a rotation of its means.
+
+    The candidate generator is J = -i [X1, Y1] / c, with c the least-squares
+    fit of [J, X1] = i Y1, made exactly Hermitian; for the noisy spin-1 box
+    -i [X1, Y1] = eta^2 L_Z and J = L_Z. Let E1 = [J, X1] - i Y1, E2 = [J,
+    Y1] + i X1 and E3 = [J, X2 + Y2] be the exact residuals, and U(t) =
+    exp(-i t J). Along the path a(t) + i b(t) = r e^(i (phi + t)) the means
+    rotate, and G(t) = U(t)^* (a X1 + b Y1) U(t) has G'(t) = U^* i (a E1 + b
+    E2) U, so ||G(t) - G(0)|| <= |t| r (||E1|| + ||E2||); likewise U^* (X2 +
+    Y2) U moves by at most |t| ||E3||. At lam = mu the penalty is lam (X2 +
+    Y2 - 2 x X1 - 2 y Y1 + r^2), so rotating the means (x, y) = r e^(i phi)
+    onto (r, 0), |t| <= pi, conjugates the penalty at (r, 0) to within lam
+    pi (||E3|| + 2 r (||E1|| + ||E2||)) of the penalty at (x, y), and by
+    Weyl's inequality |f(x, y) - f(r, 0)| is at most that, with r at most
+    R, the largest radius of the spectral box. Each norm is the computed
+    Frobenius norm plus its rounding: each entry of a product J A sums 2d
+    real products, so it is within gamma_2d (|J| |A|) of exact, |.| taking
+    |Re| + |Im| entrywise; the subtractions and the rounding of X2 + Y2 add
+    one eps / 2 each, so each residual is within (d + 1) eps || |J| |A| + |A|
+    |J| ||_F of the computed one, to first order (the rest is of order
+    eps^2 of it, far below the slack the proof subtracts). The defect is
+    pi (e3 + 2 R (e1 + e2)) with e the bounded norms. A ring is kept when
+    the defect is within the rounding slack (`_slack`) of the sum of the
+    box's two penalty scales, so lam times it is within the slack of a lam
+    = mu row's scale; a random POVM box fails that. It is also dropped
+    when ||[X1, Y1]||_F is rounding dust, within the slack of the
+    geometric mean of those scales: at alpha = 1, or for X1 = 0, J would be
+    fitted to dust, or not at all.
+
+    Of `spans` only each side's largest |mean| is read, which a proof span
+    (`_mirrors`) keeps. Returns the defect of each box (boxes,), inf where
+    it has no ring.
+    """
+    dim = ops.shape[-1]
+    x1, x2, y1, y2 = ops
+    slack = _slack(dim)
+    sx, sy = scales.T
+
+    def frobenius(m):
+        flat = m.reshape(m.shape[:-2] + (dim * dim,))
+        return np.sqrt(np.vecdot(flat, flat).real)
+
+    comm = x1 @ y1 - y1 @ x1
+    # a dust commutator can make c zero or J huge; such a box gets no ring, so its NaNs are dropped
+    with np.errstate(all="ignore"):
+        k = -1j * comm
+        kx = k @ x1 - x1 @ k
+        c = np.vecdot((1j * y1).reshape(-1, dim * dim), kx.reshape(-1, dim * dim)).real / frobenius(y1) ** 2
+        j = k / c[:, None, None]
+        j = 0.5 * (j + j.conj().swapaxes(-1, -2))
+        # [J, A] less its target, for A = X1, Y1 and X2 + Y2
+        a = np.stack([x1, y1, x2 + y2])
+        res = j @ a - a @ j
+        res[0] -= 1j * y1
+        res[1] += 1j * x1
+        aj, aa = np.abs(j.real) + np.abs(j.imag), np.abs(a.real) + np.abs(a.imag)
+        e1, e2, e3 = frobenius(res) + (dim + 1) * np.finfo(float).eps * frobenius(aj @ aa + aa @ aj)
+        reach = np.abs(spans).reshape(-1, 2, 2).max(axis=2)
+        defect = np.pi * (e3 + 2.0 * np.hypot(reach[:, 0], reach[:, 1]) * (e1 + e2))
+        kept = (frobenius(comm) > slack * np.sqrt(sx * sy)) & (defect <= slack * (sx + sy))
+    return np.where(kept, defect, np.inf)
+
+
 def _batch(pairs: Sequence[WeightedPair]) -> _Batch:
     """The batch of `pairs`; a run of consecutive pairs sharing their moment pairs is one box.
 
-    Each box's operators, spectral box, penalty scales and mirror
-    symmetries (`_mirrors`) are gathered here, once, however many routes
-    and chunks then read them.
+    Each box's operators, spectral box, penalty scales, mirror
+    symmetries (`_mirrors`) and, where one of its rows has lam == mu, its
+    ring (`_ring`) are gathered here, once, however many routes and chunks
+    then read them.
     """
     if not pairs:
         raise ValueError("no weighted pairs given")
@@ -380,14 +458,14 @@ def _batch(pairs: Sequence[WeightedPair]) -> _Batch:
     ops = ops.swapaxes(0, 1)
     spans = np.array([_spectral_box(x, y) for x, y in boxes])
     scales = np.array([(_penalty_scale(x), _penalty_scale(y)) for x, y in boxes])
-    return _Batch(
-        ops,
-        scales,
-        *_mirrors(ops, spans, scales),
-        np.array(box, dtype=int),
-        np.array([p.lam for p in pairs]),
-        np.array([p.mu for p in pairs]),
-    )
+    box, lam, mu = np.array(box, dtype=int), np.array([p.lam for p in pairs]), np.array([p.mu for p in pairs])
+    # only a lam = mu row reads its box's ring, so only such a box measures one
+    even = np.zeros(len(boxes), dtype=bool)
+    even[box[lam == mu]] = True
+    rings = np.full(len(boxes), np.inf)
+    if even.any():
+        rings[even] = _ring(ops[:, even], spans[even], scales[even])
+    return _Batch(ops, scales, *_mirrors(ops, spans, scales), rings, box, lam, mu)
 
 
 def _in_chunks(engine, batch: _Batch, *per_row: np.ndarray, **fixed):
@@ -593,6 +671,18 @@ def _run_heads(*keys: np.ndarray) -> np.ndarray:
     return head
 
 
+def _keep_lowest(best: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> None:
+    """Each row's lexicographic minimum of its `best` vertex (f, coordinates) and its `cand`, in place.
+
+    Row i's candidates are the entries of `cand` with rows == i; the
+    lexicographic order breaks ties, so they do not depend on the batch.
+    """
+    joined = np.concatenate([best, cand])
+    owner = np.concatenate([np.arange(best.shape[0]), rows])
+    order = np.lexsort((*joined.T[::-1], owner))
+    best[:] = joined[order[_run_heads(owner[order])]]
+
+
 def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
     """Proven lower bounds on inf V for every row (lam, mu) of `batch`, solved together.
 
@@ -642,18 +732,10 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
 
     best = np.zeros((n, 3))  # (f, u, v) of each row's lowest vertex
     best[:, 0] = np.inf
-
-    def keep_best(rows, u, v, fv):
-        # lexicographic (f, u, v) minimum, so ties do not depend on the batch
-        cand = np.concatenate([best, np.column_stack([fv, u, v])])
-        owner = np.concatenate([np.arange(n), rows])
-        order = np.lexsort((cand[:, 2], cand[:, 1], cand[:, 0], owner))
-        best[:] = cand[order[_run_heads(owner[order])]]
-
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     rows = np.repeat(np.arange(n), 4)
     fc = evaluate(rows, np.tile(corners[:, 0], n), np.tile(corners[:, 1], n))
-    keep_best(rows, np.tile(corners[:, 0], n), np.tile(corners[:, 1], n), fc)
+    _keep_lowest(best, rows, np.column_stack([fc, np.tile(corners, (n, 1))]))
     # two triangles per row, vertices ordered (a, b, c) with the right angle at b
     tri = np.array([[0, 1, 2], [0, 3, 2]])
     rows = np.repeat(np.arange(n), 2)
@@ -688,7 +770,7 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
         inverse[order] = np.cumsum(head) - 1
         key_rows, key_u, key_v = key_rows[head], key_u[head], key_v[head]
         fk = evaluate(key_rows, key_u, key_v)
-        keep_best(key_rows, key_u, key_v, fk)
+        _keep_lowest(best, key_rows, np.column_stack([fk, key_u, key_v]))
         # children (a, mid, b) and (b, mid, c), each with the right angle at mid
         m = rows.size
         child_uv, child_f = np.empty((2 * m, 3, 2)), np.empty((2 * m, 3))
@@ -706,15 +788,99 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
     )
 
 
+def _ring_proof(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
+    """Proven lower bounds on inf V for rows with lam = mu on boxes with a ring, over the radius alone.
+
+    On such a box f(x, y) lies within lam times the ring defect (`_ring`)
+    of f(r, 0), r = |(x, y)|, for every pair of means of the span, whose
+    radii are at most R, the largest radius of the spectral box. So the
+    proof tiles r in [0, R] at means (r, 0), in intervals. Along the ray f =
+    g + lam r^2 with g concave, so on a cell [r0, r1] f lies above the chord
+    of its end values less lam (r1 - r0)^2 t (1 - t), whose minimum
+    `_edge_lower` gives. Pruning, the _MAX_CELLS cap, the units of the
+    penalty scale and the rounding slack are those of `_branch_and_bound`,
+    and the lower bound also subtracts lam times the ring defect. Each
+    round bisects every surviving cell and evaluates its midpoint, which
+    no other cell shares, in one `eigvalsh` call for all rows. The lowest
+    vertex is the lexicographic (f, r) minimum, returned as means (r, 0).
+    Rows do not interact, so a row's result does not depend on the batch.
+    The rows are one chunk; `_in_chunks` runs more.
+    """
+    scale = batch.row_scales()
+    lam, upper = batch.lam / scale, upper / scale
+    n = lam.shape[0]
+    # R from each side's largest |mean|, which a mirror-halved proof span keeps
+    radius = np.hypot(*np.abs(batch.proof_spans[batch.box]).reshape(n, 2, 2).max(axis=2).T)
+
+    def evaluate(rows, t):
+        # t is the radius in units of R, an exact dyadic fraction
+        x1, x2, _, y2 = batch.row_ops(rows)
+        r, lr = t * radius[rows], lam[rows]
+        pen = lr[:, None, None] * (x2 + y2) - (2.0 * lr * r)[:, None, None] * x1
+        return np.linalg.eigvalsh(pen)[:, 0] + lr * r * r
+
+    best = np.zeros((n, 2))  # (f, t) of each row's lowest vertex
+    best[:, 0] = np.inf
+    rows, t0, t1 = np.arange(n), np.zeros(n), np.ones(n)
+    f0, f1 = evaluate(rows, t0), evaluate(rows, t1)
+    for t, f in ((t0, f0), (t1, f1)):
+        _keep_lowest(best, rows, np.column_stack([f, t]))
+    lower = np.full(n, np.inf)
+    cells = np.ones(n, dtype=int)
+    while rows.size:
+        upper = np.minimum(upper, best[:, 0])
+        width = (t1 - t0) * radius[rows]
+        low = _edge_lower(f0, f1, lam[rows] * width * width)
+        split = low < upper[rows] - 0.5 * gap
+        cells += 2 * np.bincount(rows[split], minlength=n)
+        split &= cells[rows] <= _MAX_CELLS
+        np.minimum.at(lower, rows[~split], low[~split])
+        rows, t0, t1, f0, f1 = rows[split], t0[split], t1[split], f0[split], f1[split]
+        if not rows.size:
+            break
+        mid = 0.5 * (t0 + t1)
+        fm = evaluate(rows, mid)
+        _keep_lowest(best, rows, np.column_stack([fm, mid]))
+        # children [t0, mid] and [mid, t1]
+        t0, t1 = np.concatenate([t0, mid]), np.concatenate([mid, t1])
+        f0, f1 = np.concatenate([f0, fm]), np.concatenate([fm, f1])
+        rows = np.concatenate([rows, rows])
+    return _Proof(
+        lower=(lower - _slack(batch.ops.shape[-1]) - lam * batch.rings[batch.box]) * scale,
+        xm=best[:, 1] * radius,
+        ym=np.zeros(n),
+    )
+
+
+def _prove(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
+    """The proof of every row of `batch`, each by its route, in row order.
+
+    A row with lam == mu exactly on a box with a ring (`_Batch.rings`) goes
+    to `_ring_proof`, every other row to `_branch_and_bound`; each route
+    runs on chunks (`_in_chunks`). Neither reads another row, so no row's
+    result depends on its batch.
+    """
+    ring = (batch.lam == batch.mu) & np.isfinite(batch.rings[batch.box])
+    proof = _Proof(*np.empty((3, batch.lam.size)))
+    for engine, rows in ((_ring_proof, np.flatnonzero(ring)), (_branch_and_bound, np.flatnonzero(~ring))):
+        if rows.size:
+            part = _in_chunks(engine, batch.take(rows), upper[rows], gap=gap)
+            for field, new in zip(proof, part):
+                field[rows] = new
+    return proof
+
+
 def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
     """The one rule behind every bound: each row of `batch` solved and judged, as arrays.
 
-    One branch-and-bound from the box alone (upper bound +inf) at the
-    coarse gap GRID_GAP runs every row, and one seesaw batch polishes the
-    lowest vertex each row's proof found. That vertex lies within
-    GRID_GAP / 2 plus a rounding slack of the infimum, in units of the
-    penalty scale, and the polish only lowers V, so a converged polish
-    ends within that much of the infimum in value; it is certified. That
+    One proof from the box alone (upper bound +inf) at the coarse gap
+    GRID_GAP runs every row (`_prove`: the ring proof for a row with lam
+    == mu on a box with a ring, the branch-and-bound for every other row),
+    and one seesaw batch polishes the lowest vertex each row's proof
+    found. That vertex lies within GRID_GAP / 2 plus a rounding slack of
+    the infimum, in units of the penalty scale, and the polish only lowers
+    V, so a converged polish ends within that much of the infimum in
+    value; it is certified. That
     is all it promises: near a knee, where two branches of local minima
     come within GRID_GAP / 2 of each other, the vertex can lie in the
     wrong basin, and the polish converges at a local minimum above the
@@ -722,16 +888,17 @@ def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
     --alpha 0.11013211899741604 --lambda 0.307333`, a separable tuple on
     the bound, is detected that way, margin 2.34e-5 (ROADMAP item 2 gives
     every row a proof at GAP_TOL instead). Every row
-    whose polish stalled goes through one more batched branch-and-bound,
-    at GAP_TOL with its value as the upper bound, and a second polish
-    from the lowest point that proof evaluated. The lower of the two
+    whose polish stalled goes through one more batched proof, routed the
+    same way, at GAP_TOL with its value as the upper bound, and a second
+    polish from the lowest point that proof evaluated. The lower of the two
     values is kept, ties going to the second, so the value is always V at
     a real minimizer; it is certified when the proven lower bound lies
     within GAP_TOL times the penalty scale of it. On a mirror symmetric
     box (`_mirrors`) the proofs tile only means >= 0 on each symmetric
     side, so the minimizer may be the mirror image of the one the whole
-    box would give. No row reads another's values, so a row's result
-    does not depend on the batch.
+    box would give; a ring proof's polish starts at means (r, 0), so its
+    minimizer is the one of the ring that lies there. No row reads
+    another's values, so a row's result does not depend on the batch.
 
     Returns the rows, their values lowered by the rounding slack of a
     penalty eigenvalue, 4 dim^2 eps of the penalty scale, and clamped at
@@ -742,13 +909,13 @@ def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
     """
     if not batch.lam.size:
         raise ValueError("no weighted pairs given")
-    proof = _in_chunks(_branch_and_bound, batch, np.full(batch.lam.size, np.inf), gap=GRID_GAP)
+    proof = _prove(batch, np.full(batch.lam.size, np.inf), GRID_GAP)
     rows = _in_chunks(_seesaw_rows, batch, proof.xm, proof.ym)
     certified = rows.converged.copy()
     todo = np.flatnonzero(~certified)
     if todo.size:
         stalled = batch.take(todo)
-        proof = _in_chunks(_branch_and_bound, stalled, rows.values[todo], gap=GAP_TOL)
+        proof = _prove(stalled, rows.values[todo], GAP_TOL)
         polish = _in_chunks(_seesaw_rows, stalled, proof.xm, proof.ym)
         # the lower value is kept, ties going to the second polish
         take = ~(polish.values > rows.values[todo])
@@ -790,12 +957,15 @@ def _certified_curve(x: MomentPair, y: MomentPair, lams: Sequence[float]) -> Tup
 
     The box is validated once, by its pairs at lam = 0 and lam = 1: every
     weight between them passes the same checks, its penalty scale lying
-    between theirs. One `_certify` batch covers every weight. Returns the
-    rows it keeps and their certified flags; no record is built.
+    between theirs; its ring, which neither end reads, is measured for
+    the weight at lam = 1/2. One `_certify` batch covers every weight.
+    Returns the rows it keeps and their certified flags; no record is built.
     """
     ends = _batch([WeightedPair(0.0, 1.0, x, y), WeightedPair(1.0, 0.0, x, y)])
     lam = np.array(lams, dtype=float)
-    every_lam = ends._replace(box=np.zeros(lam.size, dtype=int), lam=lam, mu=1.0 - lam)
+    every_lam = ends._replace(
+        rings=_ring(ends.ops, ends.proof_spans, ends.scales), box=np.zeros(lam.size, dtype=int), lam=lam, mu=1.0 - lam
+    )
     return _certify(every_lam)
 
 

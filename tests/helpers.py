@@ -26,7 +26,7 @@ def raw_grid_route(pair):
     stopped, certified when it converged.
     """
     b = bounds._batch([pair])
-    proof = bounds._in_chunks(bounds._branch_and_bound, b, np.full(1, np.inf), gap=bounds.GRID_GAP)
+    proof = bounds._prove(b, np.full(1, np.inf), bounds.GRID_GAP)
     rows = bounds._in_chunks(bounds._seesaw_rows, b, proof.xm, proof.ym)
     return rows.record(0, rows.converged[0])
 

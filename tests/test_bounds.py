@@ -226,13 +226,8 @@ def test_grid_bound_on_the_degenerate_box_solves_its_corners(monkeypatch):
     assert solved <= 64
 
 
-@pytest.mark.parametrize("alpha, lam", [(0.2, 0.5), (0.0, 0.5), (0.5, 0.5), (None, 0.9)])
-def test_grid_bound_solves_each_vertex_once(monkeypatch, alpha, lam):
-    # cells that share a vertex share its eigensolve, in every round; the
-    # spin-1 proofs tile a quarter box, and alpha None is a random POVM box
-    # (about 200 matrices), whose proof tiles the whole box
-    x, y = random_pairs(17)[:2] if alpha is None else spin1_moment_pairs(alpha)
-    pair = WeightedPair(lam, 1.0 - lam, x, y)
+def recorded_eigvalsh(monkeypatch, fn):
+    """The bytes of every matrix fn passes through np.linalg.eigvalsh, in order."""
     solved = []
     solve = np.linalg.eigvalsh
 
@@ -241,9 +236,41 @@ def test_grid_bound_solves_each_vertex_once(monkeypatch, alpha, lam):
         return solve(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    certified_bound(pair)
-    assert len(solved) > 100
-    assert len(set(solved)) == len(solved)
+    fn()
+    monkeypatch.undo()
+    return solved
+
+
+@pytest.mark.parametrize("alpha, lam", [(0.2, 0.49), (0.0, 0.49), (0.5, 0.49), (None, 0.9)])
+def test_grid_bound_solves_each_vertex_once(monkeypatch, alpha, lam):
+    # cells that share a vertex share its eigensolve, in every round; the
+    # spin-1 proofs tile a quarter box, and alpha None is a random POVM box
+    # (about 200 matrices), whose proof tiles the whole box; near lam = 1/2,
+    # not at it, where the ring proof takes the row. The bound's coarse
+    # proof solves 40 to 113 matrices there, and a proof at GAP_TOL of the
+    # whole span from 167 up
+    x, y = random_pairs(17)[:2] if alpha is None else spin1_moment_pairs(alpha)
+    pair = WeightedPair(lam, 1.0 - lam, x, y)
+    batch = whole_box(bounds._batch([pair]), [pair])
+    fine = recorded_eigvalsh(monkeypatch, lambda: proof_lowers(batch))
+    assert len(fine) > 100
+    for solved in (fine, recorded_eigvalsh(monkeypatch, lambda: certified_bound(pair))):
+        assert len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5])
+def test_ring_proof_solves_each_radius_once(monkeypatch, alpha):
+    # at lam = mu the proof tiles the radius of the means; a midpoint
+    # belongs to one interval, so each radius is solved once. The bound's
+    # coarse proof, with its spectral box (X1, Y1), solves fewer than 40
+    # matrices where the quarter box solved more than 100
+    pair = spin1_pair(0.5, 0.5, alpha)
+    proof = recorded_eigvalsh(
+        monkeypatch, lambda: bounds._ring_proof(bounds._batch([pair]), np.array([np.inf]), bounds.GAP_TOL)
+    )
+    assert 4 <= len(proof) == len(set(proof))
+    routed = recorded_eigvalsh(monkeypatch, lambda: certified_bound(pair))
+    assert len(set(routed)) == len(routed) < 40
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -547,7 +574,7 @@ def test_engine_matches_scalar_seesaw_bit_for_bit(alpha, lam):
         assert_engine_matches_scalar([pair] * 6, starts, max_iter=3)
     # the first polish of every bound is one such run, from the lowest
     # vertex of its proof
-    proof = bounds._branch_and_bound(bounds._batch([pair]), np.array([np.inf]), bounds.GRID_GAP)
+    proof = bounds._prove(bounds._batch([pair]), np.array([np.inf]), bounds.GRID_GAP)
     assert_same_as_scalar(raw_grid_route(pair), pair, float(proof.xm[0]), float(proof.ym[0]))
     assert same_result(seesaw_bound(pair), certified_bound(pair))
 
@@ -675,12 +702,14 @@ def test_stalled_certified_bound_solves_its_spectral_box_once(monkeypatch):
 
 def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
     # one stacked eigensolve per polish step for the whole curve, one more
-    # per step of the second polish, one coarse branch-and-bound for every
-    # weight and one at GAP_TOL for every weight whose polish stalls: their
-    # rounds, and so their eigvalsh calls, are those of the hardest weight
-    # alone
+    # per step of the second polish, one coarse proof for every weight and
+    # one at GAP_TOL for every weight whose polish stalls; each proof engine
+    # runs its rows together, so its rounds, and so its eigvalsh calls, are
+    # those of its hardest weight alone: the lam = 1/2 knot in the ring
+    # proof, every other knot in the branch-and-bound
     x, y = spin1_moment_pairs(0.2)
     counts = {"eigh": 0, "eigvalsh": 0}
+    calls = {"_branch_and_bound": 0, "_ring_proof": 0}
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def counted(name, fn):
@@ -690,26 +719,41 @@ def test_sep_bound_curve_solves_all_weights_in_one_batch(monkeypatch):
 
         return wrapped
 
+    def engine(name, fn):
+        def wrapped(*args, **kwargs):
+            before = counts["eigvalsh"]
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls[name] += counts["eigvalsh"] - before
+
+        return wrapped
+
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    for name in calls:
+        monkeypatch.setattr(bounds, name, engine(name, getattr(bounds, name)))
     # a cap the slowest polishes need more steps than, so that some stall
     max_iter = 2
     with capped_seesaw(max_iter):
         lams, _, certified = sep_bound_curve(x, y, num=201)
         assert certified.all()
         assert counts["eigh"] <= 2 * max_iter
-        curve_calls = counts["eigvalsh"]
+        curve_calls = dict(calls)
+        assert curve_calls["_ring_proof"] > 0
         stalled = [
             float(lam) for lam in lams
             if not raw_grid_route(WeightedPair(float(lam), float(1.0 - lam), x, y)).converged
         ]
         assert len(stalled) >= 4
-        single_calls = []
-        for lam in stalled:
-            counts["eigvalsh"] = 0
+        single_calls = {name: [] for name in calls}
+        for lam in stalled + [0.5]:
+            calls.update(dict.fromkeys(calls, 0))
             certified_bound(WeightedPair(lam, 1.0 - lam, x, y))
-            single_calls.append(counts["eigvalsh"])
-        assert curve_calls <= max(single_calls)
+            for name in calls:
+                single_calls[name].append(calls[name])
+        for name in calls:
+            assert curve_calls[name] <= max(single_calls[name])
 
 
 def assert_within_gap(value, exact, pair):
@@ -960,6 +1004,103 @@ def test_mirror_defects_match_an_entrywise_residual():
             span, defect = entrywise_mirrors(bx, by)
             assert batch.proof_spans[b].tolist() == span
             np.testing.assert_allclose(batch.defects[b], defect, rtol=1e-12, atol=0.0)
+
+
+def ring_lowers(batch, gap=bounds.GAP_TOL):
+    return bounds._ring_proof(batch, np.full(batch.lam.size, np.inf), gap).lower
+
+
+@pytest.mark.parametrize("weight", [1e-3, 1.0, 1e3])
+def test_ring_proof_brackets_the_exact_infimum(weight):
+    # at lam = mu the noisy spin-1 f depends only on the radius of the
+    # means; the proof over that radius must stay a proof, and close to
+    # the quarter box's, at any magnitude of the weights
+    alphas = (0.0, 0.05, 0.2, 0.5, 0.95)
+    pairs = [WeightedPair(0.5 * weight, 0.5 * weight, *spin1_moment_pairs(alpha)) for alpha in alphas]
+    batch = bounds._batch(pairs)
+    assert np.all(batch.rings <= bounds._slack(3) * batch.scales.sum(axis=1))
+    for alpha, pair, ring, quarter in zip(alphas, pairs, ring_lowers(batch), proof_lowers(batch)):
+        assert ring <= weight * local_infimum(0.5, 0.5, alpha)
+        assert abs(ring - quarter) <= bounds.GAP_TOL * pair.scale
+
+
+def test_lam_equal_mu_proofs_bracket_the_exact_infimum():
+    # every lam = mu row, ring or not, is proven within GAP_TOL of the
+    # closed form and at or below it, over alpha and the weights' magnitude
+    alphas = np.linspace(0.0, 1.0, 101)
+    pairs = [WeightedPair(w, w, *spin1_moment_pairs(alpha)) for w in (1e-3, 0.5, 1e3) for alpha in alphas]
+    batch = bounds._batch(pairs)
+    # the ring holds to rounding up to alpha = 0.95 (96 boxes of 101);
+    # beyond, the 1 / eta^2 in J lifts its defect over the slack, and at
+    # alpha = 1 [X1, Y1] is dust
+    rings = np.isfinite(batch.rings).reshape(3, -1)
+    assert rings[:, alphas <= 0.9].all() and not rings[:, -1].any()
+    lower = bounds._prove(batch, np.full(len(pairs), np.inf), bounds.GAP_TOL).lower
+    for pair, alpha, low in zip(pairs, np.tile(alphas, 3), lower):
+        exact = 2.0 * pair.lam * local_infimum(0.5, 0.5, alpha)
+        assert exact - bounds.GAP_TOL * pair.scale <= low <= exact
+
+
+def test_degenerate_and_random_boxes_have_no_ring():
+    # at alpha = 1, or with X1 = 0, [X1, Y1] is rounding dust or zero; a
+    # random POVM box's commutator rotates nothing, so its defect is huge
+    x, y = spin1_moment_pairs(1.0)
+    boxes = [(x, y), (MomentPair(np.zeros((3, 3)), x.second), y)] + [random_pairs(s)[:2] for s in (3, 17)]
+    batch = bounds._batch([WeightedPair(0.5, 0.5, *box) for box in boxes])
+    assert np.isinf(batch.rings).all()
+
+
+def test_rows_off_the_ring_keep_the_quarter_box_route(monkeypatch):
+    # a random POVM box, a spin-1 box whose rotation Y1 + 1e-6 I breaks
+    # beyond rounding, and a row a ulp off lam = mu on a box with a ring
+    # take the branch-and-bound, bit for bit as with no ring at all
+    x, y = spin1_moment_pairs(0.2)
+    y_off = MomentPair(y.first.entries + 1e-6 * np.eye(3), y.second)
+    pairs = [
+        WeightedPair(0.5, 0.5, *random_pairs(17)[:2]),
+        WeightedPair(0.5, 0.5, x, y_off),
+        WeightedPair(0.5, float(np.nextafter(0.5, 1.0)), x, y),
+    ]
+    # the lam = mu row at the end makes the third box measure its ring
+    batch = bounds._batch(pairs + [WeightedPair(0.5, 0.5, x, y)])
+    assert np.isinf(batch.rings[:2]).all() and np.isfinite(batch.rings[2])
+    batch, upper = batch.take(slice(3)), np.full(3, np.inf)
+    routed = bounds._prove(batch, upper, bounds.GAP_TOL)
+    for field, direct in zip(routed, bounds._branch_and_bound(batch, upper, bounds.GAP_TOL)):
+        assert np.array_equal(field, direct)
+    with capped_seesaw(3):
+        routes = [(raw_grid_route(pair), certified_bound(pair)) for pair in pairs]
+        monkeypatch.setattr(bounds, "_ring", lambda ops, spans, scales: np.full(len(scales), np.inf))
+        for pair, (grid, certified) in zip(pairs, routes):
+            assert same_result(raw_grid_route(pair), grid)
+            assert same_result(certified_bound(pair), certified)
+
+
+def test_a_ring_broken_within_rounding_is_kept_and_subtracted():
+    # Y1 + 1e-15 I moves E1 = [J, X1] - i Y1 by 1e-15 I, within rounding:
+    # the ring is kept, its measured defect grows, and the proof subtracts it
+    x, y = spin1_moment_pairs(0.2)
+    exact = bounds._batch([spin1_pair(0.5, 0.5, 0.2)])
+    pair = WeightedPair(0.5, 0.5, x, MomentPair(y.first.entries + 1e-15 * np.eye(3), y.second))
+    batch = bounds._batch([pair])
+    assert exact.rings[0] < batch.rings[0] <= bounds._slack(3) * batch.scales.sum()
+    lower, undefected = ring_lowers(batch)[0], ring_lowers(batch._replace(rings=np.zeros(1)))[0]
+    assert abs((undefected - lower) - pair.lam * batch.rings[0]) <= 4.0 * np.spacing(lower)
+    # the shift moves every V by at most mu (2 eps |<Y1>| + eps^2) < 2 eps
+    assert lower <= local_infimum(0.5, 0.5, 0.2) + 2e-15
+
+
+def test_ring_rows_in_a_mixed_batch_keep_their_one_pair_bits(monkeypatch):
+    # `bound --lambda 0.5 --mu 0.5 --alpha 0.2 --alpha-b 0.4` proves two
+    # ring boxes in one batch; with a lam != mu row between them, and in
+    # chunks of one row, each row keeps the bits of its one-pair bound
+    pairs = [spin1_pair(0.5, 0.5, 0.2), spin1_pair(0.3, 0.7, 0.2), spin1_pair(0.5, 0.5, 0.4)]
+    alone = [certified_bound(pair) for pair in pairs]
+    for batch_pairs in ([pairs[0], pairs[2]], pairs):
+        for chunk in (bounds._CHUNK, 1):
+            monkeypatch.setattr(bounds, "_CHUNK", chunk)
+            for res, pair in zip(bounds.local_bounds(batch_pairs), batch_pairs):
+                assert same_result(res, alone[pairs.index(pair)])
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")

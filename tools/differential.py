@@ -17,6 +17,8 @@ seeded start once stopped at a non-global minimum, `bound --lambda 1e300
 `bound` with `--starts 1 --seed 48` (ignored options that old command
 lines still pass), `bound --lambda 1 --mu 0 --alpha 0.2` (a zero bound,
 where the rounding slack would carry the value below 0 but for its clamp),
+`bound --lambda 0.5 --mu 0.5 --alpha 0.2 --alpha-b 0.4` (two boxes with
+a ring, proven over the radius of their means in one batch),
 and two requests whose certified batch, one row a
 weight, spans more than one chunk of `varwit.bounds._CHUNK` (4,096)
 rows: `report --lambda-grid 4500` and `region --lambdas 4200 --alpha
@@ -67,6 +69,7 @@ def requests(work):
     out.append((["bound", "--lambda", "0.3", "--mu", "0.7", "--alpha", "0.2", "--alpha-b", "0.5",
                  "--starts", "1", "--seed", "48"], None))
     out.append((["bound", "--lambda", "1", "--mu", "0", "--alpha", "0.2"], None))
+    out.append((["bound", "--lambda", "0.5", "--mu", "0.5", "--alpha", "0.2", "--alpha-b", "0.4"], None))
     with_dir("report_chunks", ["report", "--state", "singlet", "--alpha", "0.2", "--seed", "1",
                                "--lambda-grid", "4500"])
     with_dir("region_chunks", ["region", "--lambdas", "4200", "--alpha", "0.5"])

@@ -37,7 +37,10 @@ Hofmann-Takeuchi closed form, PRA 68, 032103 (2003)), so f depends only
 on the radius of the means. `_batch` measures the ring's defect the same
 way (`_ring`), and a row with lam == mu on a box with a ring is proven by
 a branch-and-bound over that radius alone (`_ring_proof`); `_prove`
-routes every row to its proof.
+routes every row to its proof. Both proofs are one refinement,
+`_bisect`, over unit triangles or unit intervals: it alone prunes, caps
+the cells, shares vertices and keeps the lowest one, and every proof
+starts from the box alone, with no upper bound passed in.
 The descent and both proofs run on chunks of _CHUNK rows (`_in_chunks`).
 The engines and the rule pass only such arrays; `local_bounds` builds the
 records at the edge, many pairs in one batch, and `certified_bound` is
@@ -74,9 +77,9 @@ GRID_GAP = 1e-5
 # the weights' magnitude, or after _MAX_ITER eigensolves, uncertified
 _TOL = 1e-10
 _MAX_ITER = 500
-# branch-and-bound cells one weight may create before it gives up uncertified, in
-# either proof; at GAP_TOL on the spin-1 box a lam = mu row takes 21 (alpha = 0) to 209
-# (alpha = 0.5) intervals of radius, while a row 1e-9 off lam = mu still takes 44k
+# cells one row's branch-and-bound (`_bisect`) may create before it stops; at
+# GAP_TOL on the spin-1 box a lam = mu row takes 21 (alpha = 0) to 209 (alpha =
+# 0.5) intervals of radius, while a row 1e-9 off lam = mu still takes 44k
 # (alpha = 0) to 19k (alpha = 0.5) triangles of the quarter box
 _MAX_CELLS = 1 << 19
 # rows per stacked eigensolve in the seesaw engine, and weights per
@@ -683,35 +686,107 @@ def _keep_lowest(best: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> None:
     best[:] = joined[order[_run_heads(owner[order])]]
 
 
-def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
-    """Proven lower bounds on inf V for every row (lam, mu) of `batch`, solved together.
+# the unit cells a branch-and-bound (`_bisect`) tiles, as (corners, first
+# cells, halves): each first cell lists its corners, and a split cell's new
+# vertex halves its first-to-last edge, each half keeping the vertices that
+# its row of halves names, index len(cell) for the new one. The unit square
+# is two right triangles (a, b, c), right-angled at b, whose halves (a, m,
+# b) and (b, m, c) are right-angled at m; the unit interval (a, b) has
+# halves (a, m) and (m, b)
+_TRIANGLES = (
+    np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    np.array([[0, 1, 2], [0, 3, 2]]),
+    ((0, 3, 1), (1, 3, 2)),
+)
+_INTERVALS = (np.array([[0.0], [1.0]]), np.array([[0, 1]]), ((0, 2), (2, 1)))
+
+
+def _bisect(n: int, geometry, evaluate, cell_lower, gap: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The branch-and-bound of both proofs: each of n rows' lower bound and lowest vertex over a unit geometry.
+
+    `geometry` is `_TRIANGLES` or `_INTERVALS`. `evaluate(rows, *coords)`
+    returns f of row rows[i] at the unit point whose coordinates are
+    coords[k][i], and `cell_lower(rows, points, f)` a lower bound of f on
+    each cell from its vertices' points (cells, s, dim) and values (cells,
+    s). Every row
+    starts from the geometry's corners and first cells. Every evaluated f
+    is an upper bound on the row's minimum, and a cell is pruned once its
+    bound lies within gap / 2 of the row's lowest vertex, so a row that
+    ends by pruning has its lowest vertex within gap / 2 of its lower
+    bound. Every surviving cell is split in two at the midpoint of its
+    first-to-last edge, and the new vertices of all rows are evaluated in
+    one `evaluate` call per round. One sort of them by (row, point) per
+    round finds those that neighbouring cells share, so each vertex is
+    evaluated once. A row stops at _MAX_CELLS cells with the bound its
+    cells give so far, still a lower bound, whose vertex need not lie
+    within gap / 2 of it. The lowest vertex is the lexicographic (f,
+    point) minimum of those evaluated (`_keep_lowest`). Rows do not
+    interact, so a row's result does not depend on the batch.
+
+    Returns the lower bounds (n,) and the lowest vertices (n, 1 + dim),
+    each as (f, point).
+    """
+    corners, first, halves = geometry
+    size = first.shape[1]
+    best = np.zeros((n, 1 + corners.shape[1]))
+    best[:, 0] = np.inf
+    rows, points = np.repeat(np.arange(n), corners.shape[0]), np.tile(corners, (n, 1))
+    fc = evaluate(rows, *points.T)
+    _keep_lowest(best, rows, np.column_stack([fc, points]))
+    rows = np.repeat(np.arange(n), first.shape[0])
+    points = np.tile(corners[first], (n, 1, 1))
+    fv = fc.reshape(n, -1)[:, first].reshape(-1, size)
+    lower = np.full(n, np.inf)
+    cells = np.full(n, first.shape[0])
+    while rows.size:
+        low = cell_lower(rows, points, fv)
+        split = low < (best[:, 0] - 0.5 * gap)[rows]
+        cells += 2 * np.bincount(rows[split], minlength=n)
+        split &= cells[rows] <= _MAX_CELLS
+        np.minimum.at(lower, rows[~split], low[~split])
+        rows, points, fv = rows[split], points[split], fv[split]
+        if not rows.size:
+            break
+        # the new vertices' coordinates gathered a column at a time, which
+        # numpy does about twice as fast as whole rows of points
+        mid = 0.5 * (points[:, 0] + points[:, -1])
+        order = np.lexsort((*mid.T[::-1], rows))
+        keys = [key[order] for key in (rows, *mid.T)]
+        head = _run_heads(*keys)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(head) - 1
+        key_rows, *key_mid = (key[head] for key in keys)
+        fk = evaluate(key_rows, *key_mid)
+        _keep_lowest(best, key_rows, np.column_stack([fk, *key_mid]))
+        # each half's vertices, index size naming the new one; slice assignment
+        # is 2 to 2.5 times as fast here as one fancy-index gather
+        m = rows.size
+        vertices = [(points[:, k], fv[:, k]) for k in range(size)] + [(mid, fk[inverse])]
+        child_points, child_f = np.empty((2 * m,) + points.shape[1:]), np.empty((2 * m, size))
+        for part, half in zip((slice(0, m), slice(m, 2 * m)), halves):
+            for j, vertex in enumerate(half):
+                child_points[part, j], child_f[part, j] = vertices[vertex]
+        rows, points, fv = np.concatenate([rows, rows]), child_points, child_f
+    return lower, best
+
+
+def _branch_and_bound(batch: _Batch, gap: float) -> _Proof:
+    """Proven lower bounds on inf V for every row (lam, mu) of `batch`, over triangles of its proof span.
 
     For a row of box b, inf V is the minimum over the span spans[b] of
     the means of f = g + lam x^2 + mu y^2, g = lambda_min(lam X2 + mu Y2
     - 2 lam x X1 - 2 mu y Y1). The proof tiles the box's proof span
     proof_spans[b], which is a half or a quarter of the span where f is
-    mirror symmetric (`_mirrors`), and subtracts the row's mirror defect
-    lam ex + mu ey along with the rounding slack; a box without mirrors
-    tiles its whole span, less nothing. The proof span is split into right
-    triangles; `_cell_lower` bounds f on each. Every evaluated f is an upper bound, as is the
-    row's `upper` (a polished value, or +inf). A cell is pruned once its
-    bound lies within gap / 2 of the row's best upper bound, so a row that
-    ends by pruning has its lowest vertex within gap / 2 plus the slack of
-    the infimum. Every surviving cell is bisected through its hypotenuse,
-    its longest edge in units of the box, and the new vertices of all rows
-    are evaluated in one `eigvalsh` call per round, each penalty built from
-    its row's operators (`_Batch.row_ops`). One sort of the new
-    vertices by (row, u, v) per round finds those that neighbouring cells
-    share, so each vertex is evaluated once. A row stops at
-    _MAX_CELLS cells with the bound its cells give so far. Each row works
-    in units of its penalty scale, so the result does not depend on the
-    weights' magnitude, and subtracts a rounding slack of a few eps. Rows
-    do not interact, so a row's result does not depend on the batch. The
-    rows are one chunk; `_in_chunks` runs more.
+    mirror symmetric (`_mirrors`), in right triangles (`_bisect`), and
+    subtracts the row's mirror defect lam ex + mu ey along with the
+    rounding slack; a box without mirrors tiles its whole span, less
+    nothing. `_cell_lower` bounds f on each triangle, and each penalty is
+    built from its row's operators (`_Batch.row_ops`). Each row works in
+    units of its penalty scale, so the result does not depend on the
+    weights' magnitude. The rows are one chunk; `_in_chunks` runs more.
     """
     scale = batch.row_scales()
-    lam, mu, upper = batch.lam / scale, batch.mu / scale, upper / scale
-    n = lam.shape[0]
+    lam, mu = batch.lam / scale, batch.mu / scale
     row_xlo, row_xhi, row_ylo, row_yhi = batch.proof_spans[batch.box].T
     row_wx, row_wy = row_xhi - row_xlo, row_yhi - row_ylo
     ex, ey = batch.defects[batch.box].T
@@ -730,57 +805,13 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
         )
         return np.linalg.eigvalsh(pen)[:, 0] + lr * xb * xb + mr * yb * yb
 
-    best = np.zeros((n, 3))  # (f, u, v) of each row's lowest vertex
-    best[:, 0] = np.inf
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    rows = np.repeat(np.arange(n), 4)
-    fc = evaluate(rows, np.tile(corners[:, 0], n), np.tile(corners[:, 1], n))
-    _keep_lowest(best, rows, np.column_stack([fc, np.tile(corners, (n, 1))]))
-    # two triangles per row, vertices ordered (a, b, c) with the right angle at b
-    tri = np.array([[0, 1, 2], [0, 3, 2]])
-    rows = np.repeat(np.arange(n), 2)
-    uv = np.tile(corners[tri], (n, 1, 1))
-    fv = fc.reshape(n, 4)[:, tri].reshape(-1, 3)
-    lower = np.full(n, np.inf)
-    cells = np.full(n, 2)
-    while rows.size:
-        upper = np.minimum(upper, best[:, 0])
+    def cell_lower(rows, uv, f):
         edges = uv[:, 1:] - uv[:, :1]
-        low = _cell_lower(
-            fv,
-            edges[..., 0] * row_wx[rows, None],
-            edges[..., 1] * row_wy[rows, None],
-            lam[rows],
-            mu[rows],
+        return _cell_lower(
+            f, edges[..., 0] * row_wx[rows, None], edges[..., 1] * row_wy[rows, None], lam[rows], mu[rows]
         )
-        split = low < upper[rows] - 0.5 * gap
-        cells += 2 * np.bincount(rows[split], minlength=n)
-        split &= cells[rows] <= _MAX_CELLS
-        np.minimum.at(lower, rows[~split], low[~split])
-        rows, uv, fv = rows[split], uv[split], fv[split]
-        if not rows.size:
-            break
-        # the new vertex halves the hypotenuse a-c; one sort by (row, u, v)
-        # brings together the cells that share a vertex, which is evaluated once
-        mid = 0.5 * (uv[:, 0] + uv[:, 2])
-        order = np.lexsort((mid[:, 1], mid[:, 0], rows))
-        key_rows, key_u, key_v = rows[order], mid[order, 0], mid[order, 1]
-        head = _run_heads(key_rows, key_u, key_v)
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(head) - 1
-        key_rows, key_u, key_v = key_rows[head], key_u[head], key_v[head]
-        fk = evaluate(key_rows, key_u, key_v)
-        _keep_lowest(best, key_rows, np.column_stack([fk, key_u, key_v]))
-        # children (a, mid, b) and (b, mid, c), each with the right angle at mid
-        m = rows.size
-        child_uv, child_f = np.empty((2 * m, 3, 2)), np.empty((2 * m, 3))
-        child_uv[:m, 0], child_uv[m:, 0] = uv[:, 0], uv[:, 1]
-        child_uv[:m, 1] = child_uv[m:, 1] = mid
-        child_uv[:m, 2], child_uv[m:, 2] = uv[:, 1], uv[:, 2]
-        child_f[:m, 0], child_f[m:, 0] = fv[:, 0], fv[:, 1]
-        child_f[:m, 1] = child_f[m:, 1] = fk[inverse]
-        child_f[:m, 2], child_f[m:, 2] = fv[:, 1], fv[:, 2]
-        uv, fv, rows = child_uv, child_f, np.concatenate([rows, rows])
+
+    lower, best = _bisect(lam.shape[0], _TRIANGLES, evaluate, cell_lower, gap)
     return _Proof(
         lower=(lower - _slack(batch.ops.shape[-1]) - (lam * ex + mu * ey)) * scale,
         xm=row_xlo + best[:, 1] * row_wx,
@@ -788,26 +819,22 @@ def _branch_and_bound(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
     )
 
 
-def _ring_proof(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
-    """Proven lower bounds on inf V for rows with lam = mu on boxes with a ring, over the radius alone.
+def _ring_proof(batch: _Batch, gap: float) -> _Proof:
+    """Proven lower bounds on inf V for rows with lam = mu on boxes with a ring, over intervals of the radius.
 
     On such a box f(x, y) lies within lam times the ring defect (`_ring`)
     of f(r, 0), r = |(x, y)|, for every pair of means of the span, whose
     radii are at most R, the largest radius of the spectral box. So the
-    proof tiles r in [0, R] at means (r, 0), in intervals. Along the ray f =
-    g + lam r^2 with g concave, so on a cell [r0, r1] f lies above the chord
-    of its end values less lam (r1 - r0)^2 t (1 - t), whose minimum
-    `_edge_lower` gives. Pruning, the _MAX_CELLS cap, the units of the
-    penalty scale and the rounding slack are those of `_branch_and_bound`,
-    and the lower bound also subtracts lam times the ring defect. Each
-    round bisects every surviving cell and evaluates its midpoint, which
-    no other cell shares, in one `eigvalsh` call for all rows. The lowest
-    vertex is the lexicographic (f, r) minimum, returned as means (r, 0).
-    Rows do not interact, so a row's result does not depend on the batch.
-    The rows are one chunk; `_in_chunks` runs more.
+    proof tiles r in [0, R] at means (r, 0) in intervals (`_bisect`).
+    Along the ray f = g + lam r^2 with g concave, so on a cell [r0, r1] f
+    lies above the chord of its end values less lam (r1 - r0)^2 t (1 - t),
+    whose minimum `_edge_lower` gives. The lower bound subtracts lam times
+    the ring defect along with the rounding slack, and the lowest vertex
+    is returned as means (r, 0). Each row works in units of its penalty
+    scale. The rows are one chunk; `_in_chunks` runs more.
     """
     scale = batch.row_scales()
-    lam, upper = batch.lam / scale, upper / scale
+    lam = batch.lam / scale
     n = lam.shape[0]
     # R from each side's largest |mean|, which a mirror-halved proof span keeps
     radius = np.hypot(*np.abs(batch.proof_spans[batch.box]).reshape(n, 2, 2).max(axis=2).T)
@@ -819,32 +846,11 @@ def _ring_proof(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
         pen = lr[:, None, None] * (x2 + y2) - (2.0 * lr * r)[:, None, None] * x1
         return np.linalg.eigvalsh(pen)[:, 0] + lr * r * r
 
-    best = np.zeros((n, 2))  # (f, t) of each row's lowest vertex
-    best[:, 0] = np.inf
-    rows, t0, t1 = np.arange(n), np.zeros(n), np.ones(n)
-    f0, f1 = evaluate(rows, t0), evaluate(rows, t1)
-    for t, f in ((t0, f0), (t1, f1)):
-        _keep_lowest(best, rows, np.column_stack([f, t]))
-    lower = np.full(n, np.inf)
-    cells = np.ones(n, dtype=int)
-    while rows.size:
-        upper = np.minimum(upper, best[:, 0])
-        width = (t1 - t0) * radius[rows]
-        low = _edge_lower(f0, f1, lam[rows] * width * width)
-        split = low < upper[rows] - 0.5 * gap
-        cells += 2 * np.bincount(rows[split], minlength=n)
-        split &= cells[rows] <= _MAX_CELLS
-        np.minimum.at(lower, rows[~split], low[~split])
-        rows, t0, t1, f0, f1 = rows[split], t0[split], t1[split], f0[split], f1[split]
-        if not rows.size:
-            break
-        mid = 0.5 * (t0 + t1)
-        fm = evaluate(rows, mid)
-        _keep_lowest(best, rows, np.column_stack([fm, mid]))
-        # children [t0, mid] and [mid, t1]
-        t0, t1 = np.concatenate([t0, mid]), np.concatenate([mid, t1])
-        f0, f1 = np.concatenate([f0, fm]), np.concatenate([fm, f1])
-        rows = np.concatenate([rows, rows])
+    def cell_lower(rows, t, f):
+        width = (t[:, 1, 0] - t[:, 0, 0]) * radius[rows]
+        return _edge_lower(f[:, 0], f[:, 1], lam[rows] * width * width)
+
+    lower, best = _bisect(n, _INTERVALS, evaluate, cell_lower, gap)
     return _Proof(
         lower=(lower - _slack(batch.ops.shape[-1]) - lam * batch.rings[batch.box]) * scale,
         xm=best[:, 1] * radius,
@@ -852,20 +858,22 @@ def _ring_proof(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
     )
 
 
-def _prove(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
-    """The proof of every row of `batch`, each by its route, in row order.
+def _prove(batch: _Batch, gap: float) -> _Proof:
+    """The proof of every row of `batch` from its box alone, each by its route, in row order.
 
     A row with lam == mu exactly on a box with a ring (`_Batch.rings`) goes
     to `_ring_proof`, every other row to `_branch_and_bound`; each route
-    runs on chunks (`_in_chunks`). Neither reads another row, so no row's
-    result depends on its batch.
+    runs on chunks (`_in_chunks`) of one refinement (`_bisect`), so a row
+    that ends by pruning has its lowest vertex within gap / 2, plus the
+    slack and defects its proof subtracts, of its lower bound, in units of
+    its penalty scale. No row reads another, so no row's result depends on
+    its batch.
     """
     ring = (batch.lam == batch.mu) & np.isfinite(batch.rings[batch.box])
     proof = _Proof(*np.empty((3, batch.lam.size)))
     for engine, rows in ((_ring_proof, np.flatnonzero(ring)), (_branch_and_bound, np.flatnonzero(~ring))):
         if rows.size:
-            part = _in_chunks(engine, batch.take(rows), upper[rows], gap=gap)
-            for field, new in zip(proof, part):
+            for field, new in zip(proof, _in_chunks(engine, batch.take(rows), gap=gap)):
                 field[rows] = new
     return proof
 
@@ -873,32 +881,32 @@ def _prove(batch: _Batch, upper: np.ndarray, gap: float) -> _Proof:
 def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
     """The one rule behind every bound: each row of `batch` solved and judged, as arrays.
 
-    One proof from the box alone (upper bound +inf) at the coarse gap
-    GRID_GAP runs every row (`_prove`: the ring proof for a row with lam
-    == mu on a box with a ring, the branch-and-bound for every other row),
-    and one seesaw batch polishes the lowest vertex each row's proof
-    found. That vertex lies within GRID_GAP / 2 plus a rounding slack of
-    the infimum, in units of the penalty scale, and the polish only lowers
-    V, so a converged polish ends within that much of the infimum in
-    value; it is certified. That
-    is all it promises: near a knee, where two branches of local minima
-    come within GRID_GAP / 2 of each other, the vertex can lie in the
-    wrong basin, and the polish converges at a local minimum above the
-    infimum. `varwit witness --tuple 0.8599207990389836,0.4473465418192297
-    --alpha 0.11013211899741604 --lambda 0.307333`, a separable tuple on
-    the bound, is detected that way, margin 2.34e-5 (ROADMAP item 2 gives
-    every row a proof at GAP_TOL instead). Every row
-    whose polish stalled goes through one more batched proof, routed the
-    same way, at GAP_TOL with its value as the upper bound, and a second
-    polish from the lowest point that proof evaluated. The lower of the two
-    values is kept, ties going to the second, so the value is always V at
-    a real minimizer; it is certified when the proven lower bound lies
-    within GAP_TOL times the penalty scale of it. On a mirror symmetric
-    box (`_mirrors`) the proofs tile only means >= 0 on each symmetric
-    side, so the minimizer may be the mirror image of the one the whole
-    box would give; a ring proof's polish starts at means (r, 0), so its
-    minimizer is the one of the ring that lies there. No row reads
-    another's values, so a row's result does not depend on the batch.
+    The proof of every row (`_prove`) at the coarse gap GRID_GAP, and one
+    seesaw batch that polishes the lowest vertex each row's proof found.
+    That vertex lies within GRID_GAP / 2 plus a rounding slack of the
+    infimum, in units of the penalty scale, and the polish only lowers V,
+    so a converged polish ends within that much of the infimum in value;
+    it is certified. That is all it promises: near a knee, where two
+    branches of local minima come within GRID_GAP / 2 of each other, the
+    vertex can lie in the wrong basin, and the polish converges at a local
+    minimum above the infimum. `varwit witness --tuple
+    0.8599207990389836,0.4473465418192297 --alpha 0.11013211899741604
+    --lambda 0.307333`, a separable tuple on the bound, is detected that
+    way, margin 2.34e-5 (ROADMAP item 2 gives every row a proof at GAP_TOL
+    instead). Every row whose polish stalled goes through the same proof
+    at GAP_TOL, and a second polish from its lowest vertex. The lower of
+    the two values is kept, ties going to the second, so the value is
+    always V at a real minimizer; it is certified when the proven lower
+    bound lies within GAP_TOL times the penalty scale of it. Little
+    traffic takes that path: of the 1,047 rows polished by three seeded
+    `queries` streams of the benchmark (seeds 1, 2, 60013) and one
+    `report`, none stalled, each polish taking 2 to 6 steps. On a mirror
+    symmetric box (`_mirrors`) the proofs tile only means >= 0 on each
+    symmetric side, so the minimizer may be the mirror image of the one
+    the whole box would give; a ring proof's polish starts at means (r,
+    0), so its minimizer is the one of the ring that lies there. No row
+    reads another's values, so a row's result does not depend on the
+    batch.
 
     Returns the rows, their values lowered by the rounding slack of a
     penalty eigenvalue, 4 dim^2 eps of the penalty scale, and clamped at
@@ -909,13 +917,13 @@ def _certify(batch: _Batch) -> Tuple[_Descent, np.ndarray]:
     """
     if not batch.lam.size:
         raise ValueError("no weighted pairs given")
-    proof = _prove(batch, np.full(batch.lam.size, np.inf), GRID_GAP)
+    proof = _prove(batch, GRID_GAP)
     rows = _in_chunks(_seesaw_rows, batch, proof.xm, proof.ym)
     certified = rows.converged.copy()
     todo = np.flatnonzero(~certified)
     if todo.size:
         stalled = batch.take(todo)
-        proof = _prove(stalled, rows.values[todo], GAP_TOL)
+        proof = _prove(stalled, GAP_TOL)
         polish = _in_chunks(_seesaw_rows, stalled, proof.xm, proof.ym)
         # the lower value is kept, ties going to the second polish
         take = ~(polish.values > rows.values[todo])

@@ -266,7 +266,7 @@ def test_ring_proof_solves_each_radius_once(monkeypatch, alpha):
     # matrices where the quarter box solved more than 100
     pair = spin1_pair(0.5, 0.5, alpha)
     proof = recorded_eigvalsh(
-        monkeypatch, lambda: bounds._ring_proof(bounds._batch([pair]), np.array([np.inf]), bounds.GAP_TOL)
+        monkeypatch, lambda: bounds._ring_proof(bounds._batch([pair]), bounds.GAP_TOL)
     )
     assert 4 <= len(proof) == len(set(proof))
     routed = recorded_eigvalsh(monkeypatch, lambda: certified_bound(pair))
@@ -292,9 +292,9 @@ def test_certified_bound_is_certified():
     assert abs(res.value - exact) <= bounds.GAP_TOL * res.scale
 
 
-def proven_lower(pair, upper, gap=bounds.GAP_TOL):
+def proven_lower(pair, gap=bounds.GAP_TOL):
     """The branch-and-bound's proven lower bound for one weighted pair."""
-    proof = bounds._branch_and_bound(bounds._batch([pair]), np.array([upper]), gap)
+    proof = bounds._branch_and_bound(bounds._batch([pair]), gap)
     return float(proof.lower[0])
 
 
@@ -312,7 +312,7 @@ def test_certified_bound_trusts_a_stall_the_oracle_confirms():
         res = certified_bound(pair)
     assert res.certified
     assert res.value <= stalled.value
-    lower = proven_lower(pair, stalled.value)
+    lower = proven_lower(pair)
     assert res.value - bounds.GAP_TOL * penalty_scale(pair) <= lower <= res.value
     assert lower <= local_infimum(0.355, 0.645, 0.2) <= res.value + 1e-12
 
@@ -574,7 +574,7 @@ def test_engine_matches_scalar_seesaw_bit_for_bit(alpha, lam):
         assert_engine_matches_scalar([pair] * 6, starts, max_iter=3)
     # the first polish of every bound is one such run, from the lowest
     # vertex of its proof
-    proof = bounds._prove(bounds._batch([pair]), np.array([np.inf]), bounds.GRID_GAP)
+    proof = bounds._prove(bounds._batch([pair]), bounds.GRID_GAP)
     assert_same_as_scalar(raw_grid_route(pair), pair, float(proof.xm[0]), float(proof.ym[0]))
     assert same_result(seesaw_bound(pair), certified_bound(pair))
 
@@ -861,7 +861,7 @@ def test_proof_on_a_degenerate_box():
         assert res.certified
         exact = local_infimum(0.3, 0.7, 1.0)
         assert_within_gap(res.value, exact, pair)
-        lower = proven_lower(pair, stalled.value)
+        lower = proven_lower(pair)
         assert exact - 1e-12 <= lower <= exact
 
 
@@ -884,8 +884,69 @@ def test_proof_does_not_depend_on_the_weights_scale():
     exact = local_infimum(0.3, 0.7, 0.2)
     for w in (1e-12, 1.0, 1e200):
         pair = WeightedPair(0.3 * w, 0.7 * w, x, y)
-        lower = proven_lower(pair, np.inf)
+        lower = proven_lower(pair)
         assert exact - bounds.GAP_TOL * penalty_scale(pair) / w <= lower / w <= exact
+
+
+# two rows of f(p) = sum_k -c (p_k - a_k)^2 + w_k p_k^2 on the unit cells: the
+# first term is concave, and c < min(w) puts each row's minimum inside, at
+# p_k = c a_k / (c - w_k)
+SYNTHETIC_C = np.array([0.5, 1.0])
+SYNTHETIC_W = np.array([[1.0, 2.0], [3.0, 1.5]])
+SYNTHETIC_A = np.array([[-0.6, -0.9], [-1.2, -0.1]])
+
+
+def synthetic_bisect(geometry, gap):
+    """`bounds._bisect` on the synthetic rows over `geometry`: its result, the exact minima and every evaluated vertex."""
+    dim = geometry[0].shape[1]
+    c, w, a = SYNTHETIC_C, SYNTHETIC_W[:, :dim], SYNTHETIC_A[:, :dim]
+    evaluated = []
+
+    def f(rows, p):
+        return (-c[rows, None] * (p - a[rows]) ** 2 + w[rows] * p**2).sum(axis=1)
+
+    def evaluate(rows, *coords):
+        evaluated.append(np.column_stack([rows, *coords]))
+        return f(rows, np.column_stack(coords))
+
+    def cell_lower(rows, p, fv):
+        edges = p[:, 1:] - p[:, :1]
+        if dim == 1:
+            return bounds._edge_lower(fv[:, 0], fv[:, 1], w[rows, 0] * edges[:, 0, 0] ** 2)
+        return bounds._cell_lower(fv, edges[..., 0], edges[..., 1], w[rows, 0], w[rows, 1])
+
+    lower, best = bounds._bisect(2, geometry, evaluate, cell_lower, gap)
+    rows = np.arange(2)
+    exact = f(rows, c[:, None] * a / (c[:, None] - w))
+    assert np.array_equal(f(rows, best[:, 1:]), best[:, 0])
+    return lower, best[:, 0], exact, np.concatenate(evaluated)
+
+
+@pytest.mark.parametrize("geometry", ["_TRIANGLES", "_INTERVALS"])
+def test_shared_refinement_brackets_a_known_minimum(geometry):
+    # the one loop behind both proofs, on functions of the proofs' form
+    # whose minimum is known: a row that ends by pruning has its lowest
+    # vertex within gap / 2 of its lower bound, and each vertex is
+    # evaluated once
+    gap, tol = 1e-6, 1e-14
+    lower, best, exact, evaluated = synthetic_bisect(getattr(bounds, geometry), gap)
+    assert np.all(lower <= exact + tol)
+    assert np.all(exact <= best + tol)
+    assert np.all(best <= lower + 0.5 * gap + tol)
+    assert len(np.unique(evaluated, axis=0)) == len(evaluated) > 20
+
+
+@pytest.mark.parametrize("geometry", ["_TRIANGLES", "_INTERVALS"])
+def test_shared_refinement_capped_early_stays_a_lower_bound(monkeypatch, geometry):
+    # at six cells each row stops after one round of bisection, its lowest
+    # vertex still far above its bound, and the bound still a proof
+    monkeypatch.setattr(bounds, "_MAX_CELLS", 6)
+    gap, tol = 1e-6, 1e-14
+    lower, best, exact, evaluated = synthetic_bisect(getattr(bounds, geometry), gap)
+    assert np.all(lower <= exact + tol)
+    assert np.all(best > lower + 0.5 * gap)
+    # each row's corners and the one round's midpoints
+    assert len(evaluated) <= 2 * 5
 
 
 def box_spans(batch, pairs):
@@ -900,7 +961,7 @@ def whole_box(batch, pairs):
 
 
 def proof_lowers(batch):
-    return bounds._branch_and_bound(batch, np.full(batch.lam.size, np.inf), bounds.GAP_TOL).lower
+    return bounds._branch_and_bound(batch, bounds.GAP_TOL).lower
 
 
 def test_quarter_box_proof_brackets_the_exact_infimum():
@@ -1007,7 +1068,7 @@ def test_mirror_defects_match_an_entrywise_residual():
 
 
 def ring_lowers(batch, gap=bounds.GAP_TOL):
-    return bounds._ring_proof(batch, np.full(batch.lam.size, np.inf), gap).lower
+    return bounds._ring_proof(batch, gap).lower
 
 
 @pytest.mark.parametrize("weight", [1e-3, 1.0, 1e3])
@@ -1035,7 +1096,7 @@ def test_lam_equal_mu_proofs_bracket_the_exact_infimum():
     # alpha = 1 [X1, Y1] is dust
     rings = np.isfinite(batch.rings).reshape(3, -1)
     assert rings[:, alphas <= 0.9].all() and not rings[:, -1].any()
-    lower = bounds._prove(batch, np.full(len(pairs), np.inf), bounds.GAP_TOL).lower
+    lower = bounds._prove(batch, bounds.GAP_TOL).lower
     for pair, alpha, low in zip(pairs, np.tile(alphas, 3), lower):
         exact = 2.0 * pair.lam * local_infimum(0.5, 0.5, alpha)
         assert exact - bounds.GAP_TOL * pair.scale <= low <= exact
@@ -1064,9 +1125,9 @@ def test_rows_off_the_ring_keep_the_quarter_box_route(monkeypatch):
     # the lam = mu row at the end makes the third box measure its ring
     batch = bounds._batch(pairs + [WeightedPair(0.5, 0.5, x, y)])
     assert np.isinf(batch.rings[:2]).all() and np.isfinite(batch.rings[2])
-    batch, upper = batch.take(slice(3)), np.full(3, np.inf)
-    routed = bounds._prove(batch, upper, bounds.GAP_TOL)
-    for field, direct in zip(routed, bounds._branch_and_bound(batch, upper, bounds.GAP_TOL)):
+    batch = batch.take(slice(3))
+    routed = bounds._prove(batch, bounds.GAP_TOL)
+    for field, direct in zip(routed, bounds._branch_and_bound(batch, bounds.GAP_TOL)):
         assert np.array_equal(field, direct)
     with capped_seesaw(3):
         routes = [(raw_grid_route(pair), certified_bound(pair)) for pair in pairs]
@@ -1132,7 +1193,7 @@ def test_proven_lower_bound_lies_below_every_state(seed, lam):
     x, y, rng = random_pairs(seed)
     pair = WeightedPair(lam, 1.0 - lam, x, y)
     found = certified_bound(pair)
-    lower = proven_lower(pair, found.value)
+    lower = proven_lower(pair)
     assert lower <= found.value
     for _ in range(50):
         assert lower <= variance_functional(pair, random_pure(rng, 3))
@@ -1159,7 +1220,7 @@ def test_sep_bound_curve_is_concave_in_lambda(seed):
 def test_proven_lower_bound_brackets_the_exact_infimum(lam, alpha):
     # with no seesaw value to start from, the proof alone closes the gap
     pair = spin1_pair(lam, 1.0 - lam, alpha)
-    lower = proven_lower(pair, np.inf)
+    lower = proven_lower(pair)
     exact = local_infimum(lam, 1.0 - lam, alpha)
     assert exact - bounds.GAP_TOL * penalty_scale(pair) <= lower <= exact
 
@@ -1192,7 +1253,7 @@ def test_grid_bound_lies_in_its_proven_window(lam, alpha, weight, seed):
     if seed is None:
         low = high = weight * local_infimum(lam, 1.0 - lam, alpha)
     else:
-        low = proven_lower(pair, np.inf)
+        low = proven_lower(pair)
         high = low + bounds.GAP_TOL * pair.scale
     with np.errstate(all="raise"):
         found = certified_bound(pair)
